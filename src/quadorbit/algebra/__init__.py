@@ -27,13 +27,6 @@ def poly_compose(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return f.compose(g)
 
 
-def formal_derivative(f):
-    """Term-wise derivative over whichever ring f lives in."""
-    if isinstance(f, (IntPolynomial, RatPolynomial, F2Polynomial)):
-        return f.derivative()
-    raise TypeError(f"no derivative for {type(f).__name__}")
-
-
 __all__ = [
     "Fraction",
     "F2Polynomial",
@@ -44,7 +37,6 @@ __all__ = [
     "RatPolynomial",
     "discriminant",
     "factor_integer",
-    "formal_derivative",
     "gcd_primitive",
     "gcd_qt",
     "is_probable_prime",

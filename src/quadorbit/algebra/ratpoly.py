@@ -137,18 +137,6 @@ class RatPolynomial:
         q = Fraction(q)
         return RatPolynomial(self.num * q.numerator, self.den * q.denominator)
 
-    def divide_exact(self, divisor: "RatPolynomial") -> "RatPolynomial":
-        """Exact quotient in Q[t]; raises if the division leaves a remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        a, b = self.primitive(), divisor.primitive()
-        if self.is_zero():
-            return RatPolynomial(IntPolynomial())
-        q = a.divmod_exact_or_none(b)
-        if q is None:
-            raise ValueError("division is not exact")
-        return RatPolynomial.from_int(q).scale(self.content() / divisor.content())
-
     def __repr__(self) -> str:
         return f"RatPolynomial({self.num!r}, {self.den})"
 

@@ -232,10 +232,8 @@ def _cmd_primes(args) -> int:
     gens = _gens(args)
     coding = _coding(args)
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
-    zero_cap = _env_int("QUADORBIT_ZERO_CAP", args.zero_cap)
-    report = density_profile(
-        gens, coding, Fraction(args.a0), cutoffs, zero_cap=zero_cap, workers=args.workers
-    )
+    if cutoffs != sorted(set(cutoffs)):
+        raise ValueError("cutoffs must be strictly increasing")
     if args.fpp_depth:
         payload = report_envelope(
             "primes",
@@ -244,6 +242,8 @@ def _cmd_primes(args) -> int:
         )
         _emit(args, canonical_json(payload))
         return EXIT_OK
+    zero_cap = _env_int("QUADORBIT_ZERO_CAP", args.zero_cap)
+    report = density_profile(gens, coding, Fraction(args.a0), cutoffs, zero_cap=zero_cap)
     if args.format == "csv":
         _emit(args, render_csv(report.csv_rows()))
     else:
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0", default="0")
     p.add_argument("--cutoffs", default="1000,10000", help="comma-separated increasing cutoffs")
     p.add_argument("--zero-cap", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fpp-depth", type=int, default=0, help="juxtapose with the fpp table up to this depth")
     p.set_defaults(func=_cmd_primes)
 

@@ -9,7 +9,6 @@ by accident; see also the CLI documentation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -19,7 +18,6 @@ from .algebra import (
     IntPolynomial,
     padic_valuation,
     parse_poly,
-    reduce_mod2,
     render_poly,
 )
 
@@ -602,8 +600,3 @@ def eisenstein_stability(gens: GeneratorSet, coding: SequenceCoding, n: int) -> 
     if c0 in (1, 3):
         return EisensteinResult(eisenstein_at_two(f.shift_by_one()), "shifted", c0)
     return EisensteinResult(False, "", c0)
-
-
-def all_codings(size: int, depth: int):
-    """Every index word of exactly the given depth (for exhaustive checks)."""
-    return itertools.product(range(1, size + 1), repeat=depth)

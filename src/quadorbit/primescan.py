@@ -3,17 +3,18 @@
 For an eventually periodic coding the level-n value factors through the
 prefix composition applied to a forward orbit of the full cycle block, so
 membership mod p is decided by finite cycle detection: per cycle phase the
-inner value walks a rho-shaped orbit in F_p.  The constant-coding fast path
-uses Brent's walker (no per-state memory); the general path keeps one seen-
-set per phase.  Exact zero terms of the sequence (skipped by definition)
-are resolved completely over Q first: with integer maps, inner values that
+inner value walks a rho-shaped orbit in F_p.  One walker decides every
+prime: per phase it runs Brent's cycle detection in O(1) memory on the
+states (inner value mod p, step mod the period of the phase's exact-zero
+mask).  Exact zero terms of the sequence (skipped by definition) are
+resolved completely over Q first: with integer maps, inner values that
 leave the escape radius or pick up a denominator can never produce zeros
-again, so the zero pattern is eventually periodic and computed exactly.
+again, so the zero pattern is eventually periodic and computed exactly.  A
+density profile is one sieve pass that decides each prime with that walker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -192,36 +193,6 @@ class PrimeOrbitResult:
     first_index: int | None = None
 
 
-def _mask_free(pattern: ZeroPattern) -> bool:
-    """No exact-zero levels at n >= 1 (n = 0 is always the caller's business)."""
-    if pattern.prefix_zeros:
-        return False
-    for ph in pattern.phases:
-        if ph.pre_hits or (ph.cycle_start is not None and ph.cycle_hits):
-            return False
-    return True
-
-
-def _scan_single_cycle(p: int, c: int, x0: int, pattern: ZeroPattern) -> PrimeOrbitResult:
-    """Brent walker for the empty-prefix single-map case (hit test is v == 0)."""
-    c %= p
-    y = tort = x0 % p
-    power = lam = 1
-    n = 0
-    while True:
-        if power == lam:
-            tort = y
-            power *= 2
-            lam = 0
-        y = (y * y + c) % p
-        n += 1
-        lam += 1
-        if y == 0 and not pattern.is_zero(n):
-            return PrimeOrbitResult("yes", n)
-        if y == tort:
-            return PrimeOrbitResult("no")
-
-
 def prime_divides_orbit(
     p: int,
     gens: GeneratorSet,
@@ -232,9 +203,10 @@ def prime_divides_orbit(
 ) -> PrimeOrbitResult:
     """Does p divide gamma_n(a0) for some n >= 0 with gamma_n(a0) != 0 exactly?
 
-    Exact decision via cycle detection in F_p; yes answers carry the first
+    Exact decision via cycle detection in F_p; yes answers carry the least
     index.  Primes dividing the denominator of a0 are excluded with their
-    own status.
+    own status.  ``max_states`` bounds each phase's Brent power, counted in
+    walker steps; a phase that would exceed it makes the answer "over_cap".
     """
     cs, prefix, cycle = _setup(gens, coding)
     a0 = Fraction(a0)
@@ -242,9 +214,9 @@ def prime_divides_orbit(
         return PrimeOrbitResult("excluded")
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
-    x0 = a0.numerator * pow(a0.denominator, -1, p) % p if a0.denominator > 1 else a0.numerator % p
+    x0 = a0.numerator * pow(a0.denominator, -1, p) % p
 
-    if a0 != 0 and x0 == 0 and not pattern.is_zero(0):
+    if a0 != 0 and x0 == 0:
         return PrimeOrbitResult("yes", 0)
 
     # Prefix levels: level n applies the first n prefix maps, innermost last.
@@ -255,68 +227,49 @@ def prime_divides_orbit(
         if v == 0 and not pattern.is_zero(n):
             return PrimeOrbitResult("yes", n)
 
+    # Level a_len + q*b_len + r is the prefix applied to the inner value u_q of
+    # phase r, and u_{q+1} is u_q pushed through one full cycle block.  Maps
+    # are listed innermost first.
     a_len, b_len = len(prefix), len(cycle)
-    if a_len == 0 and b_len == 1 and _mask_free(pattern):
-        return _scan_single_cycle(p, cycle[0], x0, pattern)
-
-    cyc = [c % p for c in cycle]
-    pre = [c % p for c in prefix]
-
-    def through_prefix(u: int) -> int:
-        for c in reversed(pre):
-            u = (u * u + c) % p
-        return u
-
-    starts = []
-    for r in range(b_len):
-        u = x0
-        for i in range(r - 1, -1, -1):
-            u = (u * u + cyc[i]) % p
-        starts.append(u)
-
-    # Cycle detection runs on (value, q mod mask-period) states, enrolled only
-    # once the finite exact-zero masks are behind us: a masked slot must not
-    # retire a value whose later occurrences are unmasked.
-    mask_period = []
-    settle = []
-    for ph in pattern.phases:
-        if ph.cycle_start is None:
-            mask_period.append(1)
-            settle.append(max(ph.pre_hits) + 1 if ph.pre_hits else 0)
+    pre = [c % p for c in reversed(prefix)]
+    cyc = [c % p for c in reversed(cycle)]
+    first = None  # least hit level found so far; later phases stop there
+    for r, phase in enumerate(pattern.phases):
+        # From step `settle` on, the exact-zero mask of the phase repeats with
+        # `period`, so the walk is a function of the state (u_q, q mod period).
+        if phase.cycle_start is None:
+            period, settle = 1, max(phase.pre_hits, default=-1) + 1
         else:
-            mask_period.append(ph.cycle_len)
-            settle.append(ph.cycle_start)
-
-    current = list(starts)
-    seen: list[set[tuple[int, int]]] = [set() for _ in range(b_len)]
-    alive = [True] * b_len
-    states = 0
-    q = 0
-    while any(alive):
-        for r in range(b_len):
-            if not alive[r]:
-                continue
-            u = current[r]
-            n = a_len + q * b_len + r
-            if n >= 1:
-                if q >= settle[r]:
-                    state = (u, q % mask_period[r])
-                    if state in seen[r]:
-                        alive[r] = False
-                        continue
-                    seen[r].add(state)
-                    states += 1
-                    if states > max_states:
-                        return PrimeOrbitResult("over_cap")
-                if through_prefix(u) == 0 and not pattern.is_zero(n):
-                    return PrimeOrbitResult("yes", n)
-            # n == 0 is the caller's slot: advance without marking it visited.
-            w = u
-            for i in range(b_len - 1, -1, -1):
-                w = (w * w + cyc[i]) % p
-            current[r] = w
-        q += 1
-    return PrimeOrbitResult("no")
+            period, settle = phase.cycle_len, phase.cycle_start
+        n = a_len + r
+        u = x0
+        for c in cyc[b_len - r :]:
+            u = (u * u + c) % p
+        # Brent's cycle detection on those states.  lam starts low enough that
+        # the first tortoise lands on step max(settle, 1): the settle steps and
+        # the caller's level-0 slot are tested for hits but never enrolled, as a
+        # masked slot must not retire a value whose later occurrences are
+        # unmasked.  Every level is tested before the walker moves past it.
+        tort = None
+        power, lam = 1, 2 - max(settle, 1)
+        while first is None or n < first:
+            v = u
+            for c in pre:
+                v = (v * v + c) % p
+            if v == 0 and not pattern.is_zero(n):
+                first = n
+                break
+            for c in cyc:
+                u = (u * u + c) % p
+            n += b_len
+            if u == tort and lam % period == 0:
+                break
+            if power == lam:
+                tort, power, lam = u, 2 * power, 0
+                if power > max_states:
+                    return PrimeOrbitResult("over_cap")
+            lam += 1
+    return PrimeOrbitResult("no") if first is None else PrimeOrbitResult("yes", first)
 
 
 # ---------------------------------------------------------------------------
@@ -376,42 +329,6 @@ class PrimeScanReport:
         return out
 
 
-_SEGMENT = 1 << 16
-
-
-def _scan_segment(args):
-    (lo, hi, gens, coding, a0, pattern, cutoffs, max_states) = args
-    cs, prefix, cycle = _setup(gens, coding)
-    fast = not prefix and len(cycle) == 1 and a0.denominator == 1 and _mask_free(pattern)
-    c_fast = cycle[0] if fast else 0
-    a0_int = a0.numerator
-    pi = [0] * len(cutoffs)
-    hits = [0] * len(cutoffs)
-    over_cap: list[int] = []
-    for p in primes_up_to(hi):
-        if p < lo:
-            continue
-        member = False
-        if a0.denominator % p != 0:
-            if fast:
-                x0 = a0_int % p
-                if a0 != 0 and x0 == 0:
-                    member = True
-                else:
-                    member = _scan_single_cycle(p, c_fast, x0, pattern).status == "yes"
-            else:
-                result = prime_divides_orbit(p, gens, coding, a0, pattern, max_states)
-                member = result.status == "yes"
-                if result.status == "over_cap":
-                    over_cap.append(p)
-        for i, cutoff in enumerate(cutoffs):
-            if p <= cutoff:
-                pi[i] += 1
-                if member:
-                    hits[i] += 1
-    return pi, hits, over_cap
-
-
 def density_profile(
     gens: GeneratorSet,
     coding: SequenceCoding,
@@ -419,60 +336,30 @@ def density_profile(
     cutoffs: list[int],
     max_states: int = 1_000_000,
     zero_cap: int = 64,
-    workers: int = 1,
 ) -> PrimeScanReport:
-    """Scan all primes up to the largest cutoff and tabulate membership counts.
-
-    The prime range is split on fixed segment boundaries and per-cutoff counts
-    are summed per segment, so the report is independent of the worker count.
-    """
+    """Scan all primes up to the largest cutoff and tabulate membership counts."""
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
     a0 = Fraction(a0)
     pattern = zero_pattern(gens, coding, a0, cap=zero_cap)
-    report = PrimeScanReport(
-        generators=gens.map_strings(),
-        coding=coding.render(),
-        a0=str(a0),
-        excluded=sorted(p for p in _prime_factors(a0.denominator) if p <= cutoffs[-1]),
-    )
-    limit = cutoffs[-1]
-    segments = []
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        segments.append((lo, hi, gens, coding, a0, pattern, tuple(cutoffs), max_states))
-        lo = hi + 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_segment, segments))
-    else:
-        results = [_scan_segment(seg) for seg in segments]
-    pi_total = [0] * len(cutoffs)
-    hit_total = [0] * len(cutoffs)
-    for pi, hits, over_cap in results:
-        report.over_cap.extend(over_cap)
-        for i in range(len(cutoffs)):
-            pi_total[i] += pi[i]
-            hit_total[i] += hits[i]
-    report.over_cap.sort()
-    for i, cutoff in enumerate(cutoffs):
-        report.rows.append(ScanRow(cutoff=cutoff, in_p=hit_total[i], pi_x=pi_total[i]))
+    report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(a0))
+    pending = list(cutoffs)
+    pi_x = in_p = 0
+    for p in primes_up_to(cutoffs[-1]):
+        while p > pending[0]:
+            report.rows.append(ScanRow(cutoff=pending.pop(0), in_p=in_p, pi_x=pi_x))
+        pi_x += 1
+        if a0.denominator % p == 0:
+            report.excluded.append(p)
+            continue
+        status = prime_divides_orbit(p, gens, coding, a0, pattern, max_states).status
+        if status == "yes":
+            in_p += 1
+        elif status == "over_cap":
+            report.over_cap.append(p)
+    for cutoff in pending:
+        report.rows.append(ScanRow(cutoff=cutoff, in_p=in_p, pi_x=pi_x))
     return report
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def fpp_comparison(
@@ -486,10 +373,10 @@ def fpp_comparison(
     fixed-point proportions (informational; the bound concerns the limit)."""
     profile = density_profile(gens, coding, a0, [cutoff])
     depth = min(depth_for_fpp, MAX_EXACT_LEVEL)
-    table = [
-        {"n": n, "fpp_num": fpp_full_binary(n).numerator, "fpp_den": fpp_full_binary(n).denominator}
-        for n in range(1, depth + 1)
-    ]
+    table = []
+    for n in range(1, depth + 1):
+        f = fpp_full_binary(n)
+        table.append({"n": n, "fpp_num": f.numerator, "fpp_den": f.denominator})
     row = profile.rows[-1]
     return {
         "format_version": 1,

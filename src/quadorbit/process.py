@@ -199,10 +199,6 @@ class ProcessReport:
     constant_window: int = 3
     constant_window_count: int = 0
 
-    @property
-    def constant_window_fraction(self) -> Fraction:
-        return Fraction(self.constant_window_count, self.trials)
-
     def to_dict(self) -> dict:
         return {
             "format_version": 1,
@@ -362,9 +358,6 @@ class SampleReport:
     index_totals: dict[int, int]
     certificates: list[dict] = field(default_factory=list)
 
-    def first_index_frequency(self, index: int) -> Fraction:
-        return Fraction(self.first_index_counts.get(index, 0), self.samples)
-
     def to_dict(self) -> dict:
         return {
             "format_version": 1,
@@ -439,10 +432,6 @@ def sample_codings(
         index_totals=totals,
         certificates=certificates,
     )
-
-
-def all_mask(depth: int) -> list[bool]:
-    return [True] * depth
 
 
 def parse_mask(text: str, depth: int) -> list[bool]:

@@ -23,6 +23,40 @@ def gamma_values(gens, coding, a0, depth):
     return [gamma_value(gens, coding, a0, n) for n in range(1, depth + 1)]
 
 
+def brute_force_membership(gens, coding, a0, p):
+    """(status, first_index) as prime_divides_orbit defines them, level by level.
+
+    Level n is (theta_1 o ... o theta_n)(a0).  Both tables below are composed
+    outermost map first, one level at a time, so no level goes through the
+    prefix/cycle split of the walker:
+    - mod_p[x] is the level value at x, mod p;
+    - zeros holds the integers x inside the escape radius max|c| + 2 whose
+      level value is exactly 0.  A value with a denominator, or outside the
+      radius, keeps that property under every map and so is never 0.
+    A level counts when it is 0 mod p without being exactly 0.  The horizon
+    runs past every state of the walker (p residues times a mask period below
+    2*radius, after fewer than 2*radius settle steps, per phase).
+    """
+    a0 = Fraction(a0)
+    if a0.denominator % p == 0:
+        return "excluded", None
+    x0 = a0.numerator * pow(a0.denominator, -1, p) % p
+    if a0 != 0 and x0 == 0:
+        return "yes", 0
+    cs = [int(c) for c in gens.constants]
+    radius = max(abs(c) for c in cs) + 2
+    mod_p = list(range(p))
+    zeros = {0}
+    horizon = len(coding.prefix) + len(coding.cycle) * 2 * radius * (p + 1)
+    for n in range(1, horizon + 1):
+        c = cs[coding.index_at(n) - 1]
+        mod_p = [mod_p[(x * x + c) % p] for x in range(p)]
+        zeros = {x for x in range(1 - radius, radius) if x * x + c in zeros}
+        if mod_p[x0] == 0 and a0 not in zeros:
+            return "yes", n
+    return "no", None
+
+
 def sylvester_resultant(f_coeffs, g_coeffs):
     """Resultant as the Sylvester matrix determinant over Fractions."""
     f = [Fraction(c) for c in f_coeffs]

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import gamma_values
+from conftest import brute_force_membership, gamma_values
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
 from quadorbit.primescan import (
     PrimeOrbitResult,
@@ -128,6 +129,35 @@ class TestMembership:
                 assert direct == scan, (coding.render(), p)
 
 
+SMALL_PRIMES = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def scan_inputs(draw):
+    """Distinct constants in [-3, 3], which include the exact-zero maps c = 0,
+    -1, -2, a constant, mixed-cycle or prefixed coding, and an integer or
+    fractional a0."""
+    constants = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    index = st.integers(1, len(constants))
+    prefix = draw(st.lists(index, max_size=2))
+    cycle = draw(st.lists(index, min_size=1, max_size=3))
+    a0 = draw(
+        st.one_of(
+            st.integers(-4, 4),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(2, 7)),
+        )
+    )
+    return GeneratorSet.from_constants(constants), SequenceCoding(tuple(prefix), tuple(cycle)), Fraction(a0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(inputs=scan_inputs(), p=st.sampled_from(SMALL_PRIMES))
+def test_walker_matches_brute_force(inputs, p):
+    gens, coding, a0 = inputs
+    result = prime_divides_orbit(p, gens, coding, a0)
+    assert (result.status, result.first_index) == brute_force_membership(gens, coding, a0, p)
+
+
 class TestProfiles:
     def test_counts_monotone_and_exact(self):
         report = density_profile(X2P1, CONST, 0, [100, 1000, 5000])
@@ -162,12 +192,14 @@ class TestProfiles:
         with pytest.raises(ValueError):
             density_profile(gens, CONST, 0, [100])
 
-    def test_worker_count_invariance(self):
-        from quadorbit.reporting import canonical_json
-
-        one = density_profile(X2P1, CONST, 0, [5000, 80000], workers=1)
-        four = density_profile(X2P1, CONST, 0, [5000, 80000], workers=4)
-        assert canonical_json(one.to_dict()) == canonical_json(four.to_dict())
+    def test_walker_budget(self):
+        # p = 1987 never divides the orbit of 0 under x^2+1, and its rho of 44
+        # steps is longer than a Brent power of 4 walker steps can cover.
+        assert prime_divides_orbit(1987, X2P1, CONST, 0) == PrimeOrbitResult("no")
+        assert prime_divides_orbit(1987, X2P1, CONST, 0, max_states=4) == PrimeOrbitResult("over_cap")
+        report = density_profile(X2P1, CONST, 0, [2000], max_states=4)
+        assert 1987 in report.over_cap
+        assert report.over_cap == sorted(report.over_cap)
 
 
 def test_fpp_comparison_shape():

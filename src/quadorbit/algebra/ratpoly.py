@@ -326,10 +326,6 @@ def is_square_qt(f: RatPolynomial) -> bool:
         return is_square_rational(f.constant_value())
     if f.degree % 2 == 1 or f.content() < 0:
         return False
-    # A square-free nonconstant polynomial is never a square.
-    p = f.primitive()
-    if gcd_primitive(p, p.derivative()).is_constant():
-        return False
     unit, parts = squarefree_decomposition(f)
     return all(mult % 2 == 0 for _, mult in parts) and is_square_rational(unit)
 

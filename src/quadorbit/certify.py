@@ -11,8 +11,10 @@ exact oracle in the explicit quadratic extension.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .algebra import (
     FactorBudget,
@@ -149,13 +151,9 @@ def _value_str(value) -> str:
     return str(value)
 
 
-def _as_ratpoly(value: IntPolynomial) -> RatPolynomial:
-    return RatPolynomial.from_int(value)
-
-
 def _orbit_square_arg(gens: GeneratorSet, value, negate: bool):
     if gens.ring == QT:
-        v = _as_ratpoly(value)
+        v = RatPolynomial.from_int(value)
         return -v if negate else v
     v = Fraction(value)
     return -v if negate else v
@@ -233,15 +231,9 @@ def maximality_by_primitive_odd_prime(
 
 def _odd_multiplicity_part(f: IntPolynomial) -> IntPolynomial:
     """Product of the square-free factors of odd multiplicity (primitive)."""
-    prim = f.primitive_part()
-    if gcd_primitive(prim, prim.derivative()).is_constant():
-        return prim
-    _, parts = squarefree_decomposition(RatPolynomial.from_int(prim))
-    out = IntPolynomial((1,))
-    for factor, mult in parts:
-        if mult % 2 == 1:
-            out = out * factor.primitive()
-    return out
+    _, parts = squarefree_decomposition(RatPolynomial.from_int(f))
+    odd = [factor.primitive() for factor, mult in parts if mult % 2 == 1]
+    return reduce(operator.mul, odd) if odd else IntPolynomial((1,))
 
 
 def maximality_qt(gens: GeneratorSet, coding: SequenceCoding, n: int) -> MaximalityEvidence:

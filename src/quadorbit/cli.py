@@ -235,6 +235,8 @@ def _cmd_primes(args) -> int:
     if cutoffs != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
     if args.fpp_depth:
+        if args.format == "csv":
+            raise ValueError("--fpp-depth writes JSON only; drop --format csv")
         payload = report_envelope(
             "primes",
             {"set": gens.canonical_name(), "coding": coding.render(), "a0": args.a0},
@@ -242,8 +244,7 @@ def _cmd_primes(args) -> int:
         )
         _emit(args, canonical_json(payload))
         return EXIT_OK
-    zero_cap = _env_int("QUADORBIT_ZERO_CAP", args.zero_cap)
-    report = density_profile(gens, coding, Fraction(args.a0), cutoffs, zero_cap=zero_cap)
+    report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
     if args.format == "csv":
         _emit(args, render_csv(report.csv_rows()))
     else:
@@ -272,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", help="critical constants, e.g. '-2; -6' or 't^4+5t; -(7t^4+3)'")
         p.add_argument("--set", help="maps, e.g. 'x^2-2; x^2-6' (orbit operations accept general maps)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         if coding:
             p.add_argument("--coding", default="|1", help="prefix|cycle, 1-based indices (default '|1')")
         if ring:
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fpp", help="fixed-point proportion table (exact, enclosures beyond)")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_fpp)
 
     p = sub.add_parser("simulate", help="Monte Carlo fixed-point count paths")
@@ -319,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonmaximal-model", choices=["double", "hold"], default="double")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sample", help="random codings under exact weights, with optional certification")
@@ -333,14 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", type=int, default=0, help="certify this many sampled prefixes")
     p.add_argument("--certify-depth", type=int, default=None)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("primes", help="prime-divisor scan of an orbit sequence")
     common(p, coding=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--a0", default="0")
     p.add_argument("--cutoffs", default="1000,10000", help="comma-separated increasing cutoffs")
-    p.add_argument("--zero-cap", type=int, default=64)
     p.add_argument("--fpp-depth", type=int, default=0, help="juxtapose with the fpp table up to this depth")
     p.set_defaults(func=_cmd_primes)
 

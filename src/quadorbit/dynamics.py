@@ -260,6 +260,14 @@ def _height(value) -> tuple:
     return (0, abs(value))
 
 
+def _over_height_cap(value, caps: OrbitCaps) -> bool:
+    # Rationals are capped by max(|numerator|, denominator): orbits that stay
+    # bounded in absolute value can still square their denominators.
+    if isinstance(value, IntPolynomial):
+        return value.max_abs_coefficient() > caps.max_height
+    return max(abs(value.numerator), value.denominator) > caps.max_height
+
+
 def _growth_floor(gens: GeneratorSet):
     """Predicate: every value whose height clears the floor grows strictly forever."""
     if gens.ring == QT:
@@ -314,7 +322,7 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
         # The level sets must keep recurring values (a fixed point stays in
         # every level); deduplicating across levels would fake escape minima.
         frontier = sorted(nxt, key=_height)
-        if len(visited) > caps.max_points or any(_height(v)[1] > caps.max_height for v in frontier):
+        if len(visited) > caps.max_points or any(_over_height_cap(v, caps) for v in frontier):
             break
     return OrbitStatus("unknown", visited=frozenset(visited))
 
@@ -358,14 +366,16 @@ def finite_orbit_points(gens: GeneratorSet) -> set[int]:
         raise ValueError("exact finite-orbit enumeration needs an integral set over Q")
     maps = _maps_of(gens)
     radius = _integral_escape_radius(maps)
-    out = set()
-    for q in range(-radius, radius + 1):
-        if _orbit_stays_bounded(maps, q, radius):
-            out.add(q)
-    return out
+    window = range(-radius, radius + 1)
+    return {q for q in window if all(abs(w) < radius for w in _orbit_within(maps, q, radius))}
 
 
-def _orbit_stays_bounded(maps: list[IntPolynomial], start: int, radius: int) -> bool:
+def _orbit_within(maps: list[IntPolynomial], start: int, radius: int):
+    """Yield each new value of the orbit of an integer, breadth-first in map order.
+
+    Values at or beyond the escape radius are yielded but not expanded: they
+    grow under every map and never come back.
+    """
     seen = {start}
     frontier = [start]
     while frontier:
@@ -373,13 +383,12 @@ def _orbit_stays_bounded(maps: list[IntPolynomial], start: int, radius: int) -> 
         for v in frontier:
             for m in maps:
                 w = m.evaluate(v)
-                if abs(w) >= radius:
-                    return False
                 if w not in seen:
                     seen.add(w)
-                    nxt.append(w)
+                    yield w
+                    if abs(w) < radius:
+                        nxt.append(w)
         frontier = nxt
-    return True
 
 
 def orbit_contains_finite_orbit_point(
@@ -409,20 +418,8 @@ def orbit_contains_finite_orbit_point(
             return FiniteOrbitAnswer("no")
         # Bounded reachability: paths through values beyond the radius never
         # come back, so pruning them is lossless.
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for m in maps:
-                    w = m.evaluate(v)
-                    if w in targets:
-                        return FiniteOrbitAnswer("yes", witness=w)
-                    if abs(w) < radius and w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return FiniteOrbitAnswer("no")
+        witness = next((w for w in _orbit_within(maps, start, radius) if w in targets), None)
+        return FiniteOrbitAnswer("no") if witness is None else FiniteOrbitAnswer("yes", witness=witness)
 
     # Capped heuristic: explore orbit points breadth-first, test each.
     if gens.is_critical and gens.ring == QQ and gens.is_integral() and escape_criterion(gens):
@@ -445,7 +442,7 @@ def orbit_contains_finite_orbit_point(
         for v in frontier:
             for i in range(1, gens.size + 1):
                 w = gens.apply(i, v)
-                if w not in seen and _height(w)[1] <= caps.max_height:
+                if w not in seen and not _over_height_cap(w, caps):
                     nxt.add(w)
         seen |= nxt
         frontier = sorted(nxt, key=_height)

@@ -81,20 +81,24 @@ class _PhaseZeros:
 
 @dataclass
 class ZeroPattern:
-    """Exact description of { n >= 0 : gamma_n(a0) == 0 }, eventually periodic."""
+    """Exact description of { n >= 0 : gamma_n(a0) == 0 }, eventually periodic.
 
-    a0_zero: bool
+    It keeps the start and the integer prefix and cycle constants it was
+    resolved from, so a scan sets them up once and not once per prime.
+    """
+
+    a0: Fraction
+    prefix: list[int]
+    cycle: list[int]
     prefix_zeros: set[int]
-    prefix_len: int
-    cycle_len: int
     phases: list[_PhaseZeros]
 
     def is_zero(self, n: int) -> bool:
         if n == 0:
-            return self.a0_zero
-        if n <= self.prefix_len:
+            return self.a0 == 0
+        if n <= len(self.prefix):
             return n in self.prefix_zeros
-        q, r = divmod(n - self.prefix_len, self.cycle_len)
+        q, r = divmod(n - len(self.prefix), len(self.cycle))
         return self.phases[r].is_zero(q)
 
 
@@ -115,50 +119,31 @@ def _apply_chain_exact(constants: list[int], value: Fraction) -> Fraction:
     return value
 
 
-def _partial_start(cycle: list[int], r: int, a0: Fraction) -> Fraction:
-    # (first r cycle maps applied with the r-th innermost) at a0.
-    v = a0
-    for i in range(r - 1, -1, -1):
-        v = v * v + cycle[i]
-    return v
-
-
-def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction, cap: int = 64) -> ZeroPattern:
+def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction) -> ZeroPattern:
     """Resolve every exact zero of the sequence.
 
     Integer inner values either stay inside the escape radius (hence become
     periodic within ~2*radius steps) or grow forever; fractional values keep
     a nontrivial denominator forever.  Both resolve each phase completely.
-    The cap guards ill-posed inputs and is certified sufficient whenever the
-    resolution finishes within it (raises otherwise).
     """
     cs, prefix, cycle = _setup(gens, coding)
     a0 = Fraction(a0)
     radius = max(abs(c) for c in cs) + 2
-    # Integer values inside the radius must repeat within one window sweep,
-    # so this bound certifies resolution; the cap can only raise it.
-    cap = max(cap, 2 * radius + 4)
-    pattern = ZeroPattern(
-        a0_zero=(a0 == 0),
-        prefix_zeros=set(),
-        prefix_len=len(prefix),
-        cycle_len=len(cycle),
-        phases=[],
-    )
+    # Fewer than 2*radius integers lie inside the escape radius, so an integer
+    # inner value repeats before this many cycle blocks.
+    bound = 2 * radius + 4
+    pattern = ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, prefix_zeros=set(), phases=[])
     for n in range(1, len(prefix) + 1):
         if _apply_chain_exact(prefix[:n], a0) == 0:
             pattern.prefix_zeros.add(n)
     for r in range(len(cycle)):
-        v = _partial_start(cycle, r, a0)
+        v = _apply_chain_exact(cycle[:r], a0)
         hits: set[int] = set()
         seen: dict[Fraction, int] = {}
-        q = 0
-        resolved = False
-        while q <= cap:
+        for q in range(bound + 1):
             if v.denominator > 1 or abs(v) >= radius:
                 # No zero can ever appear from here on.
                 pattern.phases.append(_PhaseZeros(pre_hits=hits))
-                resolved = True
                 break
             if v in seen:
                 start = seen[v]
@@ -172,15 +157,13 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction, cap: 
                         cycle_hits=cyc,
                     )
                 )
-                resolved = True
                 break
             if _apply_chain_exact(prefix, v) == 0:
                 hits.add(q)
             seen[v] = q
             v = _apply_chain_exact(cycle, v)  # one full cycle block
-            q += 1
-        if not resolved:
-            raise RuntimeError(f"zero pattern unresolved within cap {cap}")
+        else:
+            raise RuntimeError(f"zero pattern unresolved within {bound} cycle blocks")
     return pattern
 
 
@@ -207,13 +190,13 @@ def prime_divides_orbit(
     index.  Primes dividing the denominator of a0 are excluded with their
     own status.  ``max_states`` bounds each phase's Brent power, counted in
     walker steps; a phase that would exceed it makes the answer "over_cap".
+    A ``pattern`` resolved from the same inputs is reused with its constants.
     """
-    cs, prefix, cycle = _setup(gens, coding)
-    a0 = Fraction(a0)
-    if a0.denominator % p == 0:
-        return PrimeOrbitResult("excluded")
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
+    a0, prefix, cycle = pattern.a0, pattern.prefix, pattern.cycle
+    if a0.denominator % p == 0:
+        return PrimeOrbitResult("excluded")
     x0 = a0.numerator * pow(a0.denominator, -1, p) % p
 
     if a0 != 0 and x0 == 0:
@@ -335,13 +318,12 @@ def density_profile(
     a0: Fraction | int,
     cutoffs: list[int],
     max_states: int = 1_000_000,
-    zero_cap: int = 64,
 ) -> PrimeScanReport:
     """Scan all primes up to the largest cutoff and tabulate membership counts."""
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
     a0 = Fraction(a0)
-    pattern = zero_pattern(gens, coding, a0, cap=zero_cap)
+    pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(a0))
     pending = list(cutoffs)
     pi_x = in_p = 0

@@ -218,41 +218,9 @@ def _chunk_seed(seed: int, chunk_index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def simulate_paths(
-    seed: int,
-    depth: int,
-    trials: int,
-    maximal_mask: list[bool] | None = None,
-    nonmaximal_model: str = MODEL_DOUBLE,
-) -> list[list[int]]:
-    """Raw fixed-point count paths, one list X_1..X_depth per trial.
-
-    Invariants of the model: X_1 is 0 or 2 when level 1 is maximal, X_n never
-    exceeds 2^n, and 0 is absorbing.  simulate_process aggregates the same
-    dynamics without materializing paths.
-    """
-    mask = [True] * depth if maximal_mask is None else list(maximal_mask)
-    rng = random.Random(_chunk_seed(seed, 0))
-    out = []
-    for _ in range(trials):
-        x = 1
-        path = []
-        for maximal in mask:
-            if maximal:
-                x = 2 * rng.getrandbits(x).bit_count() if x else 0
-            elif nonmaximal_model == MODEL_DOUBLE:
-                x = 2 * x
-            path.append(x)
-        out.append(path)
-    return out
-
-
-def _run_chunk(seed, chunk_index, count, mask, model, window):
-    rng = random.Random(_chunk_seed(seed, chunk_index))
-    depth = len(mask)
-    positive = [0] * depth
-    constant = 0
-    getrandbits = rng.getrandbits
+def _paths(seed: int, chunk_index: int, count: int, mask: list[bool], model: str):
+    """Yield ``count`` fixed-point count paths X_1..X_depth from one chunk's stream."""
+    getrandbits = random.Random(_chunk_seed(seed, chunk_index)).getrandbits
     for _ in range(count):
         x = 1
         path = []
@@ -263,6 +231,30 @@ def _run_chunk(seed, chunk_index, count, mask, model, window):
                 x = 2 * x
             # MODEL_HOLD keeps x
             path.append(x)
+        yield path
+
+
+def simulate_paths(
+    seed: int,
+    depth: int,
+    trials: int,
+    maximal_mask: list[bool] | None = None,
+    nonmaximal_model: str = MODEL_DOUBLE,
+) -> list[list[int]]:
+    """Raw fixed-point count paths, one list X_1..X_depth per trial.
+
+    Invariants of the model: X_1 is 0 or 2 when level 1 is maximal, X_n never
+    exceeds 2^n, and 0 is absorbing.  All trials come from the stream of
+    chunk 0, so up to CHUNK trials they are the paths simulate_process counts.
+    """
+    mask = [True] * depth if maximal_mask is None else list(maximal_mask)
+    return list(_paths(seed, 0, trials, mask, nonmaximal_model))
+
+
+def _run_chunk(seed, chunk_index, count, mask, model, window):
+    positive = [0] * len(mask)
+    constant = 0
+    for path in _paths(seed, chunk_index, count, mask, model):
         for i, value in enumerate(path):
             if value > 0:
                 positive[i] += 1

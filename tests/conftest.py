@@ -8,6 +8,7 @@ counts by brute-force enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 def gamma_value(gens, coding, a0, n):
@@ -54,6 +55,67 @@ def brute_force_membership(gens, coding, a0, p):
         zeros = {x for x in range(1 - radius, radius) if x * x + c in zeros}
         if mod_p[x0] == 0 and a0 not in zeros:
             return "yes", n
+    return "no", None
+
+
+def zero_levels(constants, coding, a0, depth):
+    """{ n <= depth : gamma_n(a0) == 0 } by exact rational preimages of 0.
+
+    P_n = { x in Q : (theta_1 o ... o theta_n)(x) == 0 } satisfies
+    P_n = { x : x^2 + c_{theta_n} in P_{n-1} }, and x^2 = y has the rational
+    roots +-sqrt(y) only when y is a rational square.  No escape radius and
+    no level value is used, so the huge orbit values never appear.
+    """
+    a0 = Fraction(a0)
+    preimages = {Fraction(0)}
+    out = {0} if a0 == 0 else set()
+    for n in range(1, depth + 1):
+        c = constants[coding.index_at(n) - 1]
+        nxt = set()
+        for y in preimages:
+            square = y - c
+            if square >= 0:
+                num, den = isqrt(square.numerator), isqrt(square.denominator)
+                if Fraction(num * num, den * den) == square:
+                    nxt.update({Fraction(num, den), Fraction(-num, den)})
+        preimages = nxt
+        if a0 in preimages:
+            out.add(n)
+    return out
+
+
+def finite_orbit_oracle(constants, window=60):
+    """Integers whose orbit under every x^2 + c stays finite.
+
+    The greatest subset of a wide integer window that every map sends into
+    itself; a value leaving the window outgrows every constant and never
+    returns, so the window only needs to exceed max|c| + 1.
+    """
+    points = set(range(-window, window + 1))
+    while True:
+        kept = {x for x in points if all(x * x + c in points for c in constants)}
+        if kept == points:
+            return points
+        points = kept
+
+
+def reach_oracle(constants, start, targets, window=60):
+    """(kind, witness) of the first target in breadth-first order of words.
+
+    Level k lists (theta o v) for v in level k-1, then theta in map order,
+    deduplicated inside the level only.  The first target of the first level
+    that has one is the witness.  Values outside the window never come back;
+    once a level's value set repeats, no later level brings a new value.
+    """
+    level = [start]
+    seen_levels = set()
+    while frozenset(level) not in seen_levels:
+        for v in level:
+            if v in targets:
+                return "yes", v
+        seen_levels.add(frozenset(level))
+        images = (v * v + c for v in level for c in constants)
+        level = list(dict.fromkeys(w for w in images if abs(w) <= window))
     return "no", None
 
 

@@ -1,9 +1,10 @@
 import json
+import time
 
 import jsonschema
 import pytest
 
-from quadorbit.cli import main
+from quadorbit.cli import build_parser, main
 
 SCHEMA_DIR = None
 
@@ -134,3 +135,40 @@ def test_output_file(tmp_path, capsys):
     code = main(["classify", "--c", "-1", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["result"]["verdict"] == "Exceptional"
+
+
+def test_fpp_depth_rejects_csv(capsys):
+    code = main(["primes", "--c", "1", "--coding", "|1", "--cutoffs", "100", "--fpp-depth", "2", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--fpp-depth" in captured.err and "--format csv" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--c", "-1"],
+        ["orbit", "--c", "-1"],
+        ["certify", "--c", "1"],
+        ["fpp"],
+        ["simulate"],
+        ["sample", "--weights", "1/2,1/2"],
+    ],
+)
+def test_format_only_where_honoured(argv):
+    # Only census and primes write CSV; the JSON-only commands take no --format.
+    parser = build_parser()
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["--format", "json"])
+
+
+def test_orbit_fractional_point_finishes(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "orbit", "--c", "-1", "--point", "1/2")
+    assert time.perf_counter() - start < 5
+    result = json.loads(out)["result"]
+    assert result["status"] == "unknown"
+    assert result["contains_finite_orbit_point"] == "no"
+    assert code == 0

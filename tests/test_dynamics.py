@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gamma_values
+from conftest import finite_orbit_oracle, gamma_values, reach_oracle
 from quadorbit.algebra import parse_poly
 from quadorbit.dynamics import (
     QT,
@@ -111,6 +111,13 @@ class TestSemigroupOrbit:
         for v in status.orbit:
             assert g.apply(1, v) in status.orbit
 
+    def test_fractional_orbit_hits_height_cap(self):
+        # 1/2 -> -3/4 -> -7/16 -> ... stays inside [-1, 1] while the
+        # denominators square every level, so the cap must see them.
+        status = semigroup_orbit(GeneratorSet.from_constants([-1]), Fraction(1, 2))
+        assert status.kind == "unknown"
+        assert len(status.visited) < 20
+
 
 class TestFiniteOrbitPoints:
     def test_remark_example(self):
@@ -139,6 +146,21 @@ class TestFiniteOrbitPoints:
         # {x^2, x^2-2} keeps {-1, 1} finite, but 0 never reaches them
         assert finite_orbit_points(GeneratorSet.from_constants([0, -2])) == {-1, 1}
         assert 0 in finite_orbit_points(GeneratorSet.from_constants([0, -1]))
+
+    def test_matches_bfs_oracle(self):
+        # Every ordered set of one or two maps x^2+c with c in [-6, 3] (the
+        # order decides which finite orbit point is met first), from every
+        # integer start inside the escape radius.
+        for size in (1, 2):
+            for constants in itertools.permutations(range(-6, 4), size):
+                g = GeneratorSet.from_constants(constants)
+                targets = finite_orbit_oracle(constants)
+                assert finite_orbit_points(g) == targets, constants
+                radius = max(abs(c) for c in constants) + 2
+                for start in range(1 - radius, radius):
+                    answer = orbit_contains_finite_orbit_point(g, start)
+                    expected = reach_oracle(constants, start, targets)
+                    assert (answer.kind, answer.witness) == expected, (constants, start)
 
     def test_fractional_point_never_reaches_integers(self):
         g = GeneratorSet.from_constants([-1])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_membership, gamma_values
+from conftest import brute_force_membership, gamma_values, zero_levels
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
 from quadorbit.primescan import (
     PrimeOrbitResult,
@@ -156,6 +156,24 @@ def test_walker_matches_brute_force(inputs, p):
     gens, coding, a0 = inputs
     result = prime_divides_orbit(p, gens, coding, a0)
     assert (result.status, result.first_index) == brute_force_membership(gens, coding, a0, p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=scan_inputs())
+def test_zero_pattern_matches_exact_zeros(inputs):
+    # Levels run to three times the resolution bound of 2*radius + 4 cycle
+    # blocks.  Exact level values double their digits every level, so they
+    # are compared directly on the first levels and through exact rational
+    # preimages of 0 on all of them.
+    gens, coding, a0 = inputs
+    pattern = zero_pattern(gens, coding, a0)
+    constants = [int(c) for c in gens.constants]
+    radius = max(abs(c) for c in constants) + 2
+    depth = len(coding.prefix) + 3 * len(coding.cycle) * (2 * radius + 4)
+    zeros = zero_levels(constants, coding, a0, depth)
+    assert {n for n in range(depth + 1) if pattern.is_zero(n)} == zeros
+    exact = [a0] + gamma_values(gens, coding, a0, 8)
+    assert {n for n, v in enumerate(exact) if v == 0} == zeros & set(range(9))
 
 
 class TestProfiles:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quadorbit.process import (
+    CHUNK,
     MAX_EXACT_LEVEL,
     coin_transition,
     fixed_leaf_count,
@@ -13,6 +14,7 @@ from quadorbit.process import (
     martingale_check,
     parse_mask,
     sample_codings,
+    simulate_paths,
     simulate_process,
     stay_probability_bound,
     within_three_sigma,
@@ -130,8 +132,6 @@ class TestSimulation:
             parse_mask("10", 3)
 
     def test_path_invariants(self):
-        from quadorbit.process import simulate_paths
-
         for path in simulate_paths(seed=13, depth=10, trials=400):
             assert path[0] in (0, 2)
             died = False
@@ -141,6 +141,23 @@ class TestSimulation:
                 if died:
                     assert x == 0
                 died = died or x == 0
+
+    @pytest.mark.parametrize(
+        "seed,trials,mask,model",
+        [
+            (0, 1, None, "double"),
+            (13, 500, None, "double"),
+            (3, CHUNK, [True, False, True, True, False, True], "hold"),
+            (8, 1000, [True, False, False, True, True], "double"),
+        ],
+    )
+    def test_paths_match_process_counts(self, seed, trials, mask, model):
+        # Up to one chunk of trials both read the stream of chunk 0.
+        depth = 6 if mask is None else len(mask)
+        paths = simulate_paths(seed, depth, trials, maximal_mask=mask, nonmaximal_model=model)
+        report = simulate_process(seed, depth, trials, maximal_mask=mask, nonmaximal_model=model)
+        from_paths = [sum(1 for path in paths if path[n] > 0) for n in range(depth)]
+        assert from_paths == [level.positive for level in report.levels]
 
 
 class TestSampling:

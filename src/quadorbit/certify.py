@@ -11,10 +11,8 @@ exact oracle in the explicit quadratic extension.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from .algebra import (
     FactorBudget,
@@ -232,8 +230,11 @@ def maximality_by_primitive_odd_prime(
 def _odd_multiplicity_part(f: IntPolynomial) -> IntPolynomial:
     """Product of the square-free factors of odd multiplicity (primitive)."""
     _, parts = squarefree_decomposition(RatPolynomial.from_int(f))
-    odd = [factor.primitive() for factor, mult in parts if mult % 2 == 1]
-    return reduce(operator.mul, odd) if odd else IntPolynomial((1,))
+    out = IntPolynomial((1,))
+    for factor, mult in parts:
+        if mult % 2 == 1:
+            out = out * factor.primitive()
+    return out
 
 
 def maximality_qt(gens: GeneratorSet, coding: SequenceCoding, n: int) -> MaximalityEvidence:

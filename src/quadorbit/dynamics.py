@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 from .algebra import (
@@ -260,12 +260,24 @@ def _height(value) -> tuple:
     return (0, abs(value))
 
 
-def _over_height_cap(value, caps: OrbitCaps) -> bool:
-    # Rationals are capped by max(|numerator|, denominator): orbits that stay
-    # bounded in absolute value can still square their denominators.
-    if isinstance(value, IntPolynomial):
-        return value.max_abs_coefficient() > caps.max_height
-    return max(abs(value.numerator), value.denominator) > caps.max_height
+def _denominator_grows(gens: GeneratorSet):
+    """Predicate: the orbit of this rational value never closes.
+
+    It holds when some prime p has e = v_p(v) < 0 with 2e < v_p(c_i) for all
+    maps x^2 + c_i (integer maps with leading coefficients a_i: e < -v_p(a_i)),
+    that is, when den(v)^2 does not divide the lcm of the denominators of the
+    c_i (den(v) does not divide the lcm of the a_i).  Then every image has
+    p-valuation 2e (v_p(a_i) + deg*e) < e and meets the condition again, so no
+    value repeats.  Otherwise denominators stay bounded and the height cap
+    bounds the orbit.
+    """
+    if gens.ring == QT:
+        return lambda v: False
+    if gens.is_critical:
+        den = lcm(*(c.denominator for c in gens.constants))
+        return lambda v: den % (v.denominator * v.denominator) != 0
+    lead = lcm(*(m.leading_coefficient() for m in gens.general))
+    return lambda v: lead % v.denominator != 0
 
 
 def _growth_floor(gens: GeneratorSet):
@@ -286,13 +298,16 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
     Closed when the closure stabilizes inside the caps.  Escaping when two
     consecutive frontiers have strictly increasing minima, both clearing the
     bound above which every single value grows under every map (absolute
-    value over Q, degree over Q(t)).  Unknown otherwise.
+    value over Q, degree over Q(t)), or when a new value's denominator must
+    grow forever (p-adic escape, see ``_denominator_grows``).  Unknown
+    otherwise.
     """
     if caps.max_points < 1 or caps.max_levels < 1:
         raise ValueError("caps must be positive")
     point = _normalize_point(gens, point)
     indices = range(1, gens.size + 1)
     above_floor = _growth_floor(gens)
+    denominator_grows = _denominator_grows(gens)
     visited = {point}
     frontier = [point]
     prev_min = None
@@ -310,7 +325,7 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
                         raise RuntimeError("closure verification failed")
             return OrbitStatus("closed", orbit=orbit)
         cur_min = min(_height(v) for v in nxt)
-        if (
+        if any(denominator_grows(v) for v in new) or (
             prev_min is not None
             and cur_min > prev_min
             and above_floor(prev_min)
@@ -322,7 +337,7 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
         # The level sets must keep recurring values (a fixed point stays in
         # every level); deduplicating across levels would fake escape minima.
         frontier = sorted(nxt, key=_height)
-        if len(visited) > caps.max_points or any(_over_height_cap(v, caps) for v in frontier):
+        if len(visited) > caps.max_points or any(_height(v)[1] > caps.max_height for v in frontier):
             break
     return OrbitStatus("unknown", visited=frozenset(visited))
 
@@ -371,11 +386,12 @@ def finite_orbit_points(gens: GeneratorSet) -> set[int]:
 
 
 def _orbit_within(maps: list[IntPolynomial], start: int, radius: int):
-    """Yield each new value of the orbit of an integer, breadth-first in map order.
+    """Yield the start, then each new value of its orbit, breadth-first in map order.
 
     Values at or beyond the escape radius are yielded but not expanded: they
     grow under every map and never come back.
     """
+    yield start
     seen = {start}
     frontier = [start]
     while frontier:
@@ -401,31 +417,23 @@ def orbit_contains_finite_orbit_point(
     inputs fall back to a capped search that may answer unknown.
     """
     integral = gens.ring == QQ and gens.is_integral() and isinstance(point, (int, Fraction))
-    if integral and Fraction(point).denominator > 1:
-        maps = _maps_of(gens)
-        if all(m.leading_coefficient() == 1 for m in maps):
-            # Denominators of non-integral points square under monic integer
-            # maps, so the orbit never meets the (integral) finite orbit points.
-            return FiniteOrbitAnswer("no")
     if integral and Fraction(point).denominator == 1:
         maps = _maps_of(gens)
         radius = _integral_escape_radius(maps)
         targets = finite_orbit_points(gens)
         start = int(Fraction(point))
-        if start in targets:
-            return FiniteOrbitAnswer("yes", witness=start)
-        if not targets:
-            return FiniteOrbitAnswer("no")
         # Bounded reachability: paths through values beyond the radius never
         # come back, so pruning them is lossless.
-        witness = next((w for w in _orbit_within(maps, start, radius) if w in targets), None)
-        return FiniteOrbitAnswer("no") if witness is None else FiniteOrbitAnswer("yes", witness=witness)
+        for w in _orbit_within(maps, start, radius):
+            if w in targets:
+                return FiniteOrbitAnswer("yes", witness=w)
+        return FiniteOrbitAnswer("no")
 
-    # Capped heuristic: explore orbit points breadth-first, test each.
-    if gens.is_critical and gens.ring == QQ and gens.is_integral() and escape_criterion(gens):
-        if Fraction(point) == 0:
-            return FiniteOrbitAnswer("no")
+    # Capped heuristic: explore orbit points breadth-first, test each.  Values
+    # whose denominators grow forever have infinite orbits, as do all their
+    # images, so pruning them loses no finite orbit point.
     point = _normalize_point(gens, point)
+    denominator_grows = _denominator_grows(gens)
     seen = {point}
     frontier = [point]
     explored = 0
@@ -442,7 +450,7 @@ def orbit_contains_finite_orbit_point(
         for v in frontier:
             for i in range(1, gens.size + 1):
                 w = gens.apply(i, v)
-                if w not in seen and not _over_height_cap(w, caps):
+                if w not in seen and _height(w)[1] <= caps.max_height and not denominator_grows(w):
                     nxt.add(w)
         seen |= nxt
         frontier = sorted(nxt, key=_height)

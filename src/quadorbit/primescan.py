@@ -190,10 +190,14 @@ def prime_divides_orbit(
     index.  Primes dividing the denominator of a0 are excluded with their
     own status.  ``max_states`` bounds each phase's Brent power, counted in
     walker steps; a phase that would exceed it makes the answer "over_cap".
-    A ``pattern`` resolved from the same inputs is reused with its constants.
+    When a ``pattern`` is given, its start and constants are used and
+    ``gens`` and ``coding`` are not read; it must be resolved from the same
+    inputs, and a pattern for another start raises ValueError.
     """
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
+    elif pattern.a0 != a0:
+        raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
     a0, prefix, cycle = pattern.a0, pattern.prefix, pattern.cycle
     if a0.denominator % p == 0:
         return PrimeOrbitResult("excluded")

@@ -169,6 +169,17 @@ def test_orbit_fractional_point_finishes(capsys):
     code, out = run_cli(capsys, "orbit", "--c", "-1", "--point", "1/2")
     assert time.perf_counter() - start < 5
     result = json.loads(out)["result"]
-    assert result["status"] == "unknown"
+    assert result["status"] == "escaping"
+    assert result["contains_finite_orbit_point"] == "no"
+    assert code == 0
+
+
+@pytest.mark.parametrize("point", ["0", "1/3"])
+def test_orbit_escape_survives_large_denominators(capsys, point):
+    # |v| clears the escape floor only after the denominators pass 10^60:
+    # 1/3, 4/9, ..., v8 ~ 1.41 with denominator 3^128.
+    code, out = run_cli(capsys, "orbit", "--c", "1/3", "--point", point)
+    result = json.loads(out)["result"]
+    assert result["status"] == "escaping"
     assert result["contains_finite_orbit_point"] == "no"
     assert code == 0

@@ -9,7 +9,9 @@ from quadorbit.algebra import parse_poly
 from quadorbit.dynamics import (
     QT,
     GeneratorSet,
+    OrbitCaps,
     SequenceCoding,
+    _denominator_grows,
     classify_finite_orbit_obstruction,
     composition_polynomial,
     critical_orbit,
@@ -111,12 +113,45 @@ class TestSemigroupOrbit:
         for v in status.orbit:
             assert g.apply(1, v) in status.orbit
 
-    def test_fractional_orbit_hits_height_cap(self):
-        # 1/2 -> -3/4 -> -7/16 -> ... stays inside [-1, 1] while the
-        # denominators square every level, so the cap must see them.
-        status = semigroup_orbit(GeneratorSet.from_constants([-1]), Fraction(1, 2))
-        assert status.kind == "unknown"
-        assert len(status.visited) < 20
+    @pytest.mark.parametrize(
+        "c,point", [(-1, Fraction(1, 2)), (Fraction(-3, 4), 0), (Fraction(1, 3), 0)]
+    )
+    def test_fractional_orbit_escapes_padically(self, c, point):
+        # Each orbit stays inside [-1, 1] for levels (for c = -1 and -3/4,
+        # forever) while its denominators square: escaping at the first level.
+        g = GeneratorSet.from_constants([c])
+        status = semigroup_orbit(g, point, OrbitCaps(max_levels=3))
+        assert status.kind == "escaping"
+        assert status.level == 1
+
+    def test_bounded_denominators_still_close(self):
+        # den(1/2)^2 divides den(-3/4), and -1/2 is a fixed point.
+        status = semigroup_orbit(GeneratorSet.from_constants([Fraction(-3, 4)]), Fraction(1, 2))
+        assert status.orbit == frozenset({Fraction(1, 2), Fraction(-1, 2)})
+
+    def test_denominator_growth_passes_to_images(self):
+        rng = random.Random(5)
+        dens = [1, 2, 3, 4, 6, 9, 12]
+        general = [parse_poly(m, var="x") for m in ("2x^2-1", "3x^2+x", "x^3-2x", "6x^2+1")]
+        walks = 0
+        for _ in range(400):
+            if rng.random() < 0.5:
+                g = GeneratorSet.from_constants(
+                    list({Fraction(rng.randint(-12, 12), rng.choice(dens)) for _ in range(2)})
+                )
+            else:
+                g = GeneratorSet.from_maps(rng.sample(general, rng.randint(1, 2)))
+            grows = _denominator_grows(g)
+            v = Fraction(rng.randint(-12, 12), rng.choice(dens))
+            if not grows(v):
+                continue
+            walks += 1
+            path = [v]
+            for _ in range(4):
+                v = g.apply(rng.randint(1, g.size), v)
+                assert grows(v) and v not in path, (g, path, v)
+                path.append(v)
+        assert walks > 100
 
 
 class TestFiniteOrbitPoints:

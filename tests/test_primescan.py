@@ -63,6 +63,12 @@ class TestZeroPattern:
         pattern = zero_pattern(X2P1, CONST, Fraction(1, 2))
         assert not any(pattern.is_zero(n) for n in range(12))
 
+    def test_pattern_for_another_start_is_refused(self):
+        pattern = zero_pattern(X2P1, CONST, 0)
+        assert prime_divides_orbit(5, X2P1, CONST, Fraction(0), pattern=pattern).status == "yes"
+        with pytest.raises(ValueError, match="a0"):
+            prime_divides_orbit(5, X2P1, CONST, 1, pattern=pattern)
+
 
 class TestMembership:
     @pytest.mark.parametrize(

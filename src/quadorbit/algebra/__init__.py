@@ -1,10 +1,9 @@
-"""Exact arithmetic substrate: integers, rationals, and polynomials over Z, Q, F2."""
+"""Exact arithmetic substrate: integers, rationals, and polynomials over Z and Q."""
 
 from fractions import Fraction
 
-from .f2poly import F2Polynomial, reduce_mod2
 from .factorint import FactorBudget, Factorization, factor_integer, is_probable_prime
-from .intpoly import IntPolynomial, render_poly
+from .intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .parse import PolynomialSyntaxError, parse_poly
 from .rationals import is_square_int, is_square_rational, padic_valuation
 from .ratpoly import (
@@ -29,12 +28,12 @@ def poly_compose(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 __all__ = [
     "Fraction",
-    "F2Polynomial",
     "FactorBudget",
     "Factorization",
     "IntPolynomial",
     "PolynomialSyntaxError",
     "RatPolynomial",
+    "derivative_is_one_mod2",
     "discriminant",
     "factor_integer",
     "gcd_primitive",
@@ -48,7 +47,6 @@ __all__ = [
     "padic_valuation",
     "parse_poly",
     "poly_compose",
-    "reduce_mod2",
     "render_poly",
     "resultant",
     "resultant_int",

@@ -254,6 +254,16 @@ def render_poly(poly: IntPolynomial, var: str = "t") -> str:
     return "".join(parts)
 
 
+def derivative_is_one_mod2(poly: IntPolynomial) -> bool:
+    """poly' reduces to 1 mod 2: a_1 is odd and a_i is even for every odd i >= 3."""
+    odd_exponent_coeffs = poly.coeffs[1::2]
+    return (
+        bool(odd_exponent_coeffs)
+        and odd_exponent_coeffs[0] % 2 == 1
+        and all(c % 2 == 0 for c in odd_exponent_coeffs[1:])
+    )
+
+
 ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
 T = IntPolynomial((0, 1))

@@ -18,13 +18,13 @@ from .algebra import (
     FactorBudget,
     IntPolynomial,
     RatPolynomial,
+    derivative_is_one_mod2,
     discriminant,
     factor_integer,
     gcd_primitive,
     is_square,
     render_poly,
     resultant,
-    reduce_mod2,
     square_in_quadratic_extension,
     squarefree_decomposition,
 )
@@ -170,13 +170,15 @@ def derivative_trick_applies(gens: GeneratorSet, coding: SequenceCoding) -> bool
     if d <= 0:
         return False
     c1 = gens.constants[coding.index_at(1) - 1]
-    return reduce_mod2(c1).derivative().is_one()
+    return derivative_is_one_mod2(c1)
 
 
 def stability_certificate(
-    gens: GeneratorSet, coding: SequenceCoding, depth: int
+    gens: GeneratorSet, coding: SequenceCoding, values: list
 ) -> list[StabilityEvidence]:
-    """Per-level stability evidence for levels 1..depth."""
+    """Per-level stability evidence for levels 1..len(values), given the
+    critical orbit values of those levels."""
+    depth = len(values)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not gens.is_critical:
@@ -185,7 +187,6 @@ def stability_certificate(
         c1 = gens.constants[coding.index_at(1) - 1]
         ev = StabilityEvidence(STAB_DERIVATIVE, witness=render_poly(c1))
         return [ev] * depth
-    values = critical_orbit(gens, coding, depth)
     out = []
     for n in range(1, depth + 1):
         arg = _orbit_square_arg(gens, values[n - 1], negate=(n == 1))
@@ -203,17 +204,17 @@ def stability_certificate(
 
 def maximality_by_primitive_odd_prime(
     gens: GeneratorSet,
-    coding: SequenceCoding,
-    n: int,
+    values: list,
     budget: FactorBudget | None = None,
 ) -> MaximalityEvidence:
-    """Valuation criterion over Q: some prime divides the level-n orbit value
-    to odd multiplicity and no earlier one at all."""
-    if n < 2:
+    """Valuation criterion over Q at level n = len(values), given the orbit
+    values of levels 1..n: some prime divides the level-n value to odd
+    multiplicity and no earlier one at all."""
+    if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if not (gens.ring == QQ and gens.is_critical and gens.is_integral()):
         raise ValueError("needs an integer critical set over Q")
-    values = [int(v) for v in critical_orbit(gens, coding, n)]
+    values = [int(v) for v in values]
     target = values[-1]
     if target == 0:
         raise ValueError("degenerate orbit: the level value is zero")
@@ -237,14 +238,14 @@ def _odd_multiplicity_part(f: IntPolynomial) -> IntPolynomial:
     return out
 
 
-def maximality_qt(gens: GeneratorSet, coding: SequenceCoding, n: int) -> MaximalityEvidence:
-    """Valuation criterion over Q(t), by square-free decomposition and
-    gcd-stripping against the earlier orbit values; no factorization needed."""
-    if n < 2:
+def maximality_qt(gens: GeneratorSet, values: list) -> MaximalityEvidence:
+    """Valuation criterion over Q(t) at level n = len(values), given the orbit
+    values of levels 1..n, by square-free decomposition and gcd-stripping
+    against the earlier values; no factorization needed."""
+    if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if gens.ring != QT or not gens.is_critical:
         raise ValueError("needs a critical set over Z[t]")
-    values = critical_orbit(gens, coding, n)
     target = values[-1]
     if target.is_zero():
         raise ValueError("degenerate orbit: the level value is zero")
@@ -285,7 +286,7 @@ def tool_conditions(gens: GeneratorSet) -> ToolIndices | None:
     all_j = tuple(
         i
         for i, c in enumerate(gens.constants, start=1)
-        if reduce_mod2(c).derivative().is_one()
+        if derivative_is_one_mod2(c)
     )
     all_k = tuple(
         i
@@ -300,13 +301,14 @@ def tool_conditions(gens: GeneratorSet) -> ToolIndices | None:
     return ToolIndices(j=j, k=k, all_j=all_j, all_k=all_k)
 
 
-def level2_oracle(gens: GeneratorSet, coding: SequenceCoding) -> bool:
+def level2_oracle(gens: GeneratorSet, values: list) -> bool:
     """Exact maximality test at level 2 in the explicit quadratic extension.
 
-    True iff the level-2 orbit value is not a square in the field obtained by
-    adjoining a square root of minus the level-1 value.  Requires level-1
-    stability (otherwise the extension is degenerate)."""
-    values = critical_orbit(gens, coding, 2)
+    True iff the level-2 orbit value values[1] is not a square in the field
+    obtained by adjoining a square root of minus the level-1 value values[0].
+    Requires level-1 stability (otherwise the extension is degenerate)."""
+    if len(values) < 2:
+        raise ValueError("the level-2 oracle needs the level-1 and level-2 values")
     m = _orbit_square_arg(gens, values[0], negate=True)
     if (m.is_zero() if isinstance(m, RatPolynomial) else m == 0) or is_square(m):
         raise ValueError("level-1 value gives a degenerate quadratic extension")
@@ -325,7 +327,7 @@ def certify_chain(
         raise ValueError("depth must be >= 1")
     coding.validate_for(gens)
     values = critical_orbit(gens, coding, depth)
-    stab = stability_certificate(gens, coding, depth)
+    stab = stability_certificate(gens, coding, values)
     stable_through = 0
     for ev in stab:
         if not ev.ok:
@@ -354,7 +356,7 @@ def certify_chain(
         elif stable_through < n - 1:
             max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
         elif gens.ring == QT:
-            max_ev = maximality_qt(gens, coding, n)
+            max_ev = maximality_qt(gens, values[:n])
             if n in guaranteed_levels:
                 if max_ev.kind != MAX_PRIMITIVE:
                     raise RuntimeError(
@@ -368,12 +370,12 @@ def certify_chain(
             # The valuation criterion lives on integer sets; rational sets
             # still get the exact oracle at n = 2.
             if gens.is_integral():
-                max_ev = maximality_by_primitive_odd_prime(gens, coding, n, budget)
+                max_ev = maximality_by_primitive_odd_prime(gens, values[:n], budget)
             else:
                 max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
             if n == 2 and max_ev.kind in (MAX_FAILS, MAX_INCONCLUSIVE, MAX_NOT_ATTEMPTED):
                 try:
-                    max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, coding))
+                    max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, values[:n]))
                 except ValueError:
                     pass
         if max_ev.ok:

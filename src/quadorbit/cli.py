@@ -234,18 +234,17 @@ def _cmd_primes(args) -> int:
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
     if cutoffs != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
+    if args.fpp_depth and args.format == "csv":
+        raise ValueError("--fpp-depth writes JSON only; drop --format csv")
+    report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
     if args.fpp_depth:
-        if args.format == "csv":
-            raise ValueError("--fpp-depth writes JSON only; drop --format csv")
         payload = report_envelope(
             "primes",
             {"set": gens.canonical_name(), "coding": coding.render(), "a0": args.a0},
-            fpp_comparison(gens, coding, Fraction(args.a0), args.fpp_depth, cutoffs[-1]),
+            fpp_comparison(report, args.fpp_depth),
         )
         _emit(args, canonical_json(payload))
-        return EXIT_OK
-    report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
-    if args.format == "csv":
+    elif args.format == "csv":
         _emit(args, render_csv(report.csv_rows()))
     else:
         payload = report_envelope(

@@ -344,9 +344,11 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
 
 def _normalize_point(gens: GeneratorSet, point):
     if gens.ring == QT:
-        if isinstance(point, int):
-            return IntPolynomial((point,)) if point else IntPolynomial(())
-        return point
+        if isinstance(point, IntPolynomial):
+            return point
+        if Fraction(point).denominator != 1:
+            raise ValueError("points over Z[t] must be integral")
+        return IntPolynomial((int(point),)) if point else IntPolynomial(())
     return Fraction(point) if not isinstance(point, IntPolynomial) else point
 
 

@@ -348,16 +348,10 @@ def density_profile(
     return report
 
 
-def fpp_comparison(
-    gens: GeneratorSet,
-    coding: SequenceCoding,
-    a0: Fraction | int,
-    depth_for_fpp: int,
-    cutoff: int,
-) -> dict:
-    """Juxtapose the empirical prime ratio at the cutoff with the exact
-    fixed-point proportions (informational; the bound concerns the limit)."""
-    profile = density_profile(gens, coding, a0, [cutoff])
+def fpp_comparison(profile: PrimeScanReport, depth_for_fpp: int) -> dict:
+    """Juxtapose the profile's empirical prime ratio at its largest cutoff with
+    the exact fixed-point proportions (informational; the bound concerns the
+    limit)."""
     depth = min(depth_for_fpp, MAX_EXACT_LEVEL)
     table = []
     for n in range(1, depth + 1):
@@ -366,7 +360,7 @@ def fpp_comparison(
     row = profile.rows[-1]
     return {
         "format_version": 1,
-        "cutoff": cutoff,
+        "cutoff": row.cutoff,
         "ratio_num": row.ratio.numerator,
         "ratio_den": row.ratio.denominator,
         "ratio": row.ratio_decimal(),

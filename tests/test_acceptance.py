@@ -20,8 +20,8 @@ from quadorbit.algebra import (
     RatPolynomial,
     gcd_primitive,
     is_square,
+    derivative_is_one_mod2,
     parse_poly,
-    reduce_mod2,
 )
 from quadorbit.census import (
     MONIC_DERIVATIVE,
@@ -196,7 +196,7 @@ def test_criterion_05_squarefree_trick():
         for i in range(3, d + 1, 2):
             c_coeffs[i] = 2 * rng.randint(-4, 4)
         c = IntPolynomial(c_coeffs)
-        if not reduce_mod2(c).derivative().is_one():
+        if not derivative_is_one_mod2(c):
             continue
         if rng.random() < 0.5:
             dz = rng.randint(max(1, (d + 1) // 2), 3)
@@ -247,10 +247,11 @@ def test_criterion_07_oracle_consistency():
         if first == 0 or is_square(first) or gamma_value(gens, coding, Fraction(0), 2) == 0:
             continue
         done += 1
-        ev = maximality_by_primitive_odd_prime(gens, coding, 2)
+        values = critical_orbit(gens, coding, 2)
+        ev = maximality_by_primitive_odd_prime(gens, values)
         if ev.kind == MAX_PRIMITIVE:
             witnesses += 1
-            if level2_oracle(gens, coding) is not True:
+            if level2_oracle(gens, values) is not True:
                 ok = False
                 break
     done_qt = 0
@@ -262,10 +263,10 @@ def test_criterion_07_oracle_consistency():
         if first.is_zero() or is_square(first) or values[1].is_zero():
             continue
         done_qt += 1
-        ev = maximality_qt(gens, coding, 2)
+        ev = maximality_qt(gens, values)
         if ev.kind == MAX_PRIMITIVE:
             witnesses += 1
-            if level2_oracle(gens, coding) is not True:
+            if level2_oracle(gens, values) is not True:
                 ok = False
                 break
     elapsed = time.monotonic() - start
@@ -442,7 +443,7 @@ def test_criterion_14_infinite_index_mechanism():
             if coding.index_at(n) == 1:
                 ok = ok and values[n - 1] in (Fraction(-2), Fraction(2))
                 if n >= 2:
-                    ev = maximality_by_primitive_odd_prime(gens, coding, n)
+                    ev = maximality_by_primitive_odd_prime(gens, critical_orbit(gens, coding, n))
                     ok = ok and ev.kind == MAX_FAILS
     elapsed = time.monotonic() - start
     _report(

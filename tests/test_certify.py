@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import gamma_value
+import quadorbit.certify as certify
 from quadorbit.algebra import (
     FactorBudget,
     IntPolynomial,
     RatPolynomial,
+    derivative_is_one_mod2,
     gcd_primitive,
     is_square,
     parse_poly,
-    reduce_mod2,
 )
 from quadorbit.certify import (
     MAX_FAILS,
@@ -31,10 +32,11 @@ from quadorbit.certify import (
     stability_certificate,
     tool_conditions,
 )
-from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding
+from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding, critical_orbit
 from quadorbit.reporting import canonical_json
 
 CONST = SequenceCoding.constant(1)
+X2P1 = GeneratorSet.from_constants([1])
 
 
 def qt_set(*texts):
@@ -43,19 +45,22 @@ def qt_set(*texts):
 
 class TestStability:
     def test_x2_plus_1(self):
-        evidence = stability_certificate(GeneratorSet.from_constants([1]), CONST, 4)
+        evidence = stability_certificate(X2P1, CONST, critical_orbit(X2P1, CONST, 4))
         assert all(e.kind == STAB_NON_SQUARE for e in evidence)
 
     def test_x2_fails_at_level_one(self):
-        evidence = stability_certificate(GeneratorSet.from_constants([0]), CONST, 2)
+        g = GeneratorSet.from_constants([0])
+        evidence = stability_certificate(g, CONST, critical_orbit(g, CONST, 2))
         assert evidence[0].kind == STAB_FAILED
 
     def test_derivative_trick(self):
-        evidence = stability_certificate(qt_set("t"), CONST, 5)
+        g = qt_set("t")
+        evidence = stability_certificate(g, CONST, critical_orbit(g, CONST, 5))
         assert all(e.kind == STAB_DERIVATIVE for e in evidence)
 
     def test_qt_without_trick_runs_square_tests(self):
-        evidence = stability_certificate(qt_set("t^2"), CONST, 3)
+        g = qt_set("t^2")
+        evidence = stability_certificate(g, CONST, critical_orbit(g, CONST, 3))
         assert evidence[0].kind == STAB_NON_SQUARE  # -t^2 is not a square
 
     def test_eisenstein_fallback_over_z(self):
@@ -63,46 +68,51 @@ class TestStability:
         # square test fails but Eisenstein still certifies the level.
         g = GeneratorSet.from_constants([-2, -3])
         coding = SequenceCoding((2,), (1,))  # gamma_1(0) = -3, gamma_2(0) = ...
-        evidence = stability_certificate(g, coding, 4)
+        evidence = stability_certificate(g, coding, critical_orbit(g, coding, 4))
         assert all(e.ok for e in evidence)
 
 
 class TestMaximalityQ:
     def test_witness_5(self):
-        ev = maximality_by_primitive_odd_prime(GeneratorSet.from_constants([1]), CONST, 3)
+        ev = maximality_by_primitive_odd_prime(X2P1, critical_orbit(X2P1, CONST, 3))
         assert ev.kind == MAX_PRIMITIVE and ev.witness == "5"
 
     def test_witness_13(self):
-        ev = maximality_by_primitive_odd_prime(GeneratorSet.from_constants([1]), CONST, 4)
+        ev = maximality_by_primitive_odd_prime(X2P1, critical_orbit(X2P1, CONST, 4))
         assert ev.kind == MAX_PRIMITIVE and ev.witness == "13"
 
     def test_criterion_fails_for_minus2(self):
-        ev = maximality_by_primitive_odd_prime(GeneratorSet.from_constants([-2]), CONST, 3)
+        g = GeneratorSet.from_constants([-2])
+        ev = maximality_by_primitive_odd_prime(g, critical_orbit(g, CONST, 3))
         assert ev.kind == MAX_FAILS
 
     def test_zero_value_rejected(self):
         with pytest.raises(ValueError):
-            maximality_by_primitive_odd_prime(GeneratorSet.from_constants([-1]), CONST, 2)
+            g = GeneratorSet.from_constants([-1])
+            maximality_by_primitive_odd_prime(g, critical_orbit(g, CONST, 2))
 
     def test_inconclusive_when_budget_tiny(self):
         g = GeneratorSet.from_constants([7919])
         budget = FactorBudget(trial_bound=2, rho_iterations=1, rho_restarts=1)
-        ev = maximality_by_primitive_odd_prime(g, CONST, 3, budget)
+        ev = maximality_by_primitive_odd_prime(g, critical_orbit(g, CONST, 3), budget)
         assert ev.kind in (MAX_PRIMITIVE, MAX_INCONCLUSIVE)
 
 
 class TestMaximalityQt:
     def test_level_2_witness(self):
-        ev = maximality_qt(qt_set("t"), CONST, 2)
+        g = qt_set("t")
+        ev = maximality_qt(g, critical_orbit(g, CONST, 2))
         assert ev.kind == MAX_PRIMITIVE and ev.witness == "t+1"
 
     def test_level_3_witness(self):
-        ev = maximality_qt(qt_set("t"), CONST, 3)
+        g = qt_set("t")
+        ev = maximality_qt(g, critical_orbit(g, CONST, 3))
         assert ev.kind == MAX_PRIMITIVE and ev.witness == "t^3+2t^2+t+1"
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            maximality_qt(qt_set("t^2"), CONST, 1)
+            g = qt_set("t^2")
+            maximality_qt(g, critical_orbit(g, CONST, 1))
 
 
 class TestToolConditions:
@@ -121,14 +131,18 @@ class TestToolConditions:
 
 class TestLevel2Oracle:
     def test_examples(self):
-        assert level2_oracle(GeneratorSet.from_constants([1]), CONST) is True
+        assert level2_oracle(X2P1, critical_orbit(X2P1, CONST, 2)) is True
         g = GeneratorSet.from_constants([3, 1])
-        assert level2_oracle(g, SequenceCoding((1,), (2,))) is False
-        assert level2_oracle(qt_set("t"), CONST) is True
+        assert level2_oracle(g, critical_orbit(g, SequenceCoding((1,), (2,)), 2)) is False
+        g = qt_set("t")
+        assert level2_oracle(g, critical_orbit(g, CONST, 2)) is True
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            level2_oracle(GeneratorSet.from_constants([-4]), CONST)  # -gamma_1(0) = 4 square
+            g = GeneratorSet.from_constants([-4])
+            level2_oracle(g, critical_orbit(g, CONST, 2))  # -gamma_1(0) = 4 square
+        with pytest.raises(ValueError):
+            level2_oracle(X2P1, critical_orbit(X2P1, CONST, 1))
 
     def test_soundness_vs_valuation_criterion(self):
         # Whenever the sufficient criterion produces a witness at n = 2, the
@@ -145,10 +159,11 @@ class TestLevel2Oracle:
                 continue
             if gamma_value(g, coding, Fraction(0), 2) == 0:
                 continue
-            ev = maximality_by_primitive_odd_prime(g, coding, 2)
+            values = critical_orbit(g, coding, 2)
+            ev = maximality_by_primitive_odd_prime(g, values)
             if ev.kind == MAX_PRIMITIVE:
                 hits += 1
-                assert level2_oracle(g, coding) is True
+                assert level2_oracle(g, values) is True
         assert hits >= 50
 
 
@@ -204,6 +219,30 @@ class TestChains:
         assert json.loads(payload)["summary"]["stable"] is True
 
 
+@pytest.mark.parametrize(
+    "gens, coding, depth, level2_kind",
+    [
+        (qt_set("t"), CONST, 6, MAX_PRIMITIVE),
+        (qt_set("t^2+1", "t"), SequenceCoding((), (1, 2)), 5, MAX_PRIMITIVE),
+        (X2P1, CONST, 5, MAX_PRIMITIVE),
+        (GeneratorSet.from_constants([-2]), CONST, 4, MAX_ORACLE),
+        (GeneratorSet.from_constants([Fraction(1, 2)]), CONST, 3, MAX_ORACLE),
+    ],
+    ids=["qt_derivative_shortcut", "qt_square_tests", "q_valuation", "q_criterion_fails", "q_rational"],
+)
+def test_chain_computes_the_critical_orbit_once(monkeypatch, gens, coding, depth, level2_kind):
+    calls = []
+
+    def counting_critical_orbit(*args):
+        calls.append(args)
+        return critical_orbit(*args)
+
+    monkeypatch.setattr(certify, "critical_orbit", counting_critical_orbit)
+    chain = certify_chain(gens, coding, depth)
+    assert chain.levels[1].maximality.kind == level2_kind
+    assert len(calls) == 1
+
+
 class TestSquarefreeTrickProperties:
     def test_derivative_one_implies_squarefree(self):
         # random z, c with derivative-1 reduction and odd leading term give a
@@ -216,7 +255,7 @@ class TestSquarefreeTrickProperties:
             for i in range(3, d + 1, 2):
                 c_coeffs[i] = 2 * rng.randint(-4, 4)  # even odd-index coefficients
             c = IntPolynomial(c_coeffs)
-            if not reduce_mod2(c).derivative().is_one():
+            if not derivative_is_one_mod2(c):
                 continue
             dz = rng.randint(max(1, (d + 1) // 2), 3)
             z_coeffs = [rng.randint(-9, 9) for _ in range(dz)] + [2 * rng.randint(0, 3) + 1]
@@ -237,7 +276,7 @@ class TestSquarefreeTrickProperties:
                 c1[i] = 0
             c1[d] = c1[d] | 1 if d % 2 == 0 else c1[d]
             cj = IntPolynomial(c1)
-            if not reduce_mod2(cj).derivative().is_one():
+            if not derivative_is_one_mod2(cj):
                 continue
             ck_coeffs = [rng.randint(-5, 5) for _ in range(d)] + [2 * rng.randint(0, 2) + 1]
             ck = IntPolynomial(ck_coeffs)
@@ -250,8 +289,6 @@ class TestSquarefreeTrickProperties:
             checked += 1
             n = rng.randint(2, 6)
             coding = SequenceCoding((1,) + tuple(rng.randint(1, 2) for _ in range(n - 2)), (2,))
-            from quadorbit.dynamics import critical_orbit
-
             value = critical_orbit(gens, coding, n)[-1]
             prim = value.primitive_part()
             assert gcd_primitive(prim, prim.derivative()).is_constant()

@@ -1,10 +1,13 @@
+import functools
 import json
 import time
 
 import jsonschema
 import pytest
 
+import quadorbit.cli as cli
 from quadorbit.cli import build_parser, main
+from quadorbit.primescan import density_profile
 
 SCHEMA_DIR = None
 
@@ -145,6 +148,15 @@ def test_fpp_depth_rejects_csv(capsys):
     assert "--fpp-depth" in captured.err and "--format csv" in captured.err
 
 
+@pytest.mark.parametrize("fpp_depth", [[], ["--fpp-depth", "3"]], ids=["scan", "fpp_depth"])
+def test_primes_over_cap_exits_inconclusive(capsys, monkeypatch, fpp_depth):
+    # p = 1987 needs more than 4 walker states (see TestProfiles.test_walker_budget).
+    monkeypatch.setattr(cli, "density_profile", functools.partial(density_profile, max_states=4))
+    code, out = run_cli(capsys, "primes", "--c", "1", "--coding", "|1", "--cutoffs", "1000,2000", *fpp_depth)
+    assert json.loads(out)["result"]
+    assert code == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -182,4 +194,32 @@ def test_orbit_escape_survives_large_denominators(capsys, point):
     result = json.loads(out)["result"]
     assert result["status"] == "escaping"
     assert result["contains_finite_orbit_point"] == "no"
+    assert code == 0
+
+
+def test_orbit_qt_integral_point(capsys):
+    code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t", "--point", "0")
+    payload = json.loads(out)
+    assert payload["config"]["point"] == "0"
+    assert payload["result"]["status"] == "escaping"
+    assert code == 0
+    code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t; -1", "--point", "0", "--size-cap", "16")
+    assert json.loads(out)["result"]["status"] == "unknown"
+    assert code == 2
+
+
+def test_orbit_qt_fractional_point_is_an_error(capsys):
+    code = main(["orbit", "--ring", "qt", "--c", "t; -1", "--point", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_negative_option_values_after_equals(capsys):
+    # "-1/2" and "-3;2" look like option names to argparse; "--opt=value" does not.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["orbit", "--c", "-1; -2", "--point", "-1/2"])
+    code, out = run_cli(capsys, "orbit", "--c=-3;2", "--point=-1/2")
+    assert json.loads(out)["config"]["point"] == "-1/2"
     assert code == 0

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from quadorbit.algebra import IntPolynomial, poly_compose, render_poly
+from quadorbit.algebra import IntPolynomial, derivative_is_one_mod2, poly_compose, render_poly
 
 small_polys = st.lists(st.integers(-30, 30), min_size=0, max_size=7).map(IntPolynomial)
 
@@ -81,3 +83,15 @@ def test_render():
     assert render_poly(IntPolynomial((-3, 0, 0, 0, -7))) == "-7t^4-3"
     assert render_poly(IntPolynomial(())) == "0"
     assert render_poly(IntPolynomial((0, -1)), var="x") == "-x"
+
+
+def test_derivative_is_one_mod2_matches_reduced_derivative():
+    # Oracle: reduce the derivative's coefficients mod 2 and compare with 1.
+    hits = 0
+    for coeffs in itertools.product(range(-2, 3), repeat=6):
+        p = IntPolynomial(coeffs)
+        reduced = IntPolynomial(c % 2 for c in p.derivative().coeffs)
+        expected = reduced == IntPolynomial((1,))
+        hits += expected
+        assert derivative_is_one_mod2(p) == expected, coeffs
+    assert hits == 5**3 * 2 * 3 * 3  # a_1 odd, a_3 and a_5 even, the rest free

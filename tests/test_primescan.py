@@ -227,7 +227,7 @@ class TestProfiles:
 
 
 def test_fpp_comparison_shape():
-    result = fpp_comparison(X2P1, CONST, 0, 5, 1000)
+    result = fpp_comparison(density_profile(X2P1, CONST, 0, [1000]), 5)
     assert result["cutoff"] == 1000
     assert [row["n"] for row in result["fpp"]] == [1, 2, 3, 4, 5]
     assert result["fpp"][0] == {"n": 1, "fpp_num": 1, "fpp_den": 2}

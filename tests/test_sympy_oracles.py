@@ -120,7 +120,8 @@ def test_level2_oracle_matches_galois_group_order():
             continue
         checked += 1
         group, _ = galois_group(quartic)
-        assert level2_oracle(gens, coding) == (group.order() == 8), (cs, coding.render())
+        values = critical_orbit(gens, coding, 2)
+        assert level2_oracle(gens, values) == (group.order() == 8), (cs, coding.render())
 
 
 def test_maximality_witness_matches_sympy_factorization():
@@ -151,5 +152,5 @@ def test_maximality_witness_matches_sympy_factorization():
             if all(sympy.rem(e, base, T) != 0 for e in earlier):
                 expected = True
                 break
-        got = maximality_qt(gens, coding, n).kind == MAX_PRIMITIVE
+        got = maximality_qt(gens, values).kind == MAX_PRIMITIVE
         assert got == expected, (cs, coding.render(), n)

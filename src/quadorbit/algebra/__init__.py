@@ -10,7 +10,6 @@ from .ratpoly import (
     RatPolynomial,
     discriminant,
     gcd_primitive,
-    gcd_qt,
     is_square,
     is_square_qt,
     is_squarefree,
@@ -37,7 +36,6 @@ __all__ = [
     "discriminant",
     "factor_integer",
     "gcd_primitive",
-    "gcd_qt",
     "is_probable_prime",
     "is_square",
     "is_square_int",

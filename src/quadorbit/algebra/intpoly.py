@@ -2,14 +2,21 @@
 
 A polynomial is an immutable tuple of coefficients indexed by exponent,
 with no trailing zeros.  The zero polynomial has the empty tuple and the
-sentinel degree -1.  Degrees in this package stay modest (around 1024 at
-the top end), so the dense representation wins everywhere.
+sentinel degree -1.  Critical orbit values over Z[t] are dense (every
+coefficient of a composed square is nonzero), so the representation is
+dense too.  Products of more than 16 terms by more than 16 terms go
+through Kronecker substitution: both factors become one big integer, the
+integers are multiplied once, and the product's coefficients are read back
+from byte slots (D. Harvey, J. Symbolic Comput. 44 (2009)).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator, Sequence
+
+# Products where one factor has at most this many terms stay schoolbook.
+_SCHOOLBOOK_TERMS = 16
 
 
 def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -125,6 +132,8 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
+        if min(len(a), len(b)) > _SCHOOLBOOK_TERMS:
+            return IntPolynomial(_kronecker_product(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -212,18 +221,42 @@ class IntPolynomial:
             return None
         return IntPolynomial(quot)
 
-    def reduce_mod(self, p: int) -> list[int]:
-        """Coefficient list mod p, trailing zeros stripped."""
-        out = [c % p for c in self.coeffs]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         return render_poly(self)
+
+
+def _pack_signed(coeffs: Sequence[int], width: int, bias: int) -> int:
+    """sum(c_i * 256^(width*i)) for coefficients with |c_i| < bias = 2^(8*width-1)."""
+    biased = b"".join((c + bias).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(biased, "little") - _repeat_slot(bias, width, len(coeffs))
+
+
+def _repeat_slot(value: int, width: int, count: int) -> int:
+    return int.from_bytes(value.to_bytes(width, "little") * count, "little")
+
+
+def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a*b from one big-integer product over width-byte slots.
+
+    A product coefficient sums at most min(len) terms, so |c_k| < 2^bits <=
+    bias = 2^(8*width-1).  Adding bias to every slot of x*y therefore puts
+    each slot in [0, 2^(8*width)), where its bytes read back exactly.
+    """
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+    width = bits // 8 + 1
+    bias = 1 << (8 * width - 1)
+    x = _pack_signed(a, width, bias)
+    y = x if b is a else _pack_signed(b, width, bias)
+    n = len(a) + len(b) - 1
+    raw = (x * y + _repeat_slot(bias, width, n)).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, width * n, width)]
 
 
 def _coerce(value):

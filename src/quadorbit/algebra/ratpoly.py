@@ -1,10 +1,13 @@
 """Polynomials over the rationals, stored as integer numerator / positive denominator.
 
-GCDs run on primitive integer parts through a small-prime homomorphic image
-first (a degree-0 image certifies coprimality outright) and a CRT lift with
-trial division otherwise, so square-freeness certificates on degree-512
-inputs stay cheap.  Square-free decomposition is Yun's iterated-gcd scheme;
-no irreducible factorization happens anywhere in this package.
+GCDs run on primitive integer parts through homomorphic images modulo
+word-sized primes just below 2^26 (a degree-0 image certifies coprimality
+outright) and a CRT lift with trial division otherwise.  Each image runs
+Euclid on packed big-integer slots, so no Python loop walks the
+coefficients of a division; square-freeness certificates on orbit values of
+degree 4096 and more stay affordable.  Square-free decomposition is Yun's
+iterated-gcd scheme; no irreducible factorization happens anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -160,46 +163,127 @@ def _coerce(value):
 
 # ---------------------------------------------------------------------------
 # GCD machinery on primitive integer polynomials.
+#
+# Images mod p use primes in (2^25, 2^26), so every image coefficient fits in
+# one CPython digit.  An image polynomial is one int with 128-bit slots, slot i
+# holding coefficient i, and Euclid over F_p runs on these packed ints: an
+# elimination step is one big-integer update, and a packed Barrett step
+# (P. Barrett, CRYPTO '86) brings every slot back below 2p.  A slot that
+# carried into its neighbour would corrupt the image, and a faked degree-0
+# image would be a false coprimality certificate.  The bounds:
+# - reduced slots are below 2p < 2^27, and an elimination step adds to each
+#   slot at most once, q*b_i with q < p and b_i < 2p, so less than 2^53;
+# - so within 2^11 steps of a reduction every slot stays below 2^65;
+# - Barrett multiplies each slot by m = floor(2^88/p) < 2^63, so a slot below
+#   2^65 gives a product below 2^128: the quotients floor(x*m/2^88) < 2^40
+#   land in the low 40 bits of their slots after the shift, and x - q*p is
+#   in [0, 2p).
+# A division therefore reduces after every 2^11 steps, and each reduction
+# first checks that no slot has reached 2^65.
 
-def _prime_stream():
-    """Word-sized primes for homomorphic images, largest first for good reduction."""
-    n = (1 << 62) + 1
-    while True:
+_PRIME_FLOOR = 1 << 25
+_SLOT = 128
+_SLOT_BYTES = _SLOT // 8
+_BARRETT_SHIFT = 88
+_STEPS_PER_REDUCTION = 1 << 11
+_SLOT_CEILING_BITS = 65
+
+
+def _image_primes():
+    """The primes in (2^25, 2^26), largest first."""
+    n = 2 * _PRIME_FLOOR - 1
+    while n > _PRIME_FLOOR:
         if is_probable_prime(n):
             yield n
-        n += 2
+        n -= 2
 
 
-def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of stripped coefficient lists over F_p."""
-    while b:
-        db = len(b) - 1
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        for k in range(len(r) - 1, db - 1, -1):
-            t = r[k]
+def _slot_mask(lo: int, hi: int, slots: int) -> int:
+    """Bits lo..hi-1 of each of the given number of slots."""
+    pattern = (((1 << hi) - 1) ^ ((1 << lo) - 1)).to_bytes(_SLOT_BYTES, "little")
+    return int.from_bytes(pattern * slots, "little")
+
+
+def _gcd_image(f: tuple[int, ...], g: tuple[int, ...], p: int) -> list[int]:
+    """Monic gcd over F_p of f and g, whose leading coefficients p does not divide."""
+    width = max(len(f), len(g))
+    quotient_mask = _slot_mask(0, _SLOT - _BARRETT_SHIFT, width)
+    overflow_mask = _slot_mask(_SLOT_CEILING_BITS, _SLOT, width)
+    m = (1 << _BARRETT_SHIFT) // p
+    top_mask = (1 << _SLOT) - 1
+
+    def reduce(r: int) -> int:
+        if r & overflow_mask:
+            raise RuntimeError("modular gcd: a packed image slot reached 2^65")
+        return r - (((r * m) >> _BARRETT_SHIFT) & quotient_mask) * p
+
+    def pack(coeffs: tuple[int, ...]) -> int:
+        return int.from_bytes(b"".join((c % p).to_bytes(_SLOT_BYTES, "little") for c in coeffs), "little")
+
+    a, da, b, db = pack(f), len(f) - 1, pack(g), len(g) - 1
+    if da < db:
+        a, da, b, db = b, db, a, da
+    while db > 0:
+        inv = pow((b >> (_SLOT * db)) % p, -1, p)
+        r = a
+        # Each step clears slot k mod p; the cleared top slots are dropped
+        # together once the division is done.
+        for k in range(da, db - 1, -1):
+            t = ((r >> (_SLOT * k)) & top_mask) % p
             if t:
-                t = t * inv % p
-                off = k - db
-                for i in range(db):
-                    r[off + i] = (r[off + i] - t * b[i]) % p
-                r[k] = 0
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+                r += ((p - t) * inv % p * b) << (_SLOT * (k - db))
+            if (da - k + 1) % _STEPS_PER_REDUCTION == 0:
+                r = reduce(r)
+        r = reduce(r & ((1 << (_SLOT * db)) - 1))
+        dr = db - 1
+        while dr >= 0 and (r >> (_SLOT * dr)) % p == 0:
+            r &= (1 << (_SLOT * dr)) - 1
+            dr -= 1
+        a, da, b, db = b, db, r, dr
+    if db == 0:
+        return [1]
+    raw = a.to_bytes(_SLOT_BYTES * (da + 1), "little")
+    coeffs = [int.from_bytes(raw[i : i + _SLOT_BYTES], "little") % p for i in range(0, len(raw), _SLOT_BYTES)]
+    inv = pow(coeffs[-1], -1, p)
+    return [c * inv % p for c in coeffs]
 
 
 def _symmetric(c: int, m: int) -> int:
     return c - m if 2 * c > m else c
 
 
-def gcd_primitive(f: IntPolynomial, g: IntPolynomial, max_primes: int = 64) -> IntPolynomial:
+def _norm_bits(f: IntPolynomial) -> int:
+    """An exponent e with ||f||_2 <= 2^e, from ||f||_2 <= sqrt(len) * max|c|."""
+    return f.max_abs_coefficient().bit_length() + (len(f.coeffs).bit_length() + 1) // 2
+
+
+def _prime_budget(f: IntPolynomial, g: IntPolynomial, lc_bound: int) -> int:
+    """How many image primes suffice for any primitive f, g (W. S. Brown, JACM 18 (1971)).
+
+    A prime not dividing lc(f)*lc(g) gives an image of too high a degree only
+    when it divides the leading coefficient sigma of the deg-gcd
+    subresultant, and |sigma| <= ||f||_2^deg(g) * ||g||_2^deg(f) (Hadamard).
+    The lifted image lc_bound/lc(h) * h of the gcd h has coefficients of
+    absolute value at most lc_bound * 2^deg(h) * min(||f||_2, ||g||_2)
+    (Landau-Mignotte), and the symmetric lift needs a modulus above twice
+    that.  Every prime exceeds 2^25, so these many primes cover both the
+    unlucky ones and the lift.
+    """
+    nf, ng = _norm_bits(f), _norm_bits(g)
+    unlucky_bits = g.degree * nf + f.degree * ng
+    lift_bits = 1 + lc_bound.bit_length() + min(f.degree, g.degree) + min(nf, ng)
+    return (unlucky_bits + lift_bits) // 25 + 1
+
+
+def gcd_primitive(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd (positive leading coefficient) of integer polynomials.
 
-    Modular images with CRT and a trial-division check; falls back to monic
-    Euclid over Q if the prime budget somehow runs out.
+    Modular images with CRT and a trial-division check.  A degree-0 image
+    certifies coprimality at once.  No fallback follows the loop: within the
+    prime budget the lift provably succeeds, so spending it (or, for inputs
+    whose budget exceeds the 1.9 million primes of the window, exhausting
+    the window, which takes as many images) can only mean a wrong image,
+    and raises rather than return a wrong gcd.
     """
     if f.is_zero():
         return g.primitive_part()
@@ -209,18 +293,20 @@ def gcd_primitive(f: IntPolynomial, g: IntPolynomial, max_primes: int = 64) -> I
     g = g.primitive_part()
     if f.is_constant() or g.is_constant():
         return IntPolynomial((1,))
-    lc_bound = math.gcd(f.leading_coefficient(), g.leading_coefficient())
+    lc_f, lc_g = f.leading_coefficient(), g.leading_coefficient()
+    lc_bound = math.gcd(lc_f, lc_g)
+    budget = _prime_budget(f, g, lc_bound)
     best_deg = min(f.degree, g.degree) + 1
     modulus = 0
     residues: list[int] = []
     used = 0
-    for p in _prime_stream():
-        if used >= max_primes:
+    for p in _image_primes():
+        if used >= budget:
             break
-        if f.leading_coefficient() % p == 0 or g.leading_coefficient() % p == 0:
+        if lc_f % p == 0 or lc_g % p == 0:
             continue
         used += 1
-        h = _gcd_mod_p(f.reduce_mod(p), g.reduce_mod(p), p)
+        h = _gcd_image(f.coeffs, g.coeffs, p)
         deg = len(h) - 1
         if deg == 0:
             return IntPolynomial((1,))
@@ -247,34 +333,7 @@ def gcd_primitive(f: IntPolynomial, g: IntPolynomial, max_primes: int = 64) -> I
         cand = lifted.primitive_part()
         if f.divmod_exact_or_none(cand) is not None and g.divmod_exact_or_none(cand) is not None:
             return cand
-    return _gcd_rational_fallback(f, g)
-
-
-def _gcd_rational_fallback(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-    while b:
-        db = len(b) - 1
-        inv = 1 / b[-1]
-        r = a[:]
-        for k in range(len(r) - 1, db - 1, -1):
-            t = r[k]
-            if t:
-                t = t * inv
-                off = k - db
-                for i in range(db):
-                    r[off + i] -= t * b[i]
-                r[k] = Fraction(0)
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    den = math.lcm(*(c.denominator for c in a))
-    return IntPolynomial(tuple(int(c * den) for c in a)).primitive_part()
-
-
-def gcd_qt(f: RatPolynomial, g: RatPolynomial) -> RatPolynomial:
-    """GCD in Q[t], returned as a primitive integer polynomial (positive lc)."""
-    return RatPolynomial.from_int(gcd_primitive(f.primitive(), g.primitive()))
+    raise RuntimeError("modular gcd: the prime budget ran out without a lift")
 
 
 def is_squarefree(f: RatPolynomial) -> bool:

@@ -11,6 +11,7 @@ exact oracle in the explicit quadratic extension.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .algebra import (
     factor_integer,
     gcd_primitive,
     is_square,
+    is_square_rational,
     render_poly,
     resultant,
     square_in_quadratic_extension,
@@ -173,11 +175,36 @@ def derivative_trick_applies(gens: GeneratorSet, coding: SequenceCoding) -> bool
     return derivative_is_one_mod2(c1)
 
 
+def _decomposer(values: list):
+    """n -> square-free decomposition of the level-n Z[t] value, made at most once."""
+
+    @functools.cache
+    def decompose(n: int):
+        return squarefree_decomposition(RatPolynomial.from_int(values[n - 1]))
+
+    return decompose
+
+
+def _level_is_square(gens: GeneratorSet, values: list, n: int, decompose) -> bool:
+    """Whether the level-n square-test argument (the orbit value, negated at
+    level 1) is a square; a nonconstant Z[t] value is judged from its
+    square-free decomposition, whose unit changes sign with the value."""
+    value = values[n - 1]
+    if gens.ring == QT and not value.is_constant():
+        unit, parts = decompose(n)
+        return all(mult % 2 == 0 for _, mult in parts) and is_square_rational(-unit if n == 1 else unit)
+    return is_square(_orbit_square_arg(gens, value, negate=(n == 1)))
+
+
 def stability_certificate(
     gens: GeneratorSet, coding: SequenceCoding, values: list
 ) -> list[StabilityEvidence]:
     """Per-level stability evidence for levels 1..len(values), given the
     critical orbit values of those levels."""
+    return _stability(gens, coding, values, _decomposer(values))
+
+
+def _stability(gens: GeneratorSet, coding: SequenceCoding, values: list, decompose) -> list[StabilityEvidence]:
     depth = len(values)
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -189,8 +216,7 @@ def stability_certificate(
         return [ev] * depth
     out = []
     for n in range(1, depth + 1):
-        arg = _orbit_square_arg(gens, values[n - 1], negate=(n == 1))
-        if not is_square(arg):
+        if not _level_is_square(gens, values, n, decompose):
             out.append(StabilityEvidence(STAB_NON_SQUARE, witness=_value_str(values[n - 1])))
             continue
         if gens.ring == QQ and gens.is_integral():
@@ -228,9 +254,8 @@ def maximality_by_primitive_odd_prime(
     return MaximalityEvidence(MAX_FAILS)
 
 
-def _odd_multiplicity_part(f: IntPolynomial) -> IntPolynomial:
+def _odd_multiplicity_part(parts: list[tuple[RatPolynomial, int]]) -> IntPolynomial:
     """Product of the square-free factors of odd multiplicity (primitive)."""
-    _, parts = squarefree_decomposition(RatPolynomial.from_int(f))
     out = IntPolynomial((1,))
     for factor, mult in parts:
         if mult % 2 == 1:
@@ -242,6 +267,10 @@ def maximality_qt(gens: GeneratorSet, values: list) -> MaximalityEvidence:
     """Valuation criterion over Q(t) at level n = len(values), given the orbit
     values of levels 1..n, by square-free decomposition and gcd-stripping
     against the earlier values; no factorization needed."""
+    return _maximality_qt(gens, values, _decomposer(values))
+
+
+def _maximality_qt(gens: GeneratorSet, values: list, decompose) -> MaximalityEvidence:
     if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if gens.ring != QT or not gens.is_critical:
@@ -249,7 +278,7 @@ def maximality_qt(gens: GeneratorSet, values: list) -> MaximalityEvidence:
     target = values[-1]
     if target.is_zero():
         raise ValueError("degenerate orbit: the level value is zero")
-    residue = _odd_multiplicity_part(target)
+    residue = _odd_multiplicity_part(decompose(len(values))[1])
     for earlier in values[:-1]:
         if residue.degree < 1:
             break
@@ -327,7 +356,10 @@ def certify_chain(
         raise ValueError("depth must be >= 1")
     coding.validate_for(gens)
     values = critical_orbit(gens, coding, depth)
-    stab = stability_certificate(gens, coding, values)
+    # Both the square test and the valuation criterion read each level's
+    # square-free decomposition; the value is decomposed once for both.
+    decompose = _decomposer(values)
+    stab = _stability(gens, coding, values, decompose)
     stable_through = 0
     for ev in stab:
         if not ev.ok:
@@ -356,7 +388,7 @@ def certify_chain(
         elif stable_through < n - 1:
             max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
         elif gens.ring == QT:
-            max_ev = maximality_qt(gens, values[:n])
+            max_ev = _maximality_qt(gens, values[:n], decompose)
             if n in guaranteed_levels:
                 if max_ev.kind != MAX_PRIMITIVE:
                     raise RuntimeError(

@@ -4,7 +4,8 @@ Coding syntax is 'prefix|cycle' with 1-based generator indices, e.g. '|1'
 (repeat the first map forever) or '1|2' (first map once, then the second
 forever).  The first index names the OUTERMOST map of every composition:
 level n evaluates map1(map2(...mapn(x)...)).  Exit codes: 0 success,
-1 error, 2 inconclusive-dominated result (budget or cap exhausted).
+1 error, 2 inconclusive-dominated result (budget or cap exhausted, or out
+of memory).
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ EXIT_INCONCLUSIVE = 2
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -354,9 +360,12 @@ def main(argv: list[str] | None = None) -> int:
     except PolynomialSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("inconclusive: out of memory", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

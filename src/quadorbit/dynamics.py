@@ -188,17 +188,32 @@ class SequenceCoding:
 
 
 def critical_orbit(gens: GeneratorSet, coding: SequenceCoding, n: int) -> list:
-    """[ (theta_1 o ... o theta_k)(0) for k = 1..n ], evaluated right to left."""
+    """[ (theta_1 o ... o theta_k)(0) for k = 1..n ].
+
+    With Pre = the composed prefix maps, Block = the composed cycle of length
+    L and delta_j = the cycle coding's level-j composition, level k beyond
+    the prefix is Pre(delta_{k-r}(0)) and delta_j(0) = Block(delta_{j-L}(0)),
+    so every level costs r + L map applications instead of k.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     coding.validate_for(gens)
     zero: object = IntPolynomial(()) if gens.ring == QT else Fraction(0)
-    out = []
-    for k in range(1, n + 1):
-        z = gens.apply(coding.index_at(k), zero)
-        for i in range(k - 1, 0, -1):
-            z = gens.apply(coding.index_at(i), z)
-        out.append(z)
+
+    def compose(indices: tuple[int, ...], z):
+        for i in reversed(indices):
+            z = gens.apply(i, z)
+        return z
+
+    prefix, cycle = coding.prefix, coding.cycle
+    out = [compose(prefix[:k], zero) for k in range(1, min(n, len(prefix)) + 1)]
+    deltas: list = []
+    for j in range(1, n - len(prefix) + 1):
+        if j <= len(cycle):
+            deltas.append(compose(cycle[:j], zero))
+        else:
+            deltas.append(compose(cycle, deltas[j - len(cycle) - 1]))
+        out.append(compose(prefix, deltas[-1]))
     return out
 
 

@@ -171,9 +171,20 @@ class ProcessLevel:
     def p_hat(self) -> Fraction:
         return Fraction(self.positive, self.trials)
 
-    def stderr(self) -> float:
-        p = self.p_hat
-        return float((p * (1 - p) / self.trials)) ** 0.5
+    def stderr(self) -> str:
+        """sqrt(p_hat (1 - p_hat) / trials) to 12 decimals, rounded half to even.
+
+        Exact: with s = 10^24 * positive * (trials - positive) / trials^3, the
+        digits are the integer nearest sqrt(s), where isqrt(floor(s)) is the
+        floor of sqrt(s) and comparing 4s with (2r + 1)^2 places the half.
+        """
+        num = 10**24 * self.positive * (self.trials - self.positive)
+        den = self.trials**3
+        r = math.isqrt(num // den)
+        half = (2 * r + 1) ** 2 * den
+        if 4 * num > half or (4 * num == half and r % 2 == 1):
+            r += 1
+        return f"{r // 10**12}.{r % 10**12:012d}"
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +193,7 @@ class ProcessLevel:
             "trials": self.trials,
             "p_hat_num": self.p_hat.numerator,
             "p_hat_den": self.p_hat.denominator,
-            "stderr": f"{self.stderr():.12f}",
+            "stderr": self.stderr(),
             "fpp_num": self.exact_fpp.numerator if self.exact_fpp is not None else None,
             "fpp_den": self.exact_fpp.denominator if self.exact_fpp is not None else None,
         }

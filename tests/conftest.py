@@ -119,6 +119,41 @@ def reach_oracle(constants, start, targets, window=60):
     return "no", None
 
 
+def gcd_mod_p_oracle(a, b, p):
+    """Monic gcd over F_p of coefficient lists (constant term first, no
+    trailing zeros mod p), by the textbook Euclid on Python lists."""
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b:
+        db = len(b) - 1
+        inv = pow(b[-1], p - 2, p)
+        r = a[:]
+        for k in range(len(r) - 1, db - 1, -1):
+            t = r[k]
+            if t:
+                t = t * inv % p
+                off = k - db
+                for i in range(db):
+                    r[off + i] = (r[off + i] - t * b[i]) % p
+                r[k] = 0
+        while r and r[-1] == 0:
+            r.pop()
+        a, b = b, r
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def schoolbook_product(a, b):
+    """Coefficients of the product of two coefficient lists, term by term."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def sylvester_resultant(f_coeffs, g_coeffs):
     """Resultant as the Sylvester matrix determinant over Fractions."""
     f = [Fraction(c) for c in f_coeffs]

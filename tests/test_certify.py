@@ -7,6 +7,7 @@ import pytest
 from conftest import gamma_value
 import quadorbit.certify as certify
 from quadorbit.algebra import (
+    squarefree_decomposition,
     FactorBudget,
     IntPolynomial,
     RatPolynomial,
@@ -241,6 +242,29 @@ def test_chain_computes_the_critical_orbit_once(monkeypatch, gens, coding, depth
     chain = certify_chain(gens, coding, depth)
     assert chain.levels[1].maximality.kind == level2_kind
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "gens, coding, depth, decomposed_levels",
+    [
+        (qt_set("t"), CONST, 6, [2, 3, 4, 5, 6]),
+        (qt_set("t^2+1", "t"), SequenceCoding((), (1, 2)), 5, [1, 2, 3, 4, 5]),
+    ],
+    ids=["qt_derivative_shortcut", "qt_square_tests"],
+)
+def test_chain_decomposes_each_orbit_value_once(monkeypatch, gens, coding, depth, decomposed_levels):
+    # The square tests and the valuation criterion share one square-free
+    # decomposition per level; the shortcut chain needs none at level 1.
+    calls = []
+
+    def counting_decomposition(f):
+        calls.append(f.num)
+        return squarefree_decomposition(f)
+
+    monkeypatch.setattr(certify, "squarefree_decomposition", counting_decomposition)
+    certify_chain(gens, coding, depth)
+    values = critical_orbit(gens, coding, depth)
+    assert calls == [values[n - 1] for n in decomposed_levels]
 
 
 class TestSquarefreeTrickProperties:

@@ -223,3 +223,31 @@ def test_negative_option_values_after_equals(capsys):
     code, out = run_cli(capsys, "orbit", "--c=-3;2", "--point=-1/2")
     assert json.loads(out)["config"]["point"] == "-1/2"
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "exc,code,prefix",
+    [
+        (RuntimeError("gcd does not divide its argument"), 1, "error: gcd does not divide"),
+        (MemoryError(), 2, "inconclusive:"),
+    ],
+    ids=["runtime_error", "memory_error"],
+)
+def test_internal_failures_exit_without_traceback(capsys, monkeypatch, exc, code, prefix):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_certify", failing)
+    assert main(["certify", "--ring", "qt", "--c", "t"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err
+
+
+def test_bad_environment_integer_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("QUADORBIT_ORBIT_POINTS", "abc")
+    assert main(["orbit", "--c", "-2", "--point", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: QUADORBIT_ORBIT_POINTS must be an integer, got 'abc'\n"

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import finite_orbit_oracle, gamma_values, reach_oracle
-from quadorbit.algebra import parse_poly
+from quadorbit.algebra import IntPolynomial, parse_poly
 from quadorbit.dynamics import (
+    QQ,
     QT,
     GeneratorSet,
     OrbitCaps,
@@ -72,6 +73,21 @@ class TestCriticalOrbit:
             for n in range(1, depth + 1):
                 poly = composition_polynomial(g, coding, n)
                 assert Fraction(poly.evaluate(0)) == values[n - 1]
+
+    @pytest.mark.parametrize(
+        "ring,constants",
+        [(QT, [parse_poly("t^2+1"), parse_poly("-t")]), (QQ, [Fraction(-3, 2), Fraction(1)])],
+        ids=["qt", "q"],
+    )
+    def test_matches_naive_composition_for_every_short_coding(self, ring, constants):
+        # Every coding with prefix length r <= 2 and cycle length L <= 3 over
+        # two maps, against level-by-level right-to-left composition.
+        g = GeneratorSet.from_constants(constants, ring=ring)
+        zero = IntPolynomial(()) if ring == QT else Fraction(0)
+        prefixes = [w for r in range(3) for w in itertools.product((1, 2), repeat=r)]
+        cycles = [w for length in range(1, 4) for w in itertools.product((1, 2), repeat=length)]
+        for coding in itertools.starmap(SequenceCoding, itertools.product(prefixes, cycles)):
+            assert critical_orbit(g, coding, 7) == gamma_values(g, coding, zero, 7)
 
 
 class TestEscapeCriterion:

@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import schoolbook_product
 from quadorbit.algebra import IntPolynomial, derivative_is_one_mod2, poly_compose, render_poly
 
 small_polys = st.lists(st.integers(-30, 30), min_size=0, max_size=7).map(IntPolynomial)
@@ -52,6 +53,23 @@ def test_mul_degree_and_commutativity(f, g):
     assert f * g == g * f
     if not f.is_zero() and not g.is_zero():
         assert (f * g).degree == f.degree + g.degree
+
+
+wide_coeffs = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.integers(-(2**300), 2**300), min_size=n, max_size=n)
+).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_coeffs, wide_coeffs)
+# Every product coefficient is a full sum of 40 extreme terms, and the factor
+# sizes (300 + 299 bits) leave no spare bit in the byte-rounded slot width.
+@example([2**300 - 1] * 40, [-(2**299 - 1)] * 40)
+def test_mul_matches_schoolbook(a, b):
+    # Lengths 1..40 put each factor on both sides of the 16-term cutoff.
+    assert (IntPolynomial(a) * IntPolynomial(b)).coeffs == tuple(schoolbook_product(a, b))
+    f = IntPolynomial(a)
+    assert (f * f).coeffs == tuple(schoolbook_product(a, a))
 
 
 @given(small_polys, small_polys)

@@ -5,6 +5,7 @@ import pytest
 from quadorbit.process import (
     CHUNK,
     MAX_EXACT_LEVEL,
+    ProcessLevel,
     coin_transition,
     fixed_leaf_count,
     fpp_brute_force,
@@ -118,6 +119,15 @@ class TestSimulation:
         one = simulate_process(seed=77, depth=10, trials=30_000, workers=1)
         eight = simulate_process(seed=77, depth=10, trials=30_000, workers=8)
         assert canonical_json(one.to_dict()) == canonical_json(eight.to_dict())
+
+    @pytest.mark.parametrize("trials", [10**3, 10**4, 3 * 10**4, 10**5])
+    def test_exact_stderr_matches_float_formula(self, trials):
+        # The float formula the reports used to print; every simulate report
+        # prints one of these (positive, trials) pairs.
+        for positive in range(trials + 1):
+            p = Fraction(positive, trials)
+            expected = f"{float(p * (1 - p) / trials) ** 0.5:.12f}"
+            assert ProcessLevel(1, positive, trials).stderr() == expected
 
     def test_deterministic_rerun(self):
         a = simulate_process(seed=5, depth=6, trials=5_000)

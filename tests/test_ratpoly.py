@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sylvester_resultant
+from conftest import gcd_mod_p_oracle, schoolbook_product, sylvester_resultant
+from quadorbit.algebra import ratpoly
 from quadorbit.algebra import (
     IntPolynomial,
     RatPolynomial,
     discriminant,
     gcd_primitive,
+    is_probable_prime,
     is_square,
     is_squarefree,
     parse_poly,
@@ -186,3 +188,73 @@ class TestGcd:
         f = h * IntPolynomial((1, 0, 2))
         g = h * IntPolynomial((-4, 1))
         assert gcd_primitive(f, g) == h.primitive_part()
+
+
+# Primes just above 2^25 and just below 2^26: the ends of the image-prime range.
+IMAGE_PRIMES = [n for n in range(2**25 + 1, 2**25 + 400, 2) if is_probable_prime(n)] + [
+    n for n in range(2**26 - 1, 2**26 - 400, -2) if is_probable_prime(n)
+]
+
+
+@st.composite
+def image_gcd_inputs(draw):
+    """(f, g, p): coefficient lists whose leading coefficients p does not
+    divide, half of them sharing a random factor."""
+    p = draw(st.sampled_from(IMAGE_PRIMES))
+
+    def coeffs(lo, hi):
+        return st.lists(st.integers(-(2**40), 2**40), min_size=lo, max_size=hi).filter(lambda cs: cs[-1] % p != 0)
+
+    f = draw(coeffs(1, 60))
+    g = draw(coeffs(1, 60))
+    if draw(st.booleans()):
+        h = draw(coeffs(2, 12))
+        f = [c % p for c in schoolbook_product(f, h)]
+        g = [c % p for c in schoolbook_product(g, h)]
+    return f, g, p
+
+
+class TestPackedImageGcd:
+    @settings(deadline=None, max_examples=300)
+    @given(image_gcd_inputs())
+    def test_matches_list_euclid(self, inputs):
+        f, g, p = inputs
+        assert ratpoly._gcd_image(tuple(f), tuple(g), p) == gcd_mod_p_oracle(f, g, p)
+
+    @pytest.mark.parametrize(
+        "steps,divisor_terms",
+        [(2**11, 4), (2**13 + 2**11, 4), (2**13 + 17, 2**13 + 17)],
+        ids=["at_bound", "above_bound", "slots_past_2_65_unless_reduced"],
+    )
+    def test_longest_divisions_keep_every_slot_in_range(self, steps, divisor_terms):
+        # f = (1 + ... + x^(steps-1)) * b with every coefficient of b equal to
+        # p-1: the first division runs `steps` elimination steps, each adding
+        # the largest multiplier p-1 times the largest slot p-1 to
+        # `divisor_terms` slots.  In the last case the middle slots take
+        # 2^13 + 17 such additions, past 2^65 unless the division reduces
+        # every 2^11 steps.
+        p = max(IMAGE_PRIMES)
+        b = [p - 1] * divisor_terms
+        n = steps + divisor_terms - 1
+        f = [(p - 1) * min(k + 1, steps, divisor_terms, n - k) % p for k in range(n)]
+        got = ratpoly._gcd_image(tuple(f), tuple(b), p)
+        assert got == [1] * divisor_terms
+        if divisor_terms < 2**11:
+            assert got == gcd_mod_p_oracle(f, b, p)
+
+
+def test_gcd_refuses_to_answer_when_images_never_lift(monkeypatch):
+    # Images that are wrong at every prime never pass the trial division;
+    # after the Landau-Mignotte budget the gcd raises instead of guessing.
+    f = parse_poly("t^2+1") * parse_poly("t+3")
+    g = parse_poly("t^2+1") * parse_poly("t-5")
+    primes_seen = []
+
+    def wrong_image(a, b, p):
+        primes_seen.append(p)
+        return [7, 1]
+
+    monkeypatch.setattr(ratpoly, "_gcd_image", wrong_image)
+    with pytest.raises(RuntimeError):
+        gcd_primitive(f, g)
+    assert len(primes_seen) == ratpoly._prime_budget(f, g, 1)

@@ -1,4 +1,5 @@
-"""Exact arithmetic substrate: integers, rationals, and polynomials over Z and Q."""
+"""Exact arithmetic substrate: integers, rationals, and integer polynomials
+standing for elements of Q[t] and Q(t)."""
 
 from fractions import Fraction
 
@@ -7,22 +8,15 @@ from .intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .parse import PolynomialSyntaxError, parse_poly
 from .rationals import is_square_int, is_square_rational, padic_valuation
 from .ratpoly import (
-    RatPolynomial,
     discriminant,
     gcd_primitive,
     is_square,
     is_square_qt,
     is_squarefree,
     resultant,
-    resultant_int,
     square_in_quadratic_extension,
     squarefree_decomposition,
 )
-
-
-def poly_compose(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """f(g(t))."""
-    return f.compose(g)
 
 
 __all__ = [
@@ -31,7 +25,6 @@ __all__ = [
     "Factorization",
     "IntPolynomial",
     "PolynomialSyntaxError",
-    "RatPolynomial",
     "derivative_is_one_mod2",
     "discriminant",
     "factor_integer",
@@ -44,10 +37,8 @@ __all__ = [
     "is_squarefree",
     "padic_valuation",
     "parse_poly",
-    "poly_compose",
     "render_poly",
     "resultant",
-    "resultant_int",
     "square_in_quadratic_extension",
     "squarefree_decomposition",
 ]

@@ -1,5 +1,8 @@
 """Dense univariate polynomials over arbitrary-precision integers.
 
+This is the package's one polynomial type: every constant, orbit value and
+composition it builds has integer coefficients, and the Q[t] and Q(t)
+algorithms in ratpoly work on these primitive integer representatives.
 A polynomial is an immutable tuple of coefficients indexed by exponent,
 with no trailing zeros.  The zero polynomial has the empty tuple and the
 sentinel degree -1.  Critical orbit values over Z[t] are dense (every
@@ -42,19 +45,11 @@ class IntPolynomial:
         raise AttributeError("IntPolynomial is immutable")
 
     @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
-    @classmethod
     def term(cls, c: int, exp: int) -> "IntPolynomial":
         """c times the variable to the given power."""
         if exp < 0:
             raise ValueError("negative exponent")
         return cls((0,) * exp + (c,))
-
-    @classmethod
-    def variable(cls) -> "IntPolynomial":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -296,7 +291,3 @@ def derivative_is_one_mod2(poly: IntPolynomial) -> bool:
         and all(c % 2 == 0 for c in odd_exponent_coeffs[1:])
     )
 
-
-ZERO = IntPolynomial()
-ONE = IntPolynomial((1,))
-T = IntPolynomial((0, 1))

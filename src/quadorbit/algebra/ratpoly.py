@@ -1,164 +1,29 @@
-"""Polynomials over the rationals, stored as integer numerator / positive denominator.
+"""Q[t] and Q(t) algorithms on primitive integer representatives.
 
-GCDs run on primitive integer parts through homomorphic images modulo
-word-sized primes just below 2^26 (a degree-0 image certifies coprimality
-outright) and a CRT lift with trial division otherwise.  Each image runs
-Euclid on packed big-integer slots, so no Python loop walks the
+Every polynomial in this package has integer coefficients, and a nonzero
+element of Q[t] is determined up to a rational unit by its primitive part,
+so gcds, square-free decompositions, square tests, resultants and
+discriminants all take and return IntPolynomial.  GCDs run through
+homomorphic images modulo word-sized primes just below 2^26 (a degree-0
+image certifies coprimality outright) and a CRT lift with trial division
+otherwise; the trial division's quotients are the cofactors, which
+gcd_primitive returns with the gcd so no caller divides again.  Each image
+runs Euclid on packed big-integer slots, so no Python loop walks the
 coefficients of a division; square-freeness certificates on orbit values of
 degree 4096 and more stay affordable.  Square-free decomposition is Yun's
 iterated-gcd scheme; no irreducible factorization happens anywhere in this
-package.
+package.  The module keeps its name because the benchmark tracer wraps the
+gcd, square-free and square-test functions here by module path.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from .factorint import is_probable_prime
 from .intpoly import IntPolynomial
 from .rationals import is_square_rational
-
-
-class RatPolynomial:
-    """Polynomial in Q[t]: IntPolynomial numerator over a positive int denominator.
-
-    Invariant: gcd(denominator, content(numerator)) == 1.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IntPolynomial, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num.content(), den)
-        if g > 1:
-            num = IntPolynomial(tuple(c // g for c in num.coeffs))
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPolynomial is immutable")
-
-    @classmethod
-    def from_int(cls, poly: IntPolynomial | int) -> "RatPolynomial":
-        if isinstance(poly, int):
-            poly = IntPolynomial((poly,))
-        return cls(poly, 1)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Fraction | int]) -> "RatPolynomial":
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        return cls(IntPolynomial(tuple(int(f * den) for f in fracs)), den)
-
-    @property
-    def degree(self) -> int:
-        return self.num.degree
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant()
-
-    def coefficient(self, exp: int) -> Fraction:
-        return Fraction(self.num.coefficient(exp), self.den)
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self.num.leading_coefficient(), self.den)
-
-    def constant_value(self) -> Fraction:
-        """The value as a rational; only valid for constant polynomials."""
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return Fraction(self.num.constant_coefficient(), self.den)
-
-    def content(self) -> Fraction:
-        """Signed rational content; zero polynomial has content 0."""
-        c = Fraction(self.num.content(), self.den)
-        return -c if self.num.leading_coefficient() < 0 else c
-
-    def primitive(self) -> IntPolynomial:
-        """Primitive integer part with positive leading coefficient."""
-        return self.num.primitive_part()
-
-    def evaluate(self, value: Fraction | int) -> Fraction:
-        return Fraction(self.num.evaluate(Fraction(value)), self.den)
-
-    def derivative(self) -> "RatPolynomial":
-        return RatPolynomial(self.num.derivative(), self.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial(-self.num, self.den)
-
-    def __add__(self, other) -> "RatPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatPolynomial(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "RatPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatPolynomial(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def scale(self, q: Fraction | int) -> "RatPolynomial":
-        q = Fraction(q)
-        return RatPolynomial(self.num * q.numerator, self.den * q.denominator)
-
-    def __repr__(self) -> str:
-        return f"RatPolynomial({self.num!r}, {self.den})"
-
-    def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"({self.num})/{self.den}"
-
-
-def _coerce(value):
-    if isinstance(value, RatPolynomial):
-        return value
-    if isinstance(value, IntPolynomial):
-        return RatPolynomial(value, 1)
-    if isinstance(value, int):
-        return RatPolynomial(IntPolynomial((value,)), 1)
-    if isinstance(value, Fraction):
-        return RatPolynomial(IntPolynomial((value.numerator,)), value.denominator)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +140,34 @@ def _prime_budget(f: IntPolynomial, g: IntPolynomial, lc_bound: int) -> int:
     return (unlucky_bits + lift_bits) // 25 + 1
 
 
-def gcd_primitive(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd (positive leading coefficient) of integer polynomials.
+def gcd_primitive(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
+    """(h, f/h, g/h): the primitive gcd h (positive leading coefficient) of
+    integer polynomials and the cofactors of the arguments as given.
 
-    Modular images with CRT and a trial-division check.  A degree-0 image
-    certifies coprimality at once.  No fallback follows the loop: within the
-    prime budget the lift provably succeeds, so spending it (or, for inputs
-    whose budget exceeds the 1.9 million primes of the window, exhausting
-    the window, which takes as many images) can only mean a wrong image,
-    and raises rather than return a wrong gcd.
+    Modular images of the primitive parts with CRT and a trial-division
+    check; h is primitive, so by Gauss's lemma it divides f and g in Z[t]
+    and the check's quotients are the cofactors.  A degree-0 image
+    certifies coprimality at once.  No fallback follows the loop: within
+    the prime budget the lift provably succeeds, so spending it (or, for
+    inputs whose budget exceeds the 1.9 million primes of the window,
+    exhausting the window, which takes as many images) can only mean a
+    wrong image, and raises rather than return a wrong gcd.
     """
-    if f.is_zero():
-        return g.primitive_part()
-    if g.is_zero():
-        return f.primitive_part()
-    f = f.primitive_part()
-    g = g.primitive_part()
-    if f.is_constant() or g.is_constant():
-        return IntPolynomial((1,))
-    lc_f, lc_g = f.leading_coefficient(), g.leading_coefficient()
+    one = IntPolynomial((1,))
+    # Yun's last step passes a zero second argument: h is then the other
+    # argument's primitive part, whose cofactor is its signed content.
+    if f.is_zero() or g.is_zero():
+        h = (g if f.is_zero() else f).primitive_part()
+        lc = h.leading_coefficient() or 1
+        return h, IntPolynomial((f.leading_coefficient() // lc,)), IntPolynomial((g.leading_coefficient() // lc,))
+    fp = f.primitive_part()
+    gp = g.primitive_part()
+    if fp.is_constant() or gp.is_constant():
+        return one, f, g
+    lc_f, lc_g = fp.leading_coefficient(), gp.leading_coefficient()
     lc_bound = math.gcd(lc_f, lc_g)
-    budget = _prime_budget(f, g, lc_bound)
-    best_deg = min(f.degree, g.degree) + 1
+    budget = _prime_budget(fp, gp, lc_bound)
+    best_deg = min(fp.degree, gp.degree) + 1
     modulus = 0
     residues: list[int] = []
     used = 0
@@ -306,10 +177,10 @@ def gcd_primitive(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         if lc_f % p == 0 or lc_g % p == 0:
             continue
         used += 1
-        h = _gcd_image(f.coeffs, g.coeffs, p)
+        h = _gcd_image(fp.coeffs, gp.coeffs, p)
         deg = len(h) - 1
         if deg == 0:
-            return IntPolynomial((1,))
+            return one, f, g
         scale = lc_bound % p
         h = [c * scale % p for c in h]
         if deg < best_deg:
@@ -331,67 +202,67 @@ def gcd_primitive(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
             continue
         lifted = IntPolynomial(tuple(_symmetric(c % modulus, modulus) for c in residues))
         cand = lifted.primitive_part()
-        if f.divmod_exact_or_none(cand) is not None and g.divmod_exact_or_none(cand) is not None:
-            return cand
+        cf = f.divmod_exact_or_none(cand)
+        if cf is not None:
+            cg = g.divmod_exact_or_none(cand)
+            if cg is not None:
+                return cand, cf, cg
     raise RuntimeError("modular gcd: the prime budget ran out without a lift")
 
 
-def is_squarefree(f: RatPolynomial) -> bool:
+def is_squarefree(f: IntPolynomial) -> bool:
     """True iff f has no repeated factor in Q[t] (nonzero input)."""
     if f.is_zero():
         raise ValueError("square-freeness of the zero polynomial is undefined")
     if f.is_constant():
         return True
-    p = f.primitive()
-    return gcd_primitive(p, p.derivative()).is_constant()
+    return gcd_primitive(f, f.derivative())[0].is_constant()
 
 
-def squarefree_decomposition(f: RatPolynomial) -> tuple[Fraction, list[tuple[RatPolynomial, int]]]:
+def squarefree_decomposition(f: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]]]:
     """Yun decomposition: f == unit * prod(factor_i ** multiplicity_i).
 
-    Factors are primitive integer polynomials, pairwise coprime and square-free,
-    with strictly increasing multiplicities.  Constants give an empty list.
+    The unit is the content of f with the sign of its leading coefficient.
+    Factors are primitive, pairwise coprime and square-free, with strictly
+    increasing multiplicities.  Constants give an empty list.
     """
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    unit = f.content()
+    unit = f.content() if f.leading_coefficient() > 0 else -f.content()
     if f.is_constant():
         return unit, []
-    poly = f.primitive()
-    a = gcd_primitive(poly, poly.derivative())
-    out: list[tuple[RatPolynomial, int]] = []
+    poly = f.primitive_part()
+    a, b, c = gcd_primitive(poly, poly.derivative())
     if a.is_constant():
-        return unit, [(RatPolynomial.from_int(poly), 1)]
-    b = poly.divmod_exact_or_none(a)
-    c = poly.derivative().divmod_exact_or_none(a)
+        return unit, [(poly, 1)]
+    out: list[tuple[IntPolynomial, int]] = []
     d = c - b.derivative()
     i = 1
     while b.degree > 0:
-        ai = gcd_primitive(b, d)
+        ai, b, c = gcd_primitive(b, d)
         if ai.degree > 0:
-            out.append((RatPolynomial.from_int(ai), i))
-        b = b.divmod_exact_or_none(ai)
-        c = d.divmod_exact_or_none(ai)
+            out.append((ai, i))
         d = c - b.derivative()
         i += 1
     return unit, out
 
 
-def is_square_qt(f: RatPolynomial) -> bool:
-    """True iff f is the square of an element of Q(t) (equivalently of Q[t])."""
+def is_square_qt(f: IntPolynomial) -> bool:
+    """True iff f is the square of an element of Q(t) (equivalently of Q[t]):
+    every Yun multiplicity is even and the signed content is a square."""
     if f.is_zero():
         return True
     if f.is_constant():
-        return is_square_rational(f.constant_value())
-    if f.degree % 2 == 1 or f.content() < 0:
+        return is_square_rational(f.constant_coefficient())
+    if f.degree % 2 == 1 or f.leading_coefficient() < 0:
         return False
     unit, parts = squarefree_decomposition(f)
     return all(mult % 2 == 0 for _, mult in parts) and is_square_rational(unit)
 
 
 def is_square(value) -> bool:
-    """Square test in the fraction field: rationals or rational polynomials."""
-    if isinstance(value, RatPolynomial):
+    """Square test in the fraction field: rationals or integer polynomials."""
+    if isinstance(value, IntPolynomial):
         return is_square_qt(value)
     return is_square_rational(value)
 
@@ -402,18 +273,15 @@ def square_in_quadratic_extension(a, m) -> bool:
     Uses the classical criterion: for non-square m, a is a square in
     K(sqrt(m)) iff a or a*m is a square in K.  Rejects degenerate m.
     """
-    kinds = (isinstance(a, RatPolynomial), isinstance(m, RatPolynomial))
-    if kinds[0] != kinds[1]:
+    if isinstance(a, IntPolynomial) != isinstance(m, IntPolynomial):
         raise TypeError("a and m must live in the same field")
-    if (m.is_zero() if kinds[1] else Fraction(m) == 0):
+    if m == 0:
         raise ValueError("m must be nonzero")
     if is_square(m):
         raise ValueError("m must not be a square (the extension is degenerate)")
-    if kinds[0]:
-        return is_square_qt(a) or is_square_qt(a * m)
-    a = Fraction(a)
-    m = Fraction(m)
-    return is_square_rational(a) or is_square_rational(a * m)
+    if not isinstance(a, IntPolynomial):
+        a, m = Fraction(a), Fraction(m)
+    return is_square(a) or is_square(a * m)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +301,7 @@ def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return r
 
 
-def resultant_int(a: IntPolynomial, b: IntPolynomial) -> int:
+def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
     """Resultant of nonzero integer polynomials, exact."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -467,20 +335,12 @@ def resultant_int(a: IntPolynomial, b: IntPolynomial) -> int:
     return sign * acc * h
 
 
-def resultant(f: RatPolynomial, g: RatPolynomial) -> Fraction:
-    """Resultant over Q, rejecting zero inputs."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is undefined")
-    r = resultant_int(f.num, g.num)
-    return Fraction(r, f.den**g.degree * g.den**f.degree)
-
-
-def discriminant(f: RatPolynomial) -> Fraction:
-    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f)."""
+def discriminant(f: IntPolynomial) -> int:
+    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f); the division is exact."""
     if f.is_zero():
         raise ValueError("discriminant of the zero polynomial is undefined")
     d = f.degree
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading_coefficient()
+    return sign * resultant(f, f.derivative()) // f.leading_coefficient()

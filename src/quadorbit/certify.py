@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     FactorBudget,
     IntPolynomial,
-    RatPolynomial,
     derivative_is_one_mod2,
     discriminant,
     factor_integer,
@@ -35,6 +33,7 @@ from .dynamics import (
     QT,
     GeneratorSet,
     SequenceCoding,
+    composition_polynomial,
     critical_orbit,
     eisenstein_stability,
 )
@@ -151,14 +150,6 @@ def _value_str(value) -> str:
     return str(value)
 
 
-def _orbit_square_arg(gens: GeneratorSet, value, negate: bool):
-    if gens.ring == QT:
-        v = RatPolynomial.from_int(value)
-        return -v if negate else v
-    v = Fraction(value)
-    return -v if negate else v
-
-
 def derivative_trick_applies(gens: GeneratorSet, coding: SequenceCoding) -> bool:
     """Mod-2 derivative shortcut over Q(t): certifies every level at once.
 
@@ -180,7 +171,7 @@ def _decomposer(values: list):
 
     @functools.cache
     def decompose(n: int):
-        return squarefree_decomposition(RatPolynomial.from_int(values[n - 1]))
+        return squarefree_decomposition(values[n - 1])
 
     return decompose
 
@@ -193,7 +184,7 @@ def _level_is_square(gens: GeneratorSet, values: list, n: int, decompose) -> boo
     if gens.ring == QT and not value.is_constant():
         unit, parts = decompose(n)
         return all(mult % 2 == 0 for _, mult in parts) and is_square_rational(-unit if n == 1 else unit)
-    return is_square(_orbit_square_arg(gens, value, negate=(n == 1)))
+    return is_square(-value if n == 1 else value)
 
 
 def stability_certificate(
@@ -254,12 +245,12 @@ def maximality_by_primitive_odd_prime(
     return MaximalityEvidence(MAX_FAILS)
 
 
-def _odd_multiplicity_part(parts: list[tuple[RatPolynomial, int]]) -> IntPolynomial:
+def _odd_multiplicity_part(parts: list[tuple[IntPolynomial, int]]) -> IntPolynomial:
     """Product of the square-free factors of odd multiplicity (primitive)."""
     out = IntPolynomial((1,))
     for factor, mult in parts:
         if mult % 2 == 1:
-            out = out * factor.primitive()
+            out = out * factor
     return out
 
 
@@ -284,12 +275,7 @@ def _maximality_qt(gens: GeneratorSet, values: list, decompose) -> MaximalityEvi
             break
         if earlier.is_zero():
             return MaximalityEvidence(MAX_FAILS)
-        g = gcd_primitive(residue, earlier)
-        if g.degree > 0:
-            quotient = residue.divmod_exact_or_none(g)
-            if quotient is None:
-                raise RuntimeError("gcd does not divide its argument")
-            residue = quotient
+        _, residue, _ = gcd_primitive(residue, earlier)
     if residue.degree > 0:
         return MaximalityEvidence(MAX_PRIMITIVE, witness=render_poly(residue))
     return MaximalityEvidence(MAX_FAILS)
@@ -338,11 +324,10 @@ def level2_oracle(gens: GeneratorSet, values: list) -> bool:
     Requires level-1 stability (otherwise the extension is degenerate)."""
     if len(values) < 2:
         raise ValueError("the level-2 oracle needs the level-1 and level-2 values")
-    m = _orbit_square_arg(gens, values[0], negate=True)
-    if (m.is_zero() if isinstance(m, RatPolynomial) else m == 0) or is_square(m):
+    m = -values[0]
+    if m == 0 or is_square(m):
         raise ValueError("level-1 value gives a degenerate quadratic extension")
-    a = _orbit_square_arg(gens, values[1], negate=False)
-    return not square_in_quadratic_extension(a, m)
+    return not square_in_quadratic_extension(values[1], m)
 
 
 def certify_chain(
@@ -436,33 +421,18 @@ def certify_chain(
 # ---------------------------------------------------------------------------
 # Identity checkers.
 
-def _composition_ratpoly(gens: GeneratorSet, coding: SequenceCoding, n: int) -> list[RatPolynomial]:
-    """[gamma_1, ..., gamma_n] as polynomials in x over Q (critical sets over Q)."""
-    if gens.ring != QQ or not gens.is_critical:
-        raise ValueError("needs a critical set over Q")
-    x = RatPolynomial.from_int(IntPolynomial((0, 1)))
-    out = []
-    for target in range(1, n + 1):
-        acc = x
-        for k in range(target, 0, -1):
-            c = gens.constants[coding.index_at(k) - 1]
-            acc = acc * acc + c
-        out.append(acc)
-    return out
-
-
 def discriminant_identity_check(
     gens: GeneratorSet, coding: SequenceCoding, n: int, cap: int = 5
 ) -> bool:
     """disc(gamma_n) == Res(gamma_{n-1}, gamma_{n-1}')^2 * 2^(2^n) * gamma_n(0), exactly."""
     if not 2 <= n <= cap:
         raise ValueError(f"n must be between 2 and {cap}")
-    comps = _composition_ratpoly(gens, coding, n)
-    gamma_n, gamma_prev = comps[-1], comps[-2]
-    lhs = discriminant(gamma_n)
+    if not gens.is_critical:
+        raise ValueError("needs a critical set over Q")
+    gamma_n = composition_polynomial(gens, coding, n)
+    gamma_prev = composition_polynomial(gens, coding, n - 1)
     res = resultant(gamma_prev, gamma_prev.derivative())
-    rhs = res * res * Fraction(2) ** (2**n) * gamma_n.evaluate(0)
-    return lhs == rhs
+    return discriminant(gamma_n) == res * res * 2 ** (2**n) * gamma_n.constant_coefficient()
 
 
 def degree_law_check(gens: GeneratorSet, coding: SequenceCoding, n: int) -> bool:

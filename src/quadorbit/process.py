@@ -155,6 +155,8 @@ def stay_probability_bound(u: int) -> Fraction:
 # Monte Carlo simulation with worker-count-independent streams.
 
 CHUNK = 2048
+# A path counts as constant-tailed when its last CONSTANT_WINDOW values agree.
+CONSTANT_WINDOW = 3
 
 MODEL_DOUBLE = "double"
 MODEL_HOLD = "hold"
@@ -207,7 +209,6 @@ class ProcessReport:
     maximal_mask: list[bool]
     nonmaximal_model: str
     levels: list[ProcessLevel] = field(default_factory=list)
-    constant_window: int = 3
     constant_window_count: int = 0
 
     def to_dict(self) -> dict:
@@ -219,7 +220,7 @@ class ProcessReport:
             "maximal_mask": ["1" if m else "0" for m in self.maximal_mask],
             "nonmaximal_model": self.nonmaximal_model,
             "levels": [level.to_dict() for level in self.levels],
-            "constant_window": self.constant_window,
+            "constant_window": CONSTANT_WINDOW,
             "constant_window_count": self.constant_window_count,
         }
 
@@ -262,14 +263,14 @@ def simulate_paths(
     return list(_paths(seed, 0, trials, mask, nonmaximal_model))
 
 
-def _run_chunk(seed, chunk_index, count, mask, model, window):
+def _run_chunk(seed, chunk_index, count, mask, model):
     positive = [0] * len(mask)
     constant = 0
     for path in _paths(seed, chunk_index, count, mask, model):
         for i, value in enumerate(path):
             if value > 0:
                 positive[i] += 1
-        tail = path[-window:]
+        tail = path[-CONSTANT_WINDOW:]
         if len(set(tail)) == 1:
             constant += 1
     return positive, constant
@@ -282,7 +283,6 @@ def simulate_process(
     maximal_mask: list[bool] | None = None,
     nonmaximal_model: str = MODEL_DOUBLE,
     workers: int = 1,
-    window: int = 3,
 ) -> ProcessReport:
     """Monte Carlo paths of the fixed-point count model.
 
@@ -311,12 +311,12 @@ def simulate_process(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
-                    lambda item: _run_chunk(seed, item[0], item[1], mask, nonmaximal_model, window),
+                    lambda item: _run_chunk(seed, item[0], item[1], mask, nonmaximal_model),
                     chunks,
                 )
             )
     else:
-        results = [_run_chunk(seed, i, c, mask, nonmaximal_model, window) for i, c in chunks]
+        results = [_run_chunk(seed, i, c, mask, nonmaximal_model) for i, c in chunks]
     positive = [0] * depth
     constant = 0
     for pos, const in results:
@@ -329,7 +329,6 @@ def simulate_process(
         trials=trials,
         maximal_mask=mask,
         nonmaximal_model=nonmaximal_model,
-        constant_window=window,
         constant_window_count=constant,
     )
     all_maximal_prefix = True
@@ -390,6 +389,8 @@ def sample_codings(
     """
     if length < 1 or samples < 1:
         raise ValueError("need positive length and samples")
+    if certify_count > 0 and gens is None:
+        raise ValueError("certifying sampled prefixes needs a generator set (--c or --set)")
     weights = [Fraction(w) for w in weights]
     if any(w <= 0 for w in weights) or sum(weights) != 1:
         raise ValueError("weights must be positive and sum to 1")
@@ -416,7 +417,7 @@ def sample_codings(
             totals[idx] = totals.get(idx, 0) + 1
         if gens is not None and sample_index < certify_count:
             coding = SequenceCoding(tuple(word), (word[-1],))
-            depth = certify_depth or length
+            depth = length if certify_depth is None else certify_depth
             chain = certify_chain(gens, coding, depth)
             certificates.append(
                 {

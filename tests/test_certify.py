@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from quadorbit.algebra import (
     squarefree_decomposition,
     FactorBudget,
     IntPolynomial,
-    RatPolynomial,
     derivative_is_one_mod2,
     gcd_primitive,
     is_square,
@@ -258,13 +258,29 @@ def test_chain_decomposes_each_orbit_value_once(monkeypatch, gens, coding, depth
     calls = []
 
     def counting_decomposition(f):
-        calls.append(f.num)
+        calls.append(f)
         return squarefree_decomposition(f)
 
     monkeypatch.setattr(certify, "squarefree_decomposition", counting_decomposition)
     certify_chain(gens, coding, depth)
     values = critical_orbit(gens, coding, depth)
     assert calls == [values[n - 1] for n in decomposed_levels]
+
+
+def test_chain_divides_by_each_gcd_once(monkeypatch):
+    # gcd_primitive hands back the quotients of its trial division, so
+    # neither Yun's loop nor the valuation criterion divides by a gcd again.
+    divide = IntPolynomial.divmod_exact_or_none
+    callers = []
+
+    def counting_divide(self, divisor):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return divide(self, divisor)
+
+    monkeypatch.setattr(IntPolynomial, "divmod_exact_or_none", counting_divide)
+    certify_chain(qt_set("t"), CONST, 8)
+    assert "gcd_primitive" in callers
+    assert [c for c in callers if c != "gcd_primitive"] == []
 
 
 class TestSquarefreeTrickProperties:
@@ -287,7 +303,7 @@ class TestSquarefreeTrickProperties:
             f = z * z + c
             if f.leading_coefficient() % 2 == 0:
                 continue
-            assert gcd_primitive(f, f.derivative()).is_constant()
+            assert gcd_primitive(f, f.derivative())[0].is_constant()
 
     def test_tool_levels_are_squarefree(self):
         rng = random.Random(37)
@@ -315,7 +331,7 @@ class TestSquarefreeTrickProperties:
             coding = SequenceCoding((1,) + tuple(rng.randint(1, 2) for _ in range(n - 2)), (2,))
             value = critical_orbit(gens, coding, n)[-1]
             prim = value.primitive_part()
-            assert gcd_primitive(prim, prim.derivative()).is_constant()
+            assert gcd_primitive(prim, prim.derivative())[0].is_constant()
 
 
 class TestIdentities:

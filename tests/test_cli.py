@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 import quadorbit.cli as cli
+import quadorbit.process as process
 from quadorbit.cli import build_parser, main
 from quadorbit.primescan import density_profile
 
@@ -103,6 +104,31 @@ def test_sample(capsys):
     assert code == 0
     payload = json.loads(out)
     assert sum(payload["result"]["first_index_counts"].values()) == 100
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_sample_certify_depth_below_one_is_an_error(capsys, depth):
+    # 0 is a depth like any other, not a stand-in for --length.
+    argv = ["sample", "--weights", "1/2,1/2", "--length", "3", "--samples", "2", "--seed", "1"]
+    code = main([*argv, "--c", "1; 2", "--certify", "1", "--certify-depth", depth])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 1\n"
+
+
+def test_sample_certify_without_generators_is_an_error(capsys, monkeypatch):
+    # Refused before the sampling stream is even seeded.
+    seeded = []
+    monkeypatch.setattr(process, "_chunk_seed", lambda *args: seeded.append(args) or 0)
+    argv = ["sample", "--weights", "1/2,1/2", "--length", "3", "--samples", "2", "--seed", "1", "--certify", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "generator set" in captured.err
+    assert seeded == []
 
 
 def test_orbit_point(capsys):

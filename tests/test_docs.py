@@ -1,9 +1,14 @@
-"""The README's CLI examples and environment variables match the CLI."""
+"""The README's CLI examples and environment variables match the CLI, and
+the package's exports resolve."""
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import quadorbit
+import quadorbit.algebra as algebra
 import quadorbit.cli as cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +33,20 @@ def test_readme_env_vars_match_cli():
     documented = set(re.findall(r"QUADORBIT_[A-Z_]+", README.read_text()))
     read = set(re.findall(r"QUADORBIT_[A-Z_]+", Path(cli.__file__).read_text()))
     assert documented == read
+
+
+def test_algebra_exports_resolve():
+    missing = [name for name in algebra.__all__ if not hasattr(algebra, name)]
+    assert missing == []
+
+
+def test_package_imports_exist():
+    # Every name quadorbit/__init__.py imports from a submodule is defined there.
+    tree = ast.parse(Path(quadorbit.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    missing = []
+    for node in imports:
+        module = importlib.import_module("." * node.level + (node.module or ""), "quadorbit")
+        missing += [f"{node.module}.{alias.name}" for alias in node.names if not hasattr(module, alias.name)]
+    assert missing == []

@@ -7,7 +7,6 @@ from conftest import gcd_mod_p_oracle, schoolbook_product, sylvester_resultant
 from quadorbit.algebra import ratpoly
 from quadorbit.algebra import (
     IntPolynomial,
-    RatPolynomial,
     discriminant,
     gcd_primitive,
     is_probable_prime,
@@ -20,10 +19,6 @@ from quadorbit.algebra import (
 )
 
 
-def rp(text):
-    return RatPolynomial.from_int(parse_poly(text))
-
-
 small_int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPolynomial).filter(
     lambda p: not p.is_zero()
 )
@@ -31,26 +26,27 @@ small_int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPo
 
 class TestSquarefreeDecomposition:
     def test_already_squarefree(self):
-        unit, parts = squarefree_decomposition(rp("t^2+t"))
+        unit, parts = squarefree_decomposition(parse_poly("t^2+t"))
         assert unit == 1
-        assert parts == [(rp("t^2+t"), 1)]
+        assert parts == [(parse_poly("t^2+t"), 1)]
 
     def test_with_square_factor(self):
-        unit, parts = squarefree_decomposition(rp("t^3+t^2"))
+        unit, parts = squarefree_decomposition(parse_poly("t^3+t^2"))
         assert unit == 1
-        assert parts == [(rp("t+1"), 1), (rp("t"), 2)]
+        assert parts == [(parse_poly("t+1"), 1), (parse_poly("t"), 2)]
 
     def test_constant(self):
-        unit, parts = squarefree_decomposition(RatPolynomial.from_int(5))
+        unit, parts = squarefree_decomposition(IntPolynomial((5,)))
         assert unit == 5
         assert parts == []
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            squarefree_decomposition(RatPolynomial.from_int(0))
+            squarefree_decomposition(IntPolynomial((0,)))
 
     def test_multiplicities_strictly_increase(self):
-        f = rp("t") * rp("t") * rp("t+1") * rp("t-1") * rp("t-1") * rp("t-1")
+        t, t1, tm1 = parse_poly("t"), parse_poly("t+1"), parse_poly("t-1")
+        f = t * t * t1 * tm1 * tm1 * tm1
         _, parts = squarefree_decomposition(f)
         mults = [m for _, m in parts]
         assert mults == sorted(mults)
@@ -59,9 +55,9 @@ class TestSquarefreeDecomposition:
     @settings(deadline=None, max_examples=60)
     @given(small_int_polys, small_int_polys, st.integers(1, 3), st.integers(1, 2))
     def test_remultiplication_identity(self, f, g, e1, e2):
-        poly = RatPolynomial.from_int(f**e1 * g**e2)
+        poly = f**e1 * g**e2
         unit, parts = squarefree_decomposition(poly)
-        acc = RatPolynomial.from_coeffs([unit])
+        acc = IntPolynomial((unit,))
         for factor, mult in parts:
             for _ in range(mult):
                 acc = acc * factor
@@ -82,20 +78,20 @@ class TestIsSquare:
         ],
     )
     def test_examples(self, value, expected):
-        arg = rp(value) if isinstance(value, str) else value
+        arg = parse_poly(value) if isinstance(value, str) else value
         assert is_square(arg) is expected
 
     @settings(deadline=None, max_examples=40)
     @given(small_int_polys)
     def test_square_of_anything_is_square(self, f):
-        assert is_square(RatPolynomial.from_int(f * f))
+        assert is_square(f * f)
 
     @settings(deadline=None, max_examples=40)
     @given(small_int_polys)
     def test_square_times_squarefree_nonsquare(self, f):
         g = parse_poly("t^2+t")  # square-free, nonconstant
-        if gcd_primitive(f, g).is_constant():
-            assert not is_square(RatPolynomial.from_int(f * f * g))
+        if gcd_primitive(f, g)[0].is_constant():
+            assert not is_square(f * f * g)
 
 
 class TestQuadraticExtension:
@@ -112,56 +108,56 @@ class TestQuadraticExtension:
 
     def test_polynomial_side(self):
         # a = t^2 (square): True regardless of m
-        assert square_in_quadratic_extension(rp("t^2"), rp("t+1")) is True
+        assert square_in_quadratic_extension(parse_poly("t^2"), parse_poly("t+1")) is True
         # a = t+1, m = t: neither t+1 nor t(t+1) are squares
-        assert square_in_quadratic_extension(rp("t+1"), rp("t")) is False
+        assert square_in_quadratic_extension(parse_poly("t+1"), parse_poly("t")) is False
         # a = t, m = t: t*t = t^2 is a square
-        assert square_in_quadratic_extension(rp("t"), rp("t")) is True
+        assert square_in_quadratic_extension(parse_poly("t"), parse_poly("t")) is True
 
 
 class TestResultantDiscriminant:
     def test_examples(self):
-        assert resultant(rp("t^2+1"), rp("2t")) == 4
-        assert discriminant(rp("t^2+1")) == -4
-        assert discriminant(rp("t^4+2t^2+2")) == 512
+        assert resultant(parse_poly("t^2+1"), parse_poly("2t")) == 4
+        assert discriminant(parse_poly("t^2+1")) == -4
+        assert discriminant(parse_poly("t^4+2t^2+2")) == 512
 
     def test_quartic_formula_oracle(self):
         # disc(x^4+px^2+q) = 16p^4q - 128p^2q^2 + 256q^3
         for p, q in [(2, 2), (1, 3), (-3, 5), (0, 7)]:
-            f = RatPolynomial.from_coeffs([q, 0, p, 0, 1])
+            f = IntPolynomial((q, 0, p, 0, 1))
             expected = 16 * p**4 * q - 128 * p**2 * q**2 + 256 * q**3
             assert discriminant(f) == expected
 
     @settings(deadline=None, max_examples=50)
     @given(small_int_polys, small_int_polys)
     def test_sylvester_oracle(self, f, g):
-        ours = resultant(RatPolynomial.from_int(f), RatPolynomial.from_int(g))
+        ours = resultant(f, g)
         assert ours == sylvester_resultant(f.coeffs, g.coeffs)
 
     @settings(deadline=None, max_examples=50)
     @given(small_int_polys, small_int_polys)
     def test_zero_iff_common_factor(self, f, g):
-        r = resultant(RatPolynomial.from_int(f), RatPolynomial.from_int(g))
-        common = gcd_primitive(f, g)
+        r = resultant(f, g)
+        common = gcd_primitive(f, g)[0]
         if f.is_constant() or g.is_constant():
             return
         assert (r == 0) == (common.degree > 0)
 
     def test_zero_inputs_rejected(self):
         with pytest.raises(ValueError):
-            resultant(rp("0"), rp("t"))
+            resultant(parse_poly("0"), parse_poly("t"))
         with pytest.raises(ValueError):
-            discriminant(rp("5"))
+            discriminant(parse_poly("5"))
 
 
 class TestGcd:
     def test_basic(self):
         f = parse_poly("t^3+t^2")
         g = parse_poly("t^2+2t+1")
-        assert gcd_primitive(f, g) == parse_poly("t+1")
+        assert gcd_primitive(f, g)[0] == parse_poly("t+1")
 
     def test_coprime_certificate(self):
-        assert gcd_primitive(parse_poly("t^2+1"), parse_poly("t")).is_constant()
+        assert gcd_primitive(parse_poly("t^2+1"), parse_poly("t"))[0].is_constant()
 
     def test_large_degree_squarefree_certificate(self):
         # gamma_9(0) for the map x^2+t has degree 256; square-freeness via
@@ -170,24 +166,32 @@ class TestGcd:
         for _ in range(8):
             v = v * v + parse_poly("t")
         assert v.degree == 256
-        assert is_squarefree(RatPolynomial.from_int(v))
+        assert is_squarefree(v)
 
     @settings(deadline=None, max_examples=40)
     @given(small_int_polys, small_int_polys, small_int_polys)
     def test_gcd_divides_both(self, f, g, h):
         a, b = f * h, g * h
-        d = gcd_primitive(a, b)
+        d, cf, cg = gcd_primitive(a, b)
         assert a.divmod_exact_or_none(d) is not None
         assert b.divmod_exact_or_none(d) is not None
+        # the cofactors are those of the arguments as given
+        assert d * cf == a
+        assert d * cg == b
         # h divides the gcd
         assert d.divmod_exact_or_none(h.primitive_part()) is not None
+        # a non-primitive argument keeps its content in its cofactor
+        d6, cf6, cg6 = gcd_primitive(6 * a, b)
+        assert d6 == d
+        assert d6 * cf6 == 6 * a
+        assert d6 * cg6 == b
 
     def test_huge_coefficient_gcd_needs_crt(self):
         # common factor with ~200-bit coefficients forces the multi-prime lift
         h = IntPolynomial((3**130 + 1, 5**87, 1))
         f = h * IntPolynomial((1, 0, 2))
         g = h * IntPolynomial((-4, 1))
-        assert gcd_primitive(f, g) == h.primitive_part()
+        assert gcd_primitive(f, g)[0] == h.primitive_part()
 
 
 # Primes just above 2^25 and just below 2^26: the ends of the image-prime range.

@@ -10,16 +10,19 @@ mask).  Exact zero terms of the sequence (skipped by definition) are
 resolved completely over Q first: with integer maps, inner values that
 leave the escape radius or pick up a denominator can never produce zeros
 again, so the zero pattern is eventually periodic and computed exactly.  A
-density profile is one sieve pass that decides each prime with that walker.
+density profile sieves fixed ranges of primes and decides each prime with
+that walker, the ranges in worker processes when the scan is large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
 from .dynamics import QQ, GeneratorSet, SequenceCoding
+from .pool import parallel_map
 from .process import MAX_EXACT_LEVEL, fpp_full_binary
 
 
@@ -198,12 +201,18 @@ def prime_divides_orbit(
         pattern = zero_pattern(gens, coding, a0)
     elif pattern.a0 != a0:
         raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
-    a0, prefix, cycle = pattern.a0, pattern.prefix, pattern.cycle
-    if a0.denominator % p == 0:
-        return PrimeOrbitResult("excluded")
-    x0 = a0.numerator * pow(a0.denominator, -1, p) % p
+    return _decide(p, pattern, max_states)
 
-    if a0 != 0 and x0 == 0:
+
+def _decide(p: int, pattern: ZeroPattern, max_states: int) -> PrimeOrbitResult:
+    """prime_divides_orbit for a pattern already resolved for the start."""
+    num, den = pattern.a0.numerator, pattern.a0.denominator
+    prefix, cycle = pattern.prefix, pattern.cycle
+    if den % p == 0:
+        return PrimeOrbitResult("excluded")
+    x0 = num * pow(den, -1, p) % p
+
+    if num and x0 == 0:
         return PrimeOrbitResult("yes", 0)
 
     # Prefix levels: level n applies the first n prefix maps, innermost last.
@@ -316,34 +325,74 @@ class PrimeScanReport:
         return out
 
 
+# Primes up to the largest cutoff are decided in ranges cut at every multiple
+# of SCAN_TASK_WIDTH and at every cutoff, each sieved on its own, so the
+# ranges and the merged report do not depend on the worker count.  Worker
+# processes start only above POOL_MIN_CUTOFF, where they pay for their start.
+SCAN_TASK_WIDTH = 5_000
+POOL_MIN_CUTOFF = 20_000
+
+
+def _scan_ranges(cutoffs: list[int]) -> list[tuple[int, int]]:
+    """Ranges [lo, hi] that cover 2..cutoffs[-1] in order."""
+    ends = {c for c in cutoffs if c >= 2}
+    ends.update(range(SCAN_TASK_WIDTH, cutoffs[-1], SCAN_TASK_WIDTH))
+    ends = sorted(ends)
+    return list(zip([2] + [hi + 1 for hi in ends], ends))
+
+
+def _scan_range(pattern: ZeroPattern, max_states: int, bounds: tuple[int, int]):
+    """(primes, members, excluded, over_cap) of the primes in [lo, hi]."""
+    count = members = 0
+    excluded, over_cap = [], []
+    for p in primes_in_range(*bounds):
+        count += 1
+        status = _decide(p, pattern, max_states).status
+        if status == "yes":
+            members += 1
+        elif status == "excluded":
+            excluded.append(p)
+        elif status == "over_cap":
+            over_cap.append(p)
+    return count, members, excluded, over_cap
+
+
 def density_profile(
     gens: GeneratorSet,
     coding: SequenceCoding,
     a0: Fraction | int,
     cutoffs: list[int],
     max_states: int = 1_000_000,
+    workers: int = 1,
 ) -> PrimeScanReport:
-    """Scan all primes up to the largest cutoff and tabulate membership counts."""
+    """Scan all primes up to the largest cutoff and tabulate membership counts.
+
+    Above POOL_MIN_CUTOFF the ranges are decided by up to ``workers``
+    processes; the report is the same for every worker count.
+    """
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     a0 = Fraction(a0)
     pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(a0))
-    pending = list(cutoffs)
+    ranges = _scan_ranges(cutoffs)
+    results = parallel_map(
+        partial(_scan_range, pattern, max_states),
+        ranges,
+        workers if cutoffs[-1] > POOL_MIN_CUTOFF else 1,
+    )
+    totals = {}  # range end -> (in_p, pi_x) up to it
     pi_x = in_p = 0
-    for p in primes_up_to(cutoffs[-1]):
-        while p > pending[0]:
-            report.rows.append(ScanRow(cutoff=pending.pop(0), in_p=in_p, pi_x=pi_x))
-        pi_x += 1
-        if a0.denominator % p == 0:
-            report.excluded.append(p)
-            continue
-        status = prime_divides_orbit(p, gens, coding, a0, pattern, max_states).status
-        if status == "yes":
-            in_p += 1
-        elif status == "over_cap":
-            report.over_cap.append(p)
-    for cutoff in pending:
+    for (_, hi), (count, members, excluded, over_cap) in zip(ranges, results):
+        pi_x += count
+        in_p += members
+        report.excluded += excluded
+        report.over_cap += over_cap
+        totals[hi] = (in_p, pi_x)
+    for cutoff in cutoffs:
+        in_p, pi_x = totals.get(cutoff, (0, 0))
         report.rows.append(ScanRow(cutoff=cutoff, in_p=in_p, pi_x=pi_x))
     return report
 

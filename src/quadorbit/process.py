@@ -10,16 +10,16 @@ enclosures instead of raw fractions.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .certify import certify_chain
 from .dynamics import GeneratorSet, SequenceCoding
+from .pool import parallel_map
 
 MAX_EXACT_LEVEL = 18  # the exact f(n) needs a 2^n-bit denominator
 MAX_DYADIC_LEVEL = 24
@@ -226,6 +226,8 @@ class ProcessReport:
 
 
 def _chunk_seed(seed: int, chunk_index: int) -> int:
+    import hashlib  # about 3.6 MB of OpenSSL that only seeded commands need
+
     digest = hashlib.sha256(f"quadorbit:{seed}:{chunk_index}".encode()).digest()
     return int.from_bytes(digest, "big")
 
@@ -263,7 +265,8 @@ def simulate_paths(
     return list(_paths(seed, 0, trials, mask, nonmaximal_model))
 
 
-def _run_chunk(seed, chunk_index, count, mask, model):
+def _run_chunk(seed, mask, model, chunk):
+    chunk_index, count = chunk
     positive = [0] * len(mask)
     constant = 0
     for path in _paths(seed, chunk_index, count, mask, model):
@@ -290,10 +293,13 @@ def simulate_process(
     count (every fixed root lifts both children) or hold it, which is an
     explicit modeling knob.  Trials are split into fixed-size chunks with
     per-chunk derived streams, so the report does not depend on the worker
-    count.
+    count.  With ``workers`` > 1 the chunks run in worker processes, in
+    batches of several chunks each.
     """
     if trials < 1 or depth < 1:
         raise ValueError("need positive depth and trials")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if nonmaximal_model not in (MODEL_DOUBLE, MODEL_HOLD):
         raise ValueError(f"unknown non-maximal model {nonmaximal_model!r}")
     mask = [True] * depth if maximal_mask is None else list(maximal_mask)
@@ -307,16 +313,14 @@ def simulate_process(
         chunks.append((index, count))
         start += count
         index += 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda item: _run_chunk(seed, item[0], item[1], mask, nonmaximal_model),
-                    chunks,
-                )
-            )
-    else:
-        results = [_run_chunk(seed, i, c, mask, nonmaximal_model) for i, c in chunks]
+    # About four batches per worker: few enough to amortise each hand-off,
+    # enough to even out the load.
+    results = parallel_map(
+        partial(_run_chunk, seed, mask, nonmaximal_model),
+        chunks,
+        workers,
+        chunksize=-(-len(chunks) // (4 * workers)),
+    )
     positive = [0] * depth
     constant = 0
     for pos, const in results:

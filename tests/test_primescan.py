@@ -1,12 +1,17 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_membership, gamma_values, zero_levels
+from quadorbit import pool
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
 from quadorbit.primescan import (
+    POOL_MIN_CUTOFF,
+    SCAN_TASK_WIDTH,
     PrimeOrbitResult,
+    _scan_ranges,
     density_profile,
     fpp_comparison,
     prime_divides_orbit,
@@ -224,6 +229,82 @@ class TestProfiles:
         report = density_profile(X2P1, CONST, 0, [2000], max_states=4)
         assert 1987 in report.over_cap
         assert report.over_cap == sorted(report.over_cap)
+
+
+def reference_profile(gens, coding, a0, cutoffs, max_states=1_000_000):
+    """(rows, excluded, over_cap) from one sieve pass deciding each prime in turn."""
+    pattern = zero_pattern(gens, coding, a0)
+    rows, excluded, over_cap = [], [], []
+    in_p = pi_x = 0
+    pending = list(cutoffs)
+    for p in primes_up_to(cutoffs[-1]):
+        while p > pending[0]:
+            rows.append((pending.pop(0), in_p, pi_x))
+        pi_x += 1
+        status = prime_divides_orbit(p, gens, coding, a0, pattern, max_states).status
+        if status == "yes":
+            in_p += 1
+        elif status == "excluded":
+            excluded.append(p)
+        elif status == "over_cap":
+            over_cap.append(p)
+    rows += [(cutoff, in_p, pi_x) for cutoff in pending]
+    return rows, excluded, over_cap
+
+
+class TestParallelProfiles:
+    """Reports are the same for every worker count and equal a single sieve pass."""
+
+    @pytest.mark.parametrize(
+        "gens, coding, a0, cutoffs, max_states",
+        [
+            # the flagship, cutoffs on range boundaries
+            (X2P1, CONST, 0, [10_000, 50_000], 1_000_000),
+            # excluded primes; cutoffs below 2, inside a range and on a boundary
+            (X2P1, CONST, Fraction(1, 6), [1, 3, 12_345, 25_000, 25_001], 1_000_000),
+            # over_cap primes in every range
+            (X2P1, CONST, 0, [999, 21_000], 4),
+            (GeneratorSet.from_constants([1, 3]), SequenceCoding((1,), (1, 2)), -1, [30_000], 1_000_000),
+        ],
+        ids=["flagship", "excluded", "over_cap", "two_map"],
+    )
+    def test_workers_do_not_change_the_report(self, gens, coding, a0, cutoffs, max_states):
+        assert cutoffs[-1] > POOL_MIN_CUTOFF
+        one = density_profile(gens, coding, a0, cutoffs, max_states, workers=1)
+        two = density_profile(gens, coding, a0, cutoffs, max_states, workers=2)
+        assert one.to_dict() == two.to_dict()
+        assert one.csv_rows() == two.csv_rows()
+        rows, excluded, over_cap = reference_profile(gens, coding, Fraction(a0), cutoffs, max_states)
+        assert [(row.cutoff, row.in_p, row.pi_x) for row in two.rows] == rows
+        assert (two.excluded, two.over_cap) == (excluded, over_cap)
+        if a0 == Fraction(1, 6):
+            assert two.excluded == [2, 3]
+        if max_states == 4:
+            assert two.over_cap and two.over_cap == sorted(two.over_cap)
+
+    @pytest.mark.parametrize("cutoffs", [[1], [2], [5, 5000], [4999, 5001, 17_000], [25_000]])
+    def test_ranges_cover_each_prime_once(self, cutoffs):
+        ranges = _scan_ranges(cutoffs)
+        covered = [n for lo, hi in ranges for n in range(lo, hi + 1)]
+        assert covered == list(range(2, cutoffs[-1] + 1))
+        assert all(hi - lo < SCAN_TASK_WIDTH for lo, hi in ranges)
+        assert {c for c in cutoffs if c >= 2} <= {hi for _, hi in ranges}
+
+    def test_no_pool_at_or_below_the_threshold(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProcessPoolExecutor was constructed")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        report = density_profile(X2P1, CONST, 0, [1000, POOL_MIN_CUTOFF], workers=8)
+        assert report.rows[-1].pi_x == 2262
+        with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+            density_profile(X2P1, CONST, 0, [POOL_MIN_CUTOFF + 1], workers=8)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_refused(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            density_profile(X2P1, CONST, 0, [100], workers=workers)
 
 
 def test_fpp_comparison_shape():

@@ -120,6 +120,11 @@ class TestSimulation:
         eight = simulate_process(seed=77, depth=10, trials=30_000, workers=8)
         assert canonical_json(one.to_dict()) == canonical_json(eight.to_dict())
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_refused(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate_process(seed=1, depth=4, trials=10, workers=workers)
+
     @pytest.mark.parametrize("trials", [10**3, 10**4, 3 * 10**4, 10**5])
     def test_exact_stderr_matches_float_formula(self, trials):
         # The float formula the reports used to print; every simulate report

@@ -27,8 +27,7 @@ from .dynamics import (
     orbit_contains_finite_orbit_point,
     semigroup_orbit,
 )
-from .pool import usable_cpus
-from .primescan import POOL_MIN_CUTOFF, density_profile, fpp_comparison
+from .primescan import density_profile, fpp_comparison
 from .process import (
     MAX_EXACT_LEVEL,
     fpp_enclosure,
@@ -243,7 +242,7 @@ def _cmd_primes(args) -> int:
         raise ValueError("cutoffs must be strictly increasing")
     if args.fpp_depth and args.format == "csv":
         raise ValueError("--fpp-depth writes JSON only; drop --format csv")
-    report = density_profile(gens, coding, Fraction(args.a0), cutoffs, workers=args.workers)
+    report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
     if args.fpp_depth:
         payload = report_envelope(
             "primes",
@@ -345,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0", default="0")
     p.add_argument("--cutoffs", default="1000,10000", help="comma-separated increasing cutoffs")
     p.add_argument("--fpp-depth", type=int, default=0, help="juxtapose with the fpp table up to this depth")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=usable_cpus(),
-        help=f"worker processes for cutoffs above {POOL_MIN_CUTOFF} (default: the usable CPUs; same report for any count)",
-    )
     p.set_defaults(func=_cmd_primes)
 
     return parser

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import partial
 from math import isqrt
 
+from . import pool
 from .dynamics import QQ, GeneratorSet, SequenceCoding
-from .pool import parallel_map
 from .process import MAX_EXACT_LEVEL, fpp_full_binary
 
 
@@ -199,13 +199,8 @@ def prime_divides_orbit(
     """
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
-    elif pattern.a0 != a0:
+    elif pattern.a0 is not a0 and pattern.a0 != a0:
         raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
-    return _decide(p, pattern, max_states)
-
-
-def _decide(p: int, pattern: ZeroPattern, max_states: int) -> PrimeOrbitResult:
-    """prime_divides_orbit for a pattern already resolved for the start."""
     num, den = pattern.a0.numerator, pattern.a0.denominator
     prefix, cycle = pattern.prefix, pattern.cycle
     if den % p == 0:
@@ -341,13 +336,14 @@ def _scan_ranges(cutoffs: list[int]) -> list[tuple[int, int]]:
     return list(zip([2] + [hi + 1 for hi in ends], ends))
 
 
-def _scan_range(pattern: ZeroPattern, max_states: int, bounds: tuple[int, int]):
+def _scan_range(gens, coding, pattern: ZeroPattern, max_states: int, bounds: tuple[int, int]):
     """(primes, members, excluded, over_cap) of the primes in [lo, hi]."""
     count = members = 0
     excluded, over_cap = [], []
     for p in primes_in_range(*bounds):
         count += 1
-        status = _decide(p, pattern, max_states).status
+        # Passing the pattern's own a0 lets the start check be an identity test.
+        status = prime_divides_orbit(p, gens, coding, pattern.a0, pattern, max_states).status
         if status == "yes":
             members += 1
         elif status == "excluded":
@@ -363,25 +359,22 @@ def density_profile(
     a0: Fraction | int,
     cutoffs: list[int],
     max_states: int = 1_000_000,
-    workers: int = 1,
 ) -> PrimeScanReport:
     """Scan all primes up to the largest cutoff and tabulate membership counts.
 
-    Above POOL_MIN_CUTOFF the ranges are decided by up to ``workers``
-    processes; the report is the same for every worker count.
+    Above POOL_MIN_CUTOFF the ranges are decided by one worker process per
+    usable CPU; the report is the same for every CPU count.
     """
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     a0 = Fraction(a0)
     pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(a0))
     ranges = _scan_ranges(cutoffs)
-    results = parallel_map(
-        partial(_scan_range, pattern, max_states),
+    results = pool.parallel_map(
+        partial(_scan_range, gens, coding, pattern, max_states),
         ranges,
-        workers if cutoffs[-1] > POOL_MIN_CUTOFF else 1,
+        pool.usable_cpus() if cutoffs[-1] > POOL_MIN_CUTOFF else 1,
     )
     totals = {}  # range end -> (in_p, pi_x) up to it
     pi_x = in_p = 0

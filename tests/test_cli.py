@@ -7,6 +7,7 @@ import pytest
 
 import quadorbit.cli as cli
 import quadorbit.process as process
+from quadorbit import pool
 from quadorbit.cli import build_parser, main
 from quadorbit.primescan import density_profile
 
@@ -185,31 +186,26 @@ def test_primes_over_cap_exits_inconclusive(capsys, monkeypatch, fpp_depth):
 
 @pytest.mark.parametrize("form", [["--format", "json"], ["--format", "csv"], ["--fpp-depth", "3"]])
 @pytest.mark.parametrize("max_states", [1_000_000, 4], ids=["decided", "over_cap"])
-def test_primes_workers_do_not_change_bytes(capsys, monkeypatch, form, max_states):
-    # Above the pool threshold, so --workers 2 runs worker processes; with
-    # max_states=4 some primes are over the cap and both runs exit 2.
+def test_primes_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch, form, max_states):
+    # Above the pool threshold, so with two usable CPUs the scan runs in worker
+    # processes; with max_states=4 some primes are over the cap and both runs exit 2.
     monkeypatch.setattr(cli, "density_profile", functools.partial(density_profile, max_states=max_states))
     argv = ["primes", "--c", "1", "--coding", "|1", "--a0", "1/6", "--cutoffs", "1000,24999", *form]
-    one = run_cli(capsys, *argv, "--workers", "1")
-    two = run_cli(capsys, *argv, "--workers", "2")
-    assert one == two
-    assert one[0] == (2 if max_states == 4 else 0)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (2 if max_states == 4 else 0)
 
 
-@pytest.mark.parametrize("command", [["primes", "--c", "1", "--cutoffs", "100"], ["simulate", "--trials", "10"]])
 @pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_is_an_error(capsys, command, workers):
-    code = main([*command, "--workers", workers])
+def test_simulate_workers_below_one_is_an_error(capsys, workers):
+    code = main(["simulate", "--trials", "10", "--workers", workers])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: workers must be >= 1, got {workers}\n"
-
-
-def test_primes_workers_default_to_usable_cpus():
-    args = build_parser().parse_args(["primes", "--c", "1"])
-    assert args.workers == cli.usable_cpus()
-    assert build_parser().parse_args(["simulate"]).workers == 1
 
 
 @pytest.mark.parametrize(

@@ -27,12 +27,18 @@ def no_process_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
-def test_results_in_task_order():
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the pool start two workers on any host, a one-CPU one included."""
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+
+
+def test_results_in_task_order(two_cpus):
     tasks = list(range(-20, 20))
     assert parallel_map(abs, tasks, 2, chunksize=3) == [abs(t) for t in tasks]
 
 
-def test_spawns_workers_while_another_thread_runs(monkeypatch):
+def test_spawns_workers_while_another_thread_runs(two_cpus, monkeypatch):
     # Forking a process that runs threads is unsafe, so the pool spawns.
     contexts = []
     get_context = multiprocessing.get_context

@@ -253,7 +253,7 @@ def reference_profile(gens, coding, a0, cutoffs, max_states=1_000_000):
 
 
 class TestParallelProfiles:
-    """Reports are the same for every worker count and equal a single sieve pass."""
+    """Reports are the same for one and two usable CPUs and equal a single sieve pass."""
 
     @pytest.mark.parametrize(
         "gens, coding, a0, cutoffs, max_states",
@@ -268,10 +268,12 @@ class TestParallelProfiles:
         ],
         ids=["flagship", "excluded", "over_cap", "two_map"],
     )
-    def test_workers_do_not_change_the_report(self, gens, coding, a0, cutoffs, max_states):
+    def test_cpus_do_not_change_the_report(self, monkeypatch, gens, coding, a0, cutoffs, max_states):
         assert cutoffs[-1] > POOL_MIN_CUTOFF
-        one = density_profile(gens, coding, a0, cutoffs, max_states, workers=1)
-        two = density_profile(gens, coding, a0, cutoffs, max_states, workers=2)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        one = density_profile(gens, coding, a0, cutoffs, max_states)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        two = density_profile(gens, coding, a0, cutoffs, max_states)
         assert one.to_dict() == two.to_dict()
         assert one.csv_rows() == two.csv_rows()
         rows, excluded, over_cap = reference_profile(gens, coding, Fraction(a0), cutoffs, max_states)
@@ -296,15 +298,10 @@ class TestParallelProfiles:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        report = density_profile(X2P1, CONST, 0, [1000, POOL_MIN_CUTOFF], workers=8)
+        report = density_profile(X2P1, CONST, 0, [1000, POOL_MIN_CUTOFF])
         assert report.rows[-1].pi_x == 2262
         with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
-            density_profile(X2P1, CONST, 0, [POOL_MIN_CUTOFF + 1], workers=8)
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_are_refused(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            density_profile(X2P1, CONST, 0, [100], workers=workers)
+            density_profile(X2P1, CONST, 0, [POOL_MIN_CUTOFF + 1])
 
 
 def test_fpp_comparison_shape():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadorbit import pool
 from quadorbit.process import (
     CHUNK,
     MAX_EXACT_LEVEL,
@@ -115,7 +116,8 @@ class TestSimulation:
         assert report.levels[1].positive == report.levels[0].positive
         assert report.levels[3].positive == report.levels[2].positive
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)  # a real pool on any host
         one = simulate_process(seed=77, depth=10, trials=30_000, workers=1)
         eight = simulate_process(seed=77, depth=10, trials=30_000, workers=8)
         assert canonical_json(one.to_dict()) == canonical_json(eight.to_dict())

@@ -119,8 +119,6 @@ class GeneratorSet:
         """Apply the 1-based generator to a value."""
         if self.is_critical:
             c = self.constants[index - 1]
-            if isinstance(c, IntPolynomial) and not isinstance(value, IntPolynomial):
-                value = IntPolynomial((value,)) if isinstance(value, int) else value
             return value * value + c
         return self.general[index - 1].evaluate(value)
 
@@ -255,7 +253,6 @@ class OrbitStatus:
     kind: str  # "closed" | "escaping" | "unknown"
     orbit: frozenset = frozenset()
     level: int = 0
-    visited: frozenset = frozenset()
 
     @property
     def closed(self) -> bool:
@@ -346,7 +343,7 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
             and above_floor(prev_min)
             and above_floor(cur_min)
         ):
-            return OrbitStatus("escaping", level=level, visited=frozenset(visited))
+            return OrbitStatus("escaping", level=level)
         prev_min = cur_min
         visited |= new
         # The level sets must keep recurring values (a fixed point stays in
@@ -354,7 +351,7 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
         frontier = sorted(nxt, key=_height)
         if len(visited) > caps.max_points or any(_height(v)[1] > caps.max_height for v in frontier):
             break
-    return OrbitStatus("unknown", visited=frozenset(visited))
+    return OrbitStatus("unknown")
 
 
 def _normalize_point(gens: GeneratorSet, point):

@@ -23,7 +23,7 @@ from math import isqrt
 
 from . import pool
 from .dynamics import QQ, GeneratorSet, SequenceCoding
-from .process import MAX_EXACT_LEVEL, fpp_full_binary
+from .process import MAX_EXACT_LEVEL, fpp_rows
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +394,6 @@ def fpp_comparison(profile: PrimeScanReport, depth_for_fpp: int) -> dict:
     """Juxtapose the profile's empirical prime ratio at its largest cutoff with
     the exact fixed-point proportions (informational; the bound concerns the
     limit)."""
-    depth = min(depth_for_fpp, MAX_EXACT_LEVEL)
-    table = []
-    for n in range(1, depth + 1):
-        f = fpp_full_binary(n)
-        table.append({"n": n, "fpp_num": f.numerator, "fpp_den": f.denominator})
     row = profile.rows[-1]
     return {
         "format_version": 1,
@@ -406,5 +401,5 @@ def fpp_comparison(profile: PrimeScanReport, depth_for_fpp: int) -> dict:
         "ratio_num": row.ratio.numerator,
         "ratio_den": row.ratio.denominator,
         "ratio": row.ratio_decimal(),
-        "fpp": table,
+        "fpp": fpp_rows(min(depth_for_fpp, MAX_EXACT_LEVEL)),
     }

@@ -57,30 +57,41 @@ def fpp_full_binary(n: int) -> Fraction:
     return Fraction(a, 1 << e)
 
 
-def _trunc_down(q: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(q.numerator * scale // q.denominator, scale)
-
-
-def _trunc_up(q: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-q.numerator * scale) // q.denominator), scale)
-
-
-def fpp_enclosure(n: int, bits: int = 256) -> tuple[Fraction, Fraction]:
-    """Certified dyadic bounds lo <= f(n) <= hi.
+def fpp_enclosure(n: int) -> tuple[Fraction, Fraction]:
+    """Certified dyadic bounds lo <= f(n) <= hi with 256-bit numerators.
 
     The step map x -> x - x^2/2 is increasing on [0, 1], so rounding the
-    endpoints outward keeps the enclosure rigorous; endpoints are exact
-    rationals throughout.
+    endpoints outward keeps the enclosure rigorous: with x = a / 2^256 the
+    step is a - a^2 / 2^257, rounded down for lo and up for hi.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lo = hi = Fraction(1, 2)
+    lo = hi = 1 << 255
     for _ in range(n - 1):
-        lo = _trunc_down(lo - lo * lo / 2, bits)
-        hi = _trunc_up(hi - hi * hi / 2, bits)
-    return lo, hi
+        lo -= -(-lo * lo >> 257)
+        hi -= hi * hi >> 257
+    return Fraction(lo, 1 << 256), Fraction(hi, 1 << 256)
+
+
+def fpp_rows(depth: int) -> list[dict]:
+    """The fpp table for levels 1..depth: exact through MAX_EXACT_LEVEL, enclosures beyond."""
+    rows = []
+    for n in range(1, depth + 1):
+        if n <= MAX_EXACT_LEVEL:
+            f = fpp_full_binary(n)
+            rows.append({"n": n, "fpp_num": f.numerator, "fpp_den": f.denominator})
+        else:
+            lo, hi = fpp_enclosure(n)
+            rows.append(
+                {
+                    "n": n,
+                    "lower_num": lo.numerator,
+                    "lower_den": lo.denominator,
+                    "upper_num": hi.numerator,
+                    "upper_den": hi.denominator,
+                }
+            )
+    return rows
 
 
 # ---------------------------------------------------------------------------

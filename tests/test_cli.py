@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import time
@@ -167,6 +168,14 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["result"]["verdict"] == "Exceptional"
 
 
+def test_output_file_that_cannot_be_opened_is_an_error(tmp_path, capsys):
+    code = main(["fpp", "--depth", "1", "--out", str(tmp_path / "missing" / "report.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_fpp_depth_rejects_csv(capsys):
     code = main(["primes", "--c", "1", "--coding", "|1", "--cutoffs", "100", "--fpp-depth", "2", "--format", "csv"])
     captured = capsys.readouterr()
@@ -297,8 +306,48 @@ def test_internal_failures_exit_without_traceback(capsys, monkeypatch, exc, code
 
 
 def test_bad_environment_integer_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("QUADORBIT_ORBIT_POINTS", "abc")
-    assert main(["orbit", "--c", "-2", "--point", "0"]) == 1
+    monkeypatch.setenv("QUADORBIT_FACTOR_TRIAL_BOUND", "abc")
+    assert main(["certify", "--c", "1", "--depth", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: QUADORBIT_ORBIT_POINTS must be an integer, got 'abc'\n"
+    assert captured.err == "error: QUADORBIT_FACTOR_TRIAL_BOUND must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("point,orbit", [("3/2", ["3/2"]), ("-3/2", ["-3/2", "3/2"])])
+def test_orbit_capped_search_finds_a_finite_orbit_point(capsys, point, orbit):
+    # A rational start leaves the exact integral search; 3/2 is a fixed point
+    # of x^2-3/4 and -3/2 maps onto it, so the first point explored answers yes.
+    code, out = run_cli(capsys, "orbit", "--c=-3/4", f"--point={point}")
+    result = json.loads(out)["result"]
+    assert result == {"status": "closed", "orbit": orbit, "contains_finite_orbit_point": "yes", "witness": point}
+    assert code == 0
+
+
+OUT_COMMANDS = [
+    ["classify", "--c", "-2; -6"],
+    ["orbit", "--c", "-2", "--coding", "|1", "--depth", "3"],
+    ["orbit", "--ring", "qt", "--c", "t; -1", "--point", "0", "--size-cap", "16"],
+    ["certify", "--c", "1", "--coding", "|1", "--depth", "4"],
+    ["census", "--d", "2", "--s", "2", "--b-list", "1,2", "--variant", "even"],
+    ["census", "--d", "2", "--s", "2", "--b-list", "1,2", "--variant", "even", "--format", "csv"],
+    ["fpp", "--depth", "20"],
+    ["simulate", "--depth", "4", "--trials", "100"],
+    ["sample", "--weights", "1/4,3/4", "--length", "4", "--samples", "10"],
+    ["primes", "--c", "1", "--cutoffs", "100,1000"],
+    ["primes", "--c", "1", "--cutoffs", "100,1000", "--format", "csv"],
+    ["primes", "--c", "1", "--cutoffs", "100,1000", "--fpp-depth", "3"],
+]
+
+
+def test_out_commands_cover_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in OUT_COMMANDS} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: "_".join(argv[:1] + argv[-1:]))
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "report"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()

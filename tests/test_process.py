@@ -65,6 +65,17 @@ class TestFpp:
             exact = fpp_full_binary(n)
             assert lo <= exact <= hi
 
+    def test_enclosure_matches_rational_rounding(self):
+        # Oracle: step the Fractions exactly, then round outward to 2^-256.
+        def floor_dyadic(q):
+            return Fraction(q.numerator * 2**256 // q.denominator, 2**256)
+
+        lo = hi = Fraction(1, 2)
+        for n in range(1, 100):
+            assert fpp_enclosure(n) == (lo, hi)
+            lo = floor_dyadic(lo - lo * lo / 2)
+            hi = -floor_dyadic(-(hi - hi * hi / 2))
+
     def test_enclosures_decrease_through_64(self):
         bounds = [fpp_enclosure(n) for n in range(1, 65)]
         for (lo_prev, hi_prev), (lo_cur, hi_cur) in zip(bounds, bounds[1:]):

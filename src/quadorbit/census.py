@@ -1,8 +1,8 @@
 """Exact counting over coefficient boxes and the set-fraction bounds.
 
 Everything here is integer/rational arithmetic: counts come from a closed
-form over the constrained coefficients and, when the box is small enough,
-from direct enumeration as an independent check.  The reported fractions
+form over the constrained coefficients, and on request from direct
+enumeration as an independent check.  The reported fractions
 count s-element sets containing members with the relevant parity properties,
 which is the quantity the lower-bound formulas control; they do not count
 large-representation sequences directly.
@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-
-ENUMERATION_CUTOFF = 10**7
 
 STAR_EVEN = "star_even"  # degree d even: a_d odd, a_1 odd, a_i even for odd 3 <= i <= d-1
 ODD_DERIVATIVE = "odd_derivative"  # d odd: a_1 odd, a_i even for odd 3 <= i <= d
@@ -94,12 +92,12 @@ def _property_matches(coeffs: tuple[int, ...], prop: str, d: int) -> bool:
     return True
 
 
-def count_property(box: CoefficientBox, prop: str, cross_check: bool | None = None) -> int:
+def count_property(box: CoefficientBox, prop: str, cross_check: bool = False) -> int:
     """Exact number of box members with the property.
 
     Closed form: product of #odd/#even/(2B+1) over the coefficient slots.
-    When the box is small (or cross_check is forced) a direct enumeration
-    must agree, and a mismatch raises.
+    With ``cross_check`` a direct enumeration must agree, and a mismatch
+    raises.
     """
     if prop == MONIC_DERIVATIVE and not box.monic:
         raise ValueError("the monic property needs a monic box")
@@ -117,8 +115,7 @@ def count_property(box: CoefficientBox, prop: str, cross_check: bool | None = No
             closed *= even_count(box.B)
         else:
             closed *= width
-    do_enum = cross_check if cross_check is not None else box.size <= ENUMERATION_CUTOFF
-    if do_enum:
+    if cross_check:
         values = range(-box.B, box.B + 1)
         total = 0
         for combo in itertools.product(values, repeat=len(exponents)):
@@ -168,7 +165,7 @@ def presence_fraction(d: int, s: int, B: int, prop: str) -> Fraction:
     monic = prop == MONIC_DERIVATIVE
     box = CoefficientBox(d, B, monic=monic)
     total = box.size
-    k = count_property(box, prop, cross_check=False)
+    k = count_property(box, prop)
     if s > total:
         raise ValueError("s exceeds the box size")
     return Fraction(comb(total, s) - comb(total - k, s), comb(total, s))
@@ -197,8 +194,8 @@ def exact_set_fraction(d: int, s: int, B: int, variant: str) -> Fraction:
     total = box.size
     if s > total:
         raise ValueError("s exceeds the box size")
-    k1 = count_property(box, ODD_DERIVATIVE, cross_check=False)
-    k2 = count_property(box, ODD_LEADING, cross_check=False)
+    k1 = count_property(box, ODD_DERIVATIVE)
+    k2 = count_property(box, ODD_LEADING)
     k_both = k1 if d == 1 else 0
     neither = total - k1 - k2 + k_both
     joint = comb(total, s) - comb(total - k1, s) - comb(total - k2, s) + comb(neither, s)

@@ -15,7 +15,6 @@ writes every report.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -41,16 +40,6 @@ from .reporting import canonical_json, render_csv, report_envelope
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _gens(args) -> GeneratorSet:
@@ -99,10 +88,7 @@ def _cmd_orbit(args):
 def _cmd_certify(args):
     gens = _gens(args)
     coding = SequenceCoding.parse(args.coding)
-    budget = FactorBudget(
-        trial_bound=_env_int("QUADORBIT_FACTOR_TRIAL_BOUND", 10**6),
-        rho_iterations=args.factor_budget,
-    )
+    budget = FactorBudget(rho_iterations=args.factor_budget)
     chain = certify_chain(gens, coding, args.depth, budget)
     config = {"set": gens.canonical_name(), "ring": gens.ring, "coding": coding.render(), "depth": args.depth}
     return config, chain.to_dict(), EXIT_INCONCLUSIVE if chain.inconclusive_levels else EXIT_OK
@@ -128,7 +114,6 @@ def _cmd_simulate(args):
         trials=args.trials,
         maximal_mask=parse_mask(args.mask, args.depth),
         nonmaximal_model=args.nonmaximal_model,
-        workers=args.workers,
     )
     config = {
         "seed": args.seed,
@@ -228,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mask", default="all", help="'all', 'none', or a 0/1 string per level")
     p.add_argument("--nonmaximal-model", choices=["double", "hold"], default="double")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1; same report for any count)")
 
     p = command(
         "sample", _cmd_sample, "random codings under exact weights, with optional certification", gens=True, ring=True

@@ -292,15 +292,25 @@ def _denominator_grows(gens: GeneratorSet):
     return lambda v: lead % v.denominator != 0
 
 
+def escape_bound(gens: GeneratorSet):
+    """B such that every rational v with |v| > B grows strictly under every map.
+
+    B = S + 1, with S the largest sum of non-leading |coefficients| of a map
+    (|c| for x^2 + c): a map of degree d >= 2 with |leading coefficient| >= 1
+    sends v to a value of size at least |v|^(d-1) (|v| - S) > |v|, so the
+    image clears B again and the orbit never returns.
+    """
+    if gens.is_critical:
+        return max(abs(c) for c in gens.constants) + 1
+    return max(sum(abs(c) for c in m.coeffs[:-1]) for m in gens.general) + 1
+
+
 def _growth_floor(gens: GeneratorSet):
     """Predicate: every value whose height clears the floor grows strictly forever."""
     if gens.ring == QT:
         dmax = max(c.degree for c in gens.constants)
         return lambda h: h[0] > dmax
-    if gens.is_critical:
-        bound = max(abs(c) for c in gens.constants) + 1
-    else:
-        bound = max(sum(abs(c) for c in m.coeffs[:-1]) for m in gens.general) + 1
+    bound = escape_bound(gens)
     return lambda h: h[1] > bound
 
 
@@ -373,37 +383,24 @@ class FiniteOrbitAnswer:
     witness: object = None
 
 
-def _integral_escape_radius(maps: list[IntPolynomial]) -> int:
-    # |v| >= B forces |f(v)| > |v| for every map: |v|(|v| - S) > 0 with
-    # S = sum of non-leading |coefficients|, degree >= 2, |lc| >= 1.
-    return max(sum(abs(c) for c in m.coeffs[:-1]) for m in maps) + 2
-
-
-def _maps_of(gens: GeneratorSet) -> list[IntPolynomial]:
-    if gens.is_critical:
-        return [IntPolynomial((int(c), 0, 1)) for c in gens.constants]
-    return list(gens.general)
-
-
 def finite_orbit_points(gens: GeneratorSet) -> set[int]:
     """All rational finite orbit points of an integral set (they are integers).
 
-    Integer values beyond the escape radius strictly grow under every map
+    Integer values beyond the escape bound strictly grow under every map
     and never return, so the search space is the finite window inside it.
     """
     if not (gens.ring == QQ and gens.is_integral()):
         raise ValueError("exact finite-orbit enumeration needs an integral set over Q")
-    maps = _maps_of(gens)
-    radius = _integral_escape_radius(maps)
-    window = range(-radius, radius + 1)
-    return {q for q in window if all(abs(w) < radius for w in _orbit_within(maps, q, radius))}
+    bound = int(escape_bound(gens))
+    window = range(-bound, bound + 1)
+    return {q for q in window if all(abs(w) <= bound for w in _orbit_within(gens, q, bound))}
 
 
-def _orbit_within(maps: list[IntPolynomial], start: int, radius: int):
+def _orbit_within(gens: GeneratorSet, start: int, bound: int):
     """Yield the start, then each new value of its orbit, breadth-first in map order.
 
-    Values at or beyond the escape radius are yielded but not expanded: they
-    grow under every map and never come back.
+    Values beyond the escape bound are yielded but not expanded: they grow
+    under every map and never come back.
     """
     yield start
     seen = {start}
@@ -411,12 +408,12 @@ def _orbit_within(maps: list[IntPolynomial], start: int, radius: int):
     while frontier:
         nxt = []
         for v in frontier:
-            for m in maps:
-                w = m.evaluate(v)
+            for i in range(1, gens.size + 1):
+                w = gens.apply(i, v)
                 if w not in seen:
                     seen.add(w)
                     yield w
-                    if abs(w) < radius:
+                    if abs(w) <= bound:
                         nxt.append(w)
         frontier = nxt
 
@@ -427,18 +424,16 @@ def orbit_contains_finite_orbit_point(
     """Does the semigroup orbit of the point contain a finite orbit point?
 
     Exact (total) for integral sets over Q with integer starting points:
-    candidates and reachability both live inside the escape radius.  Other
+    candidates and reachability both live within the escape bound.  Other
     inputs fall back to a capped search that may answer unknown.
     """
     integral = gens.ring == QQ and gens.is_integral() and isinstance(point, (int, Fraction))
     if integral and Fraction(point).denominator == 1:
-        maps = _maps_of(gens)
-        radius = _integral_escape_radius(maps)
         targets = finite_orbit_points(gens)
         start = int(Fraction(point))
-        # Bounded reachability: paths through values beyond the radius never
-        # come back, so pruning them is lossless.
-        for w in _orbit_within(maps, start, radius):
+        # Bounded reachability: paths through values beyond the escape bound
+        # never come back, so pruning them is lossless.
+        for w in _orbit_within(gens, start, int(escape_bound(gens))):
             if w in targets:
                 return FiniteOrbitAnswer("yes", witness=w)
         return FiniteOrbitAnswer("no")

@@ -8,7 +8,7 @@ prime: per phase it runs Brent's cycle detection in O(1) memory on the
 states (inner value mod p, step mod the period of the phase's exact-zero
 mask).  Exact zero terms of the sequence (skipped by definition) are
 resolved completely over Q first: with integer maps, inner values that
-leave the escape radius or pick up a denominator can never produce zeros
+leave the escape bound or pick up a denominator can never produce zeros
 again, so the zero pattern is eventually periodic and computed exactly.  A
 density profile sieves fixed ranges of primes and decides each prime with
 that walker, the ranges in worker processes when the scan is large.
@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from math import isqrt
 
 from . import pool
-from .dynamics import QQ, GeneratorSet, SequenceCoding
-from .process import MAX_EXACT_LEVEL, fpp_rows
+from .dynamics import QQ, GeneratorSet, SequenceCoding, escape_bound
+from .process import fpp_rows
 
 
 # ---------------------------------------------------------------------------
-# Prime generation (segmented sieve).
+# Prime generation (sieve of Eratosthenes).
 
 def _base_primes(root: int) -> list[int]:
     sieve = bytearray([1]) * (root + 1)
@@ -38,32 +39,22 @@ def _base_primes(root: int) -> list[int]:
     return [i for i in range(2, root + 1) if sieve[i]]
 
 
-def primes_in_range(lo: int, hi: int, segment: int = 1 << 16):
-    """Yield primes in [lo, hi] with a segmented sieve."""
+def primes_in_range(lo: int, hi: int):
+    """Yield primes in [lo, hi], sieved in one bytearray (scan ranges are short)."""
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _base_primes(isqrt(hi))
-    for p in base:
-        if lo <= p <= hi:
-            yield p
-    low = max(lo, (base[-1] if base else 1) + 1)
-    while low <= hi:
-        high = min(low + segment - 1, hi)
-        marks = bytearray([1]) * (high - low + 1)
-        for p in base:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start <= high:
-                marks[start - low :: p] = b"\x00" * len(marks[start - low :: p])
-        for i, flag in enumerate(marks):
-            if flag:
-                yield low + i
-        low = high + 1
+    marks = bytearray([1]) * (hi - lo + 1)
+    for p in _base_primes(isqrt(hi)):
+        # Multiples of p from p^2 on; p itself and smaller primes stay marked.
+        start = max(p * p, -(-lo // p) * p) - lo
+        marks[start::p] = b"\x00" * len(marks[start::p])
+    yield from compress(range(lo, hi + 1), marks)
 
 
-def primes_up_to(limit: int, segment: int = 1 << 16):
-    """Yield all primes <= limit with a segmented sieve."""
-    yield from primes_in_range(2, limit, segment)
+def primes_up_to(limit: int):
+    """Yield all primes <= limit."""
+    yield from primes_in_range(2, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +103,7 @@ def _setup(gens: GeneratorSet, coding: SequenceCoding):
     cs = [int(c) for c in gens.constants]
     prefix = [cs[i - 1] for i in coding.prefix]
     cycle = [cs[i - 1] for i in coding.cycle]
-    return cs, prefix, cycle
+    return prefix, cycle
 
 
 def _apply_chain_exact(constants: list[int], value: Fraction) -> Fraction:
@@ -125,16 +116,17 @@ def _apply_chain_exact(constants: list[int], value: Fraction) -> Fraction:
 def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction) -> ZeroPattern:
     """Resolve every exact zero of the sequence.
 
-    Integer inner values either stay inside the escape radius (hence become
-    periodic within ~2*radius steps) or grow forever; fractional values keep
-    a nontrivial denominator forever.  Both resolve each phase completely.
+    Integer inner values either stay within the escape bound (hence become
+    periodic within about twice that many steps) or grow forever; fractional
+    values keep a nontrivial denominator forever.  Both resolve each phase
+    completely.
     """
-    cs, prefix, cycle = _setup(gens, coding)
+    prefix, cycle = _setup(gens, coding)
     a0 = Fraction(a0)
-    radius = max(abs(c) for c in cs) + 2
-    # Fewer than 2*radius integers lie inside the escape radius, so an integer
+    escape = int(escape_bound(gens))
+    # Fewer than 2*escape + 2 integers v have |v| <= escape, so an integer
     # inner value repeats before this many cycle blocks.
-    bound = 2 * radius + 4
+    bound = 2 * escape + 6
     pattern = ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, prefix_zeros=set(), phases=[])
     for n in range(1, len(prefix) + 1):
         if _apply_chain_exact(prefix[:n], a0) == 0:
@@ -144,7 +136,7 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction) -> Ze
         hits: set[int] = set()
         seen: dict[Fraction, int] = {}
         for q in range(bound + 1):
-            if v.denominator > 1 or abs(v) >= radius:
+            if v.denominator > 1 or abs(v) > escape:
                 # No zero can ever appear from here on.
                 pattern.phases.append(_PhaseZeros(pre_hits=hits))
                 break
@@ -401,5 +393,5 @@ def fpp_comparison(profile: PrimeScanReport, depth_for_fpp: int) -> dict:
         "ratio_num": row.ratio.numerator,
         "ratio_den": row.ratio.denominator,
         "ratio": row.ratio_decimal(),
-        "fpp": fpp_rows(min(depth_for_fpp, MAX_EXACT_LEVEL)),
+        "fpp": fpp_rows(depth_for_fpp),
     }

@@ -17,12 +17,11 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
+from . import pool
 from .certify import certify_chain
 from .dynamics import GeneratorSet, SequenceCoding
-from .pool import parallel_map
 
 MAX_EXACT_LEVEL = 18  # the exact f(n) needs a 2^n-bit denominator
-MAX_DYADIC_LEVEL = 24
 
 
 def fpp_dyadic(n: int) -> tuple[int, int]:
@@ -30,11 +29,11 @@ def fpp_dyadic(n: int) -> tuple[int, int]:
 
     Pure integer recursion: the step a/2^e -> (a 2^(e+1) - a^2) / 2^(2e+1)
     keeps the numerator odd, so no reduction is ever needed.  Sizes double
-    per level; beyond the cap use fpp_enclosure.
+    per level; beyond MAX_EXACT_LEVEL use fpp_enclosure.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > MAX_DYADIC_LEVEL:
+    if n > MAX_EXACT_LEVEL:
         raise ValueError(
             f"exact value at level {n} needs a {2**n}-bit numerator; "
             "use fpp_enclosure for certified bounds"
@@ -48,11 +47,6 @@ def fpp_dyadic(n: int) -> tuple[int, int]:
 
 def fpp_full_binary(n: int) -> Fraction:
     """Exact fixed-point proportion of the depth-n full group, by the recursion."""
-    if n > MAX_EXACT_LEVEL:
-        raise ValueError(
-            f"Fraction construction above level {MAX_EXACT_LEVEL} is impractical; "
-            "use fpp_dyadic or fpp_enclosure"
-        )
     a, e = fpp_dyadic(n)
     return Fraction(a, 1 << e)
 
@@ -75,6 +69,8 @@ def fpp_enclosure(n: int) -> tuple[Fraction, Fraction]:
 
 def fpp_rows(depth: int) -> list[dict]:
     """The fpp table for levels 1..depth: exact through MAX_EXACT_LEVEL, enclosures beyond."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     rows = []
     for n in range(1, depth + 1):
         if n <= MAX_EXACT_LEVEL:
@@ -166,6 +162,9 @@ def stay_probability_bound(u: int) -> Fraction:
 # Monte Carlo simulation with worker-count-independent streams.
 
 CHUNK = 2048
+# Above this many trials the chunks run in one worker process per usable
+# CPU, where the pool pays for its start.
+POOL_MIN_TRIALS = 50_000
 # A path counts as constant-tailed when its last CONSTANT_WINDOW values agree.
 CONSTANT_WINDOW = 3
 
@@ -296,7 +295,7 @@ def simulate_process(
     trials: int,
     maximal_mask: list[bool] | None = None,
     nonmaximal_model: str = MODEL_DOUBLE,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ProcessReport:
     """Monte Carlo paths of the fixed-point count model.
 
@@ -304,11 +303,14 @@ def simulate_process(
     count (every fixed root lifts both children) or hold it, which is an
     explicit modeling knob.  Trials are split into fixed-size chunks with
     per-chunk derived streams, so the report does not depend on the worker
-    count.  With ``workers`` > 1 the chunks run in worker processes, in
-    batches of several chunks each.
+    count.  Above POOL_MIN_TRIALS the chunks run in one worker process per
+    usable CPU, in batches of several chunks each; ``workers`` fixes the
+    count instead.
     """
     if trials < 1 or depth < 1:
         raise ValueError("need positive depth and trials")
+    if workers is None:
+        workers = pool.usable_cpus() if trials > POOL_MIN_TRIALS else 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if nonmaximal_model not in (MODEL_DOUBLE, MODEL_HOLD):
@@ -326,7 +328,7 @@ def simulate_process(
         index += 1
     # About four batches per worker: few enough to amortise each hand-off,
     # enough to even out the load.
-    results = parallel_map(
+    results = pool.parallel_map(
         partial(_run_chunk, seed, mask, nonmaximal_model),
         chunks,
         workers,
@@ -404,6 +406,8 @@ def sample_codings(
     """
     if length < 1 or samples < 1:
         raise ValueError("need positive length and samples")
+    if certify_count < 0:
+        raise ValueError(f"certify count must be >= 0, got {certify_count}")
     if certify_count > 0 and gens is None:
         raise ValueError("certifying sampled prefixes needs a generator set (--c or --set)")
     weights = [Fraction(w) for w in weights]

@@ -91,14 +91,29 @@ def test_primes_json_schema(capsys):
     jsonschema.validate(payload["result"], _schema("prime_scan.schema.json"))
 
 
-def test_simulate_schema_and_determinism(capsys):
-    args = ["simulate", "--depth", "6", "--trials", "4000", "--seed", "9"]
-    code, out1 = run_cli(capsys, *args, "--workers", "1")
+def run_simulate_on_one_and_two_cpus(capsys, monkeypatch, trials):
+    args = ["simulate", "--depth", "6", "--trials", str(trials), "--seed", "9"]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        runs.append(run_cli(capsys, *args))
+    return runs
+
+
+def test_simulate_schema_and_determinism(capsys, monkeypatch):
+    (code, out), two = run_simulate_on_one_and_two_cpus(capsys, monkeypatch, 4000)
     assert code == 0
-    payload = json.loads(out1)
+    payload = json.loads(out)
     jsonschema.validate(payload["result"], _schema("process_report.schema.json"))
-    _, out8 = run_cli(capsys, *args, "--workers", "8")
-    assert out1 == out8
+    assert (code, out) == two
+
+
+def test_simulate_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch):
+    # Above POOL_MIN_TRIALS two usable CPUs run the chunks in a real pool.
+    one, two = run_simulate_on_one_and_two_cpus(capsys, monkeypatch, process.POOL_MIN_TRIALS + 1)
+    assert one == two
+    assert one[0] == 0
+    assert json.loads(one[1])["result"]["trials"] == process.POOL_MIN_TRIALS + 1
 
 
 def test_sample(capsys):
@@ -117,6 +132,15 @@ def test_sample_certify_depth_below_one_is_an_error(capsys, depth):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: depth must be >= 1\n"
+
+
+def test_sample_negative_certify_count_is_an_error(capsys):
+    argv = ["sample", "--weights", "1/2,1/2", "--length", "2", "--samples", "1", "--certify", "-1", "--c", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: certify count must be >= 0, got -1\n"
 
 
 def test_sample_certify_without_generators_is_an_error(capsys, monkeypatch):
@@ -159,6 +183,26 @@ def test_fpp_enclosures_beyond_exact(capsys):
     levels = payload["result"]["levels"]
     assert "fpp_num" in levels[0]
     assert "lower_num" in levels[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fpp", "--depth", "0"], ["fpp", "--depth", "-3"], ["primes", "--c", "1", "--cutoffs", "100", "--fpp-depth", "-2"]],
+)
+def test_fpp_depth_below_one_is_an_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 1\n"
+
+
+def test_primes_fpp_table_matches_fpp_beyond_exact(capsys):
+    _, scan = run_cli(capsys, "primes", "--c", "1", "--cutoffs", "100", "--fpp-depth", "20")
+    _, table = run_cli(capsys, "fpp", "--depth", "20")
+    fpp = json.loads(scan)["result"]["fpp"]
+    assert [row["n"] for row in fpp] == list(range(1, 21))
+    assert fpp == json.loads(table)["result"]["levels"]
 
 
 def test_output_file(tmp_path, capsys):
@@ -206,15 +250,6 @@ def test_primes_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch, form, max_s
         runs.append(run_cli(capsys, *argv))
     assert runs[0] == runs[1]
     assert runs[0][0] == (2 if max_states == 4 else 0)
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_simulate_workers_below_one_is_an_error(capsys, workers):
-    code = main(["simulate", "--trials", "10", "--workers", workers])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == f"error: workers must be >= 1, got {workers}\n"
 
 
 @pytest.mark.parametrize(
@@ -303,14 +338,6 @@ def test_internal_failures_exit_without_traceback(capsys, monkeypatch, exc, code
     assert captured.out == ""
     assert captured.err.startswith(prefix)
     assert "Traceback" not in captured.err
-
-
-def test_bad_environment_integer_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("QUADORBIT_FACTOR_TRIAL_BOUND", "abc")
-    assert main(["certify", "--c", "1", "--depth", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: QUADORBIT_FACTOR_TRIAL_BOUND must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("point,orbit", [("3/2", ["3/2"]), ("-3/2", ["-3/2", "3/2"])])

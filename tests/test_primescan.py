@@ -31,16 +31,17 @@ class TestSieve:
         assert sum(1 for _ in primes_up_to(10**3)) == 168
         assert sum(1 for _ in primes_up_to(10**4)) == 1229
 
-    def test_segment_boundaries(self):
-        # tiny segments exercise the segmented path
-        assert list(primes_up_to(1000, segment=64)) == list(primes_up_to(1000))
-
     def test_ranges(self):
         from quadorbit.primescan import primes_in_range
 
         assert list(primes_in_range(90, 110)) == [97, 101, 103, 107, 109]
         assert list(primes_in_range(2, 11)) == [2, 3, 5, 7, 11]
         assert list(primes_in_range(14, 16)) == []
+        # Every range up to 200 against trial division, base primes included.
+        primes = [n for n in range(2, 201) if all(n % d for d in range(2, n))]
+        for lo in range(0, 60):
+            for hi in range(lo - 1, 201):
+                assert list(primes_in_range(lo, hi)) == [p for p in primes if lo <= p <= hi]
 
 
 class TestZeroPattern:

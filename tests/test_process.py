@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from quadorbit import pool
 from quadorbit.process import (
     CHUNK,
     MAX_EXACT_LEVEL,
+    POOL_MIN_TRIALS,
     ProcessLevel,
     coin_transition,
     fixed_leaf_count,
@@ -132,6 +134,17 @@ class TestSimulation:
         one = simulate_process(seed=77, depth=10, trials=30_000, workers=1)
         eight = simulate_process(seed=77, depth=10, trials=30_000, workers=8)
         assert canonical_json(one.to_dict()) == canonical_json(eight.to_dict())
+
+    def test_no_pool_at_or_below_the_threshold(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProcessPoolExecutor was constructed")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        report = simulate_process(seed=5, depth=2, trials=POOL_MIN_TRIALS)
+        assert report.trials == POOL_MIN_TRIALS
+        with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+            simulate_process(seed=5, depth=2, trials=POOL_MIN_TRIALS + 1)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_are_refused(self, workers):

@@ -1,8 +1,6 @@
 """Exact arithmetic substrate: integers, rationals, and integer polynomials
 standing for elements of Q[t] and Q(t)."""
 
-from fractions import Fraction
-
 from .factorint import FactorBudget, Factorization, factor_integer, is_probable_prime
 from .intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .parse import PolynomialSyntaxError, parse_poly
@@ -20,7 +18,6 @@ from .ratpoly import (
 
 
 __all__ = [
-    "Fraction",
     "FactorBudget",
     "Factorization",
     "IntPolynomial",

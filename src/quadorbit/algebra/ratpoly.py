@@ -19,7 +19,6 @@ gcd, square-free and square-test functions here by module path.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .factorint import is_probable_prime
 from .intpoly import IntPolynomial
@@ -279,8 +278,6 @@ def square_in_quadratic_extension(a, m) -> bool:
         raise ValueError("m must be nonzero")
     if is_square(m):
         raise ValueError("m must not be a square (the extension is degenerate)")
-    if not isinstance(a, IntPolynomial):
-        a, m = Fraction(a), Fraction(m)
     return is_square(a) or is_square(a * m)
 
 

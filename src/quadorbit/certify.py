@@ -231,7 +231,6 @@ def maximality_by_primitive_odd_prime(
         raise ValueError("the valuation criterion needs n >= 2")
     if not (gens.ring == QQ and gens.is_critical and gens.is_integral()):
         raise ValueError("needs an integer critical set over Q")
-    values = [int(v) for v in values]
     target = values[-1]
     if target == 0:
         raise ValueError("degenerate orbit: the level value is zero")

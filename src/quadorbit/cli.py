@@ -149,13 +149,15 @@ def _cmd_primes(args):
     gens = _gens(args)
     coding = SequenceCoding.parse(args.coding)
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
-    if args.fpp_depth and args.format == "csv":
+    if args.fpp_depth is not None and args.format == "csv":
         raise ValueError("--fpp-depth writes JSON only; drop --format csv")
+    # The table is built first so that a bad depth fails before the scan.
+    fpp = None if args.fpp_depth is None else fpp_rows(args.fpp_depth)
     report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
     code = EXIT_INCONCLUSIVE if report.over_cap else EXIT_OK
     config = {"set": gens.canonical_name(), "coding": coding.render(), "a0": args.a0}
-    if args.fpp_depth:
-        return config, fpp_comparison(report, args.fpp_depth), code
+    if fpp is not None:
+        return config, fpp_comparison(report, fpp), code
     if args.format == "csv":
         return None, report.csv_rows(), code
     return {**config, "cutoffs": cutoffs}, report.to_dict(), code
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--a0", default="0")
     p.add_argument("--cutoffs", default="1000,10000", help="comma-separated increasing cutoffs")
-    p.add_argument("--fpp-depth", type=int, default=0, help="juxtapose with the fpp table up to this depth")
+    p.add_argument("--fpp-depth", type=int, help="juxtapose with the fpp table up to this depth")
 
     return parser
 

@@ -25,18 +25,23 @@ QQ = "q"
 QT = "qt"
 
 
-def _as_constant(c) -> Fraction | IntPolynomial:
-    if isinstance(c, IntPolynomial):
-        return c
-    return Fraction(c)
+def as_number(value) -> int | Fraction | IntPolynomial:
+    """The number type of a value: integral rationals become int, other
+    rationals stay Fraction, and IntPolynomial (an element of Z[t]) passes."""
+    if isinstance(value, IntPolynomial):
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
     """A finite set of quadratic maps.
 
-    In critical mode every map is x^2 + c and only the constants are kept;
-    constants are Fractions (base field Q) or IntPolynomials (base Q(t)).
+    In critical mode every map is x^2 + c and only the constants are kept.
+    Over Q an integral constant is an int and any other a Fraction, so an
+    integral set computes in integer arithmetic; over Q(t) the constants are
+    IntPolynomials.
     General monic integer maps (e.g. x^2+x) are allowed for orbit
     exploration only, via ``general``.
     """
@@ -51,10 +56,10 @@ class GeneratorSet:
         if self.ring not in (QQ, QT):
             raise ValueError(f"unknown ring {self.ring!r}")
         if self.constants:
-            cs = tuple(_as_constant(c) for c in self.constants)
+            cs = tuple(as_number(c) for c in self.constants)
             if self.ring == QT and not all(isinstance(c, IntPolynomial) for c in cs):
                 raise ValueError("ring 'qt' needs IntPolynomial constants")
-            if self.ring == QQ and not all(isinstance(c, Fraction) for c in cs):
+            if self.ring == QQ and any(isinstance(c, IntPolynomial) for c in cs):
                 raise ValueError("ring 'q' needs rational constants")
             object.__setattr__(self, "constants", cs)
             if len(set(cs)) != len(cs):
@@ -93,11 +98,11 @@ class GeneratorSet:
             if consts is not None:
                 if ring == QT:
                     return cls.from_constants([IntPolynomial((c,)) for c in consts], ring)
-                return cls.from_constants([Fraction(c) for c in consts], ring)
+                return cls.from_constants(consts, ring)
             return cls.from_maps(maps)
         if ring == QT:
             return cls.from_constants([parse_poly(p, var="t") for p in parts], ring)
-        return cls.from_constants([Fraction(p) for p in parts], ring)
+        return cls.from_constants(parts, ring)
 
     @property
     def size(self) -> int:
@@ -196,7 +201,6 @@ def critical_orbit(gens: GeneratorSet, coding: SequenceCoding, n: int) -> list:
     if n < 1:
         raise ValueError("need n >= 1")
     coding.validate_for(gens)
-    zero: object = IntPolynomial(()) if gens.ring == QT else Fraction(0)
 
     def compose(indices: tuple[int, ...], z):
         for i in reversed(indices):
@@ -204,11 +208,11 @@ def critical_orbit(gens: GeneratorSet, coding: SequenceCoding, n: int) -> list:
         return z
 
     prefix, cycle = coding.prefix, coding.cycle
-    out = [compose(prefix[:k], zero) for k in range(1, min(n, len(prefix)) + 1)]
+    out = [compose(prefix[:k], 0) for k in range(1, min(n, len(prefix)) + 1)]
     deltas: list = []
     for j in range(1, n - len(prefix) + 1):
         if j <= len(cycle):
-            deltas.append(compose(cycle[:j], zero))
+            deltas.append(compose(cycle[:j], 0))
         else:
             deltas.append(compose(cycle, deltas[j - len(cycle) - 1]))
         out.append(compose(prefix, deltas[-1]))
@@ -225,8 +229,7 @@ def composition_polynomial(gens: GeneratorSet, coding: SequenceCoding, n: int) -
     acc = x
     for k in range(n, 0, -1):
         if gens.is_critical:
-            c = int(gens.constants[coding.index_at(k) - 1])
-            acc = acc * acc + IntPolynomial((c,))
+            acc = acc * acc + gens.constants[coding.index_at(k) - 1]
         else:
             acc = gens.general[coding.index_at(k) - 1].compose(acc)
     return acc
@@ -243,7 +246,7 @@ def escape_criterion(gens: GeneratorSet) -> bool:
     """
     if not (gens.is_critical and gens.ring == QQ and gens.is_integral()):
         raise ValueError("escape criterion needs an integer critical set")
-    cs = [int(c) for c in gens.constants]
+    cs = gens.constants
     bound = max(abs(c) for c in cs)
     return all(abs(ci * ci + cj) > bound for ci in cs for cj in cs)
 
@@ -365,13 +368,12 @@ def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) ->
 
 
 def _normalize_point(gens: GeneratorSet, point):
-    if gens.ring == QT:
-        if isinstance(point, IntPolynomial):
-            return point
-        if Fraction(point).denominator != 1:
+    point = as_number(point)
+    if gens.ring == QT and not isinstance(point, IntPolynomial):
+        if not isinstance(point, int):
             raise ValueError("points over Z[t] must be integral")
-        return IntPolynomial((int(point),)) if point else IntPolynomial(())
-    return Fraction(point) if not isinstance(point, IntPolynomial) else point
+        return IntPolynomial((point,))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def finite_orbit_points(gens: GeneratorSet) -> set[int]:
     """
     if not (gens.ring == QQ and gens.is_integral()):
         raise ValueError("exact finite-orbit enumeration needs an integral set over Q")
-    bound = int(escape_bound(gens))
+    bound = escape_bound(gens)
     window = range(-bound, bound + 1)
     return {q for q in window if all(abs(w) <= bound for w in _orbit_within(gens, q, bound))}
 
@@ -427,13 +429,12 @@ def orbit_contains_finite_orbit_point(
     candidates and reachability both live within the escape bound.  Other
     inputs fall back to a capped search that may answer unknown.
     """
-    integral = gens.ring == QQ and gens.is_integral() and isinstance(point, (int, Fraction))
-    if integral and Fraction(point).denominator == 1:
+    point = _normalize_point(gens, point)
+    if gens.ring == QQ and gens.is_integral() and isinstance(point, int):
         targets = finite_orbit_points(gens)
-        start = int(Fraction(point))
         # Bounded reachability: paths through values beyond the escape bound
         # never come back, so pruning them is lossless.
-        for w in _orbit_within(gens, start, int(escape_bound(gens))):
+        for w in _orbit_within(gens, point, escape_bound(gens)):
             if w in targets:
                 return FiniteOrbitAnswer("yes", witness=w)
         return FiniteOrbitAnswer("no")
@@ -441,7 +442,6 @@ def orbit_contains_finite_orbit_point(
     # Capped heuristic: explore orbit points breadth-first, test each.  Values
     # whose denominators grow forever have infinite orbits, as do all their
     # images, so pruning them loses no finite orbit point.
-    point = _normalize_point(gens, point)
     denominator_grows = _denominator_grows(gens)
     seen = {point}
     frontier = [point]
@@ -527,7 +527,7 @@ def classify_finite_orbit_obstruction(gens: GeneratorSet) -> Classification:
         raise ValueError("classification needs a critical-mode set over Q")
     if not gens.is_integral():
         return Classification("not_obstructed")
-    cs = sorted(int(c) for c in gens.constants)
+    cs = sorted(gens.constants)
     if len(cs) >= 3:
         return Classification("not_obstructed")
     if len(cs) == 1:

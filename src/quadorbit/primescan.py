@@ -23,8 +23,7 @@ from itertools import compress
 from math import isqrt
 
 from . import pool
-from .dynamics import QQ, GeneratorSet, SequenceCoding, escape_bound
-from .process import fpp_rows
+from .dynamics import QQ, GeneratorSet, SequenceCoding, as_number, escape_bound
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ class ZeroPattern:
     resolved from, so a scan sets them up once and not once per prime.
     """
 
-    a0: Fraction
+    a0: int | Fraction
     prefix: list[int]
     cycle: list[int]
     prefix_zeros: set[int]
@@ -100,20 +99,20 @@ def _setup(gens: GeneratorSet, coding: SequenceCoding):
     if not (gens.is_critical and gens.ring == QQ and gens.is_integral()):
         raise ValueError("the prime scanner needs an integer critical set over Q")
     coding.validate_for(gens)
-    cs = [int(c) for c in gens.constants]
+    cs = gens.constants
     prefix = [cs[i - 1] for i in coding.prefix]
     cycle = [cs[i - 1] for i in coding.cycle]
     return prefix, cycle
 
 
-def _apply_chain_exact(constants: list[int], value: Fraction) -> Fraction:
+def _apply_chain_exact(constants: list[int], value: int | Fraction) -> int | Fraction:
     # Innermost map is the last entry, matching the composition convention.
     for c in reversed(constants):
         value = value * value + c
     return value
 
 
-def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction) -> ZeroPattern:
+def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction) -> ZeroPattern:
     """Resolve every exact zero of the sequence.
 
     Integer inner values either stay within the escape bound (hence become
@@ -122,8 +121,8 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction) -> Ze
     completely.
     """
     prefix, cycle = _setup(gens, coding)
-    a0 = Fraction(a0)
-    escape = int(escape_bound(gens))
+    a0 = as_number(a0)
+    escape = escape_bound(gens)
     # Fewer than 2*escape + 2 integers v have |v| <= escape, so an integer
     # inner value repeats before this many cycle blocks.
     bound = 2 * escape + 6
@@ -134,7 +133,7 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: Fraction) -> Ze
     for r in range(len(cycle)):
         v = _apply_chain_exact(cycle[:r], a0)
         hits: set[int] = set()
-        seen: dict[Fraction, int] = {}
+        seen: dict[int, int] = {}
         for q in range(bound + 1):
             if v.denominator > 1 or abs(v) > escape:
                 # No zero can ever appear from here on.
@@ -359,9 +358,8 @@ def density_profile(
     """
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
-    a0 = Fraction(a0)
     pattern = zero_pattern(gens, coding, a0)
-    report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(a0))
+    report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(pattern.a0))
     ranges = _scan_ranges(cutoffs)
     results = pool.parallel_map(
         partial(_scan_range, gens, coding, pattern, max_states),
@@ -382,10 +380,10 @@ def density_profile(
     return report
 
 
-def fpp_comparison(profile: PrimeScanReport, depth_for_fpp: int) -> dict:
+def fpp_comparison(profile: PrimeScanReport, fpp: list[dict]) -> dict:
     """Juxtapose the profile's empirical prime ratio at its largest cutoff with
-    the exact fixed-point proportions (informational; the bound concerns the
-    limit)."""
+    the fixed-point proportion table ``fpp`` of ``process.fpp_rows``
+    (informational; the bound concerns the limit)."""
     row = profile.rows[-1]
     return {
         "format_version": 1,
@@ -393,5 +391,5 @@ def fpp_comparison(profile: PrimeScanReport, depth_for_fpp: int) -> dict:
         "ratio_num": row.ratio.numerator,
         "ratio_den": row.ratio.denominator,
         "ratio": row.ratio_decimal(),
-        "fpp": fpp_rows(depth_for_fpp),
+        "fpp": fpp,
     }

@@ -187,7 +187,12 @@ def test_fpp_enclosures_beyond_exact(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["fpp", "--depth", "0"], ["fpp", "--depth", "-3"], ["primes", "--c", "1", "--cutoffs", "100", "--fpp-depth", "-2"]],
+    [
+        ["fpp", "--depth", "0"],
+        ["fpp", "--depth", "-3"],
+        ["primes", "--c", "1", "--cutoffs", "100", "--fpp-depth", "-2"],
+        ["primes", "--c", "1", "--cutoffs", "100", "--fpp-depth", "0"],
+    ],
 )
 def test_fpp_depth_below_one_is_an_error(capsys, argv):
     code = main(argv)
@@ -195,6 +200,16 @@ def test_fpp_depth_below_one_is_an_error(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: depth must be >= 1\n"
+
+
+def test_primes_fpp_depth_is_checked_before_the_scan(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("density_profile called")
+
+    monkeypatch.setattr(cli, "density_profile", refuse)
+    code = main(["primes", "--c", "1", "--cutoffs", "100000", "--fpp-depth", "-2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: depth must be >= 1\n"
 
 
 def test_primes_fpp_table_matches_fpp_beyond_exact(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import finite_orbit_oracle, gamma_values, reach_oracle
+from quadorbit import dynamics
 from quadorbit.algebra import IntPolynomial, parse_poly
 from quadorbit.dynamics import (
     QQ,
@@ -13,10 +14,13 @@ from quadorbit.dynamics import (
     OrbitCaps,
     SequenceCoding,
     _denominator_grows,
+    _normalize_point,
+    _orbit_within,
     classify_finite_orbit_obstruction,
     composition_polynomial,
     critical_orbit,
     eisenstein_stability,
+    escape_bound,
     escape_criterion,
     finite_orbit_points,
     orbit_contains_finite_orbit_point,
@@ -57,6 +61,14 @@ class TestCriticalOrbit:
         g = GeneratorSet.from_constants([parse_poly("t")], ring=QT)
         values = critical_orbit(g, CONST, 3)
         assert [str(v) for v in values] == ["t", "t^2+t", "t^4+2t^3+t^2+t"]
+
+    @pytest.mark.parametrize(
+        "spec, ring, kind", [("-3; 2", QQ, int), ("1/2", QQ, Fraction), ("t", QT, IntPolynomial)]
+    )
+    def test_value_types(self, spec, ring, kind):
+        g = GeneratorSet.parse(spec, ring=ring)
+        coding = SequenceCoding((1,), (2,)) if g.size == 2 else CONST
+        assert all(type(v) is kind for v in critical_orbit(g, coding, 6))
 
     def test_matches_symbolic_composition(self):
         rng = random.Random(5)
@@ -198,6 +210,27 @@ class TestFiniteOrbitPoints:
         assert finite_orbit_points(GeneratorSet.from_constants([0, -2])) == {-1, 1}
         assert 0 in finite_orbit_points(GeneratorSet.from_constants([0, -1]))
 
+    def test_integral_search_builds_no_fraction(self, monkeypatch):
+        g = GeneratorSet.from_constants([-3, -12, 5])
+
+        def refuse(*args):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(dynamics, "Fraction", refuse)
+        bound = escape_bound(g)
+        assert type(bound) is int
+        assert all(type(q) is int for q in finite_orbit_points(g))
+        for start in range(-bound, bound + 1):
+            assert all(type(w) is int for w in _orbit_within(g, start, bound)), start
+
+    def test_points_over_zt_normalize_to_polynomials(self):
+        g = GeneratorSet.from_constants([parse_poly("t")], ring=QT)
+        zero = _normalize_point(g, 0)
+        assert type(zero) is IntPolynomial and zero.coeffs == ()
+        assert _normalize_point(g, Fraction(3)).coeffs == (3,)
+        with pytest.raises(ValueError, match="integral"):
+            _normalize_point(g, Fraction(1, 2))
+
     def test_matches_bfs_oracle(self):
         # Every ordered set of one or two maps x^2+c with c in [-6, 3] (the
         # order decides which finite orbit point is met first), from every
@@ -300,10 +333,11 @@ class TestEisenstein:
 
 
 def test_generator_set_parse():
-    g = GeneratorSet.parse("x^2-2; x^2-6")
-    assert g.constants == (Fraction(-2), Fraction(-6))
-    g2 = GeneratorSet.parse("-2; -6")
-    assert g2.constants == (Fraction(-2), Fraction(-6))
+    # Integral constants over Q are ints, the others Fractions.
+    for spec in ("x^2-2; x^2-6", "-2; -6"):
+        g = GeneratorSet.parse(spec)
+        assert g.constants == (-2, -6) and all(type(c) is int for c in g.constants)
+    assert [type(c) for c in GeneratorSet.parse("1/2; 4/2").constants] == [Fraction, int]
     g3 = GeneratorSet.parse("t^4+5t; -(7t^4+3)", ring=QT)
     assert [str(c) for c in g3.constants] == ["t^4+5t", "-7t^4-3"]
     g4 = GeneratorSet.parse("x^2+x; x^2-6x")

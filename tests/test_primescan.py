@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_force_membership, gamma_values, zero_levels
 from quadorbit import pool
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
+from quadorbit.process import fpp_rows
 from quadorbit.primescan import (
     POOL_MIN_CUTOFF,
     SCAN_TASK_WIDTH,
@@ -68,6 +69,10 @@ class TestZeroPattern:
     def test_fractional_start(self):
         pattern = zero_pattern(X2P1, CONST, Fraction(1, 2))
         assert not any(pattern.is_zero(n) for n in range(12))
+
+    def test_start_is_normalized(self):
+        assert type(zero_pattern(X2P1, CONST, Fraction(0)).a0) is int
+        assert type(zero_pattern(X2P1, CONST, Fraction(1, 2)).a0) is Fraction
 
     def test_pattern_for_another_start_is_refused(self):
         pattern = zero_pattern(X2P1, CONST, 0)
@@ -306,7 +311,7 @@ class TestParallelProfiles:
 
 
 def test_fpp_comparison_shape():
-    result = fpp_comparison(density_profile(X2P1, CONST, 0, [1000]), 5)
+    result = fpp_comparison(density_profile(X2P1, CONST, 0, [1000]), fpp_rows(5))
     assert result["cutoff"] == 1000
     assert [row["n"] for row in result["fpp"]] == [1, 2, 3, 4, 5]
     assert result["fpp"][0] == {"n": 1, "fpp_num": 1, "fpp_den": 2}

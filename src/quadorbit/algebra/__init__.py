@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: integers, rationals, and integer polynomials
 standing for elements of Q[t] and Q(t)."""
 
-from .factorint import FactorBudget, Factorization, factor_integer, is_probable_prime
+from .factorint import FactorBudget, factor_integer, is_probable_prime
 from .intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .parse import PolynomialSyntaxError, parse_poly
 from .rationals import is_square_int, is_square_rational, padic_valuation
@@ -19,7 +19,6 @@ from .ratpoly import (
 
 __all__ = [
     "FactorBudget",
-    "Factorization",
     "IntPolynomial",
     "PolynomialSyntaxError",
     "derivative_is_one_mod2",

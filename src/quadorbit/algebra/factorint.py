@@ -1,9 +1,11 @@
 """Integer factorization with an explicit work budget.
 
-Trial division up to a bound, then Pollard's rho (Brent's variant) with an
-iteration cap.  Running out of budget is not an error: the result carries
-the primes found so far plus the unfactored cofactor, and downstream
-certificates treat it as inconclusive evidence.
+Trial division up to a bound, in ascending order, then Pollard's rho
+(Brent's variant) with an iteration cap.  Running out of budget is not an
+error: the result carries the primes found so far plus the unfactored
+cofactor.  Certificates decide their criterion without factoring and call
+this only to name a witness prime, stopping at the first trial prime that
+qualifies.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -102,11 +105,17 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
     return None
 
 
-def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
+def factor_integer(
+    n: int, budget: FactorBudget | None = None, *, stop: Callable[[int, int], bool] | None = None
+) -> Factorization:
     """Factor a nonzero integer within the budget.
 
     An incomplete result (cofactor > 1) means the budget ran out; the
     cofactor is known composite-or-prime-untested, never silently dropped.
+    ``stop(p, e)`` is asked about each prime p that trial division takes
+    out (to exponent e), in ascending order, and about the prime left over
+    when trial division ends; once it answers true, factoring ends there and
+    the undivided rest is the cofactor.  Rho is never stopped early.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -118,23 +127,34 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
     def record(p: int, e: int = 1) -> None:
         found[p] = found.get(p, 0) + e
 
-    # Trial division.
-    for p in (2, 3):
+    def take(p: int) -> bool:
+        """Divide p out of n; whether ``stop`` ends factoring at p."""
+        nonlocal n
+        e = 0
         while n % p == 0:
-            record(p)
             n //= p
+            e += 1
+        if not e:
+            return False
+        record(p, e)
+        return stop is not None and stop(p, e)
+
+    def result(cofactor: int) -> Factorization:
+        return Factorization(sign=sign, factors=sorted(found.items()), cofactor=cofactor)
+
+    # Trial division.
+    if take(2) or take(3):
+        return result(n)
     f = 5
     step = 2
     while f <= budget.trial_bound and f * f <= n:
-        while n % f == 0:
-            record(f)
-            n //= f
+        if n % f == 0 and take(f):
+            return result(n)
         f += step
         step = 6 - step
     # No factor up to the trial bound and below its square means prime.
-    if n > 1 and (n < budget.trial_bound * budget.trial_bound or is_probable_prime(n)):
-        record(n)
-        n = 1
+    if n > 1 and (n < budget.trial_bound * budget.trial_bound or is_probable_prime(n)) and take(n):
+        return result(n)
 
     # Pollard rho on what remains.
     rng = random.Random(0x5EED ^ n)
@@ -158,5 +178,4 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
         stack.append(d)
         stack.append(m // d)
 
-    factors = sorted(found.items())
-    return Factorization(sign=sign, factors=factors, cofactor=cofactor)
+    return result(cofactor)

@@ -7,11 +7,18 @@ outermost constant reduces with derivative 1.  Maximality for n >= 3 only
 ever uses the sufficient valuation criterion (a primitive prime divisor of
 the orbit value appearing to odd multiplicity); n = 2 additionally has the
 exact oracle in the explicit quadratic extension.
+
+Both rings decide the valuation criterion the same way: strip from the
+level value every prime (or irreducible factor) it shares with an earlier
+value, by repeated gcds, and test whether the residue is a square.  Over Q
+integer factoring then only names the witness prime, so every level is
+decided whatever the factoring budget.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -22,6 +29,7 @@ from .algebra import (
     factor_integer,
     gcd_primitive,
     is_square,
+    is_square_int,
     is_square_rational,
     render_poly,
     resultant,
@@ -42,14 +50,12 @@ STAB_NON_SQUARE = "non_square_witness"
 STAB_EISENSTEIN = "eisenstein_witness"
 STAB_DERIVATIVE = "derivative_trick"
 STAB_FAILED = "failed"
-STAB_INCONCLUSIVE = "inconclusive"
 
 MAX_PRIMITIVE = "primitive_odd_prime"
 MAX_ORACLE = "level2_oracle"
 MAX_LEVEL_ONE = "level_one"
 MAX_FAILS = "criterion_fails"
 MAX_NOT_ATTEMPTED = "not_attempted"
-MAX_INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,6 @@ class CertificateChain:
     @property
     def stable(self) -> bool:
         return self.stable_through >= self.depth
-
-    @property
-    def inconclusive_levels(self) -> list[int]:
-        return [
-            lc.level
-            for lc in self.levels
-            if lc.stability.kind == STAB_INCONCLUSIVE or lc.maximality.kind == MAX_INCONCLUSIVE
-        ]
 
     def to_dict(self) -> dict:
         return {
@@ -226,7 +224,13 @@ def maximality_by_primitive_odd_prime(
 ) -> MaximalityEvidence:
     """Valuation criterion over Q at level n = len(values), given the orbit
     values of levels 1..n: some prime divides the level-n value to odd
-    multiplicity and no earlier one at all."""
+    multiplicity and no earlier one at all.
+
+    Decided without factoring: stripping from |value| every prime an earlier
+    value shares leaves a residue that is a square iff the criterion fails.
+    Factoring then names the witness, the smallest qualifying prime, and
+    stops at the first trial prime that qualifies; when the budget finds
+    none, the witness is the residue, as over Q(t)."""
     if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if not (gens.ring == QQ and gens.is_critical and gens.is_integral()):
@@ -234,14 +238,22 @@ def maximality_by_primitive_odd_prime(
     target = values[-1]
     if target == 0:
         raise ValueError("degenerate orbit: the level value is zero")
-    fac = factor_integer(target, budget)
     earlier = values[:-1]
-    for p, e in fac.factors:
-        if e % 2 == 1 and all(v % p != 0 for v in earlier):
-            return MaximalityEvidence(MAX_PRIMITIVE, witness=str(p))
-    if not fac.complete:
-        return MaximalityEvidence(MAX_INCONCLUSIVE, witness=str(fac.cofactor))
-    return MaximalityEvidence(MAX_FAILS)
+    residue = abs(target)
+    for v in earlier:
+        g = math.gcd(residue, v)  # a zero value shares every prime
+        while g > 1:
+            residue //= g
+            g = math.gcd(residue, g)
+    if is_square_int(residue):
+        return MaximalityEvidence(MAX_FAILS)
+
+    def primitive(p: int, e: int) -> bool:
+        return e % 2 == 1 and all(v % p != 0 for v in earlier)
+
+    fac = factor_integer(target, budget, stop=primitive)
+    witness = next((p for p, e in fac.factors if primitive(p, e)), residue)
+    return MaximalityEvidence(MAX_PRIMITIVE, witness=str(witness))
 
 
 def _odd_multiplicity_part(parts: list[tuple[IntPolynomial, int]]) -> IntPolynomial:
@@ -389,7 +401,7 @@ def certify_chain(
                 max_ev = maximality_by_primitive_odd_prime(gens, values[:n], budget)
             else:
                 max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
-            if n == 2 and max_ev.kind in (MAX_FAILS, MAX_INCONCLUSIVE, MAX_NOT_ATTEMPTED):
+            if n == 2 and max_ev.kind in (MAX_FAILS, MAX_NOT_ATTEMPTED):
                 try:
                     max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, values[:n]))
                 except ValueError:

@@ -4,8 +4,8 @@ Coding syntax is 'prefix|cycle' with 1-based generator indices, e.g. '|1'
 (repeat the first map forever) or '1|2' (first map once, then the second
 forever).  The first index names the OUTERMOST map of every composition:
 level n evaluates map1(map2(...mapn(x)...)).  Exit codes: 0 success,
-1 error, 2 inconclusive-dominated result (budget or cap exhausted, or out
-of memory).
+1 error, 2 inconclusive-dominated result (a cap exhausted, or out of
+memory).
 
 Each subcommand returns (config, result, exit code): a dict result goes into
 the JSON envelope, a list of rows is written as CSV.  ``main`` renders and
@@ -91,7 +91,7 @@ def _cmd_certify(args):
     budget = FactorBudget(rho_iterations=args.factor_budget)
     chain = certify_chain(gens, coding, args.depth, budget)
     config = {"set": gens.canonical_name(), "ring": gens.ring, "coding": coding.render(), "depth": args.depth}
-    return config, chain.to_dict(), EXIT_INCONCLUSIVE if chain.inconclusive_levels else EXIT_OK
+    return config, chain.to_dict(), EXIT_OK
 
 
 def _cmd_census(args):
@@ -155,7 +155,7 @@ def _cmd_primes(args):
     fpp = None if args.fpp_depth is None else fpp_rows(args.fpp_depth)
     report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
     code = EXIT_INCONCLUSIVE if report.over_cap else EXIT_OK
-    config = {"set": gens.canonical_name(), "coding": coding.render(), "a0": args.a0}
+    config = {"set": gens.canonical_name(), "coding": coding.render(), "a0": report.a0}
     if fpp is not None:
         return config, fpp_comparison(report, fpp), code
     if args.format == "csv":

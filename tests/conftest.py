@@ -84,6 +84,25 @@ def zero_levels(constants, coding, a0, depth):
     return out
 
 
+def primitive_odd_prime_oracle(values):
+    """Smallest prime dividing the last value to odd multiplicity and no
+    earlier value, or None: the valuation criterion, by full trial division
+    of the last value (keep it below about 10^12)."""
+    rest = abs(values[-1])
+    p = 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e % 2 == 1 and all(v % p != 0 for v in values[:-1]):
+            return p
+        p += 1
+    return None
+
+
 def finite_orbit_oracle(constants, window=60):
     """Integers whose orbit under every x^2 + c stays finite.
 

@@ -1,15 +1,16 @@
 import json
+import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import gamma_value
+from conftest import gamma_value, primitive_odd_prime_oracle
 import quadorbit.certify as certify
 from quadorbit.algebra import (
     squarefree_decomposition,
-    FactorBudget,
     IntPolynomial,
     derivative_is_one_mod2,
     gcd_primitive,
@@ -18,7 +19,6 @@ from quadorbit.algebra import (
 )
 from quadorbit.certify import (
     MAX_FAILS,
-    MAX_INCONCLUSIVE,
     MAX_ORACLE,
     MAX_PRIMITIVE,
     STAB_DERIVATIVE,
@@ -33,6 +33,8 @@ from quadorbit.certify import (
     stability_certificate,
     tool_conditions,
 )
+from quadorbit.algebra import factorint
+from quadorbit.cli import main
 from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding, critical_orbit
 from quadorbit.reporting import canonical_json
 
@@ -92,11 +94,63 @@ class TestMaximalityQ:
             g = GeneratorSet.from_constants([-1])
             maximality_by_primitive_odd_prime(g, critical_orbit(g, CONST, 2))
 
-    def test_inconclusive_when_budget_tiny(self):
-        g = GeneratorSet.from_constants([7919])
-        budget = FactorBudget(trial_bound=2, rho_iterations=1, rho_restarts=1)
-        ev = maximality_by_primitive_odd_prime(g, critical_orbit(g, CONST, 3), budget)
-        assert ev.kind in (MAX_PRIMITIVE, MAX_INCONCLUSIVE)
+    def test_tiny_budget_decides_with_the_residue(self, capsys):
+        # No trial prime qualifies at level 9 and rho gives up at once, yet
+        # the level is decided: the witness is |value| with every prime of
+        # the earlier values stripped.
+        code = main(["certify", "--c=-3; 2", "--coding", "1|2", "--depth", "9", "--factor-budget", "1"])
+        levels = json.loads(capsys.readouterr().out)["result"]["levels"]
+        assert code == 0
+        values = [int(lc["orbit_value"]) for lc in levels]
+        shared = math.prod(values[:-1]) ** values[-1].bit_length()
+        assert levels[8]["maximality"]["kind"] == MAX_PRIMITIVE
+        assert int(levels[8]["maximality"]["witness"]) == abs(values[-1]) // math.gcd(values[-1], shared)
+
+    def test_decided_where_rho_cannot_split(self, capsys):
+        # Level 6 of x^2 + 18 leaves a 35-digit cofactor rho cannot split.
+        code = main(["certify", "--c", "18", "--coding", "|1", "--depth", "7"])
+        levels = json.loads(capsys.readouterr().out)["result"]["levels"]
+        assert code == 0
+        assert levels[5]["maximality"]["kind"] == MAX_PRIMITIVE
+
+    def test_trial_prime_witness_needs_no_rho(self, monkeypatch):
+        # Factoring stops at the first trial prime that qualifies, so rho
+        # never runs on the large cofactors of levels 1..8.
+        def no_rho(*args):
+            raise AssertionError("Pollard rho was called")
+
+        monkeypatch.setattr(factorint, "_pollard_brent", no_rho)
+        g = GeneratorSet.from_constants([-3, 2])
+        chain = certify_chain(g, SequenceCoding((1,), (2,)), 8)
+        assert chain.levels[7].maximality.witness == "313"
+
+    def test_matches_trial_division_oracle(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(60):
+            s = rng.randint(1, 3)
+            g = GeneratorSet.from_constants(rng.sample(range(-6, 7), s))
+            prefix = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 2)))
+            coding = SequenceCoding(prefix, tuple(rng.randint(1, s) for _ in range(rng.randint(1, 2))))
+            values = critical_orbit(g, coding, 7)
+            for n in range(2, 8):
+                if abs(values[n - 1]) > 10**12:
+                    break
+                if values[n - 1] == 0:
+                    continue
+                p = primitive_odd_prime_oracle(values[:n])
+                ev = maximality_by_primitive_odd_prime(g, values[:n])
+                assert (ev.kind, ev.witness) == ((MAX_PRIMITIVE, str(p)) if p else (MAX_FAILS, "")), (g, coding, n)
+                checked += 1
+        assert checked >= 100
+
+
+def test_schema_kinds_are_the_constants():
+    schema = json.loads((Path(certify.__file__).parent / "schemas" / "certificate_chain.schema.json").read_text())
+    evidence = schema["properties"]["levels"]["items"]["properties"]
+    for prefix, key in (("STAB_", "stability"), ("MAX_", "maximality")):
+        constants = {v for name, v in vars(certify).items() if name.startswith(prefix)}
+        assert set(evidence[key]["properties"]["kind"]["enum"]) == constants, key
 
 
 class TestMaximalityQt:

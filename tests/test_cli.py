@@ -252,6 +252,17 @@ def test_primes_over_cap_exits_inconclusive(capsys, monkeypatch, fpp_depth):
     assert code == 2
 
 
+@pytest.mark.parametrize("fpp_depth", [[], ["--fpp-depth", "3"]], ids=["scan", "fpp_depth"])
+@pytest.mark.parametrize("a0,normalized", [("3/3", "1"), ("0.5", "1/2")])
+def test_primes_reports_a0_once_normalized(capsys, fpp_depth, a0, normalized):
+    code, out = run_cli(capsys, "primes", "--c", "-1; 3", "--coding", "2|1", "--a0", a0, "--cutoffs", "100", *fpp_depth)
+    report = json.loads(out)
+    assert code == 0
+    assert report["config"]["a0"] == normalized
+    if not fpp_depth:
+        assert report["result"]["a0"] == normalized
+
+
 @pytest.mark.parametrize("form", [["--format", "json"], ["--format", "csv"], ["--fpp-depth", "3"]])
 @pytest.mark.parametrize("max_states", [1_000_000, 4], ids=["decided", "over_cap"])
 def test_primes_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch, form, max_states):

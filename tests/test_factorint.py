@@ -55,6 +55,28 @@ def test_partial_when_budget_too_small():
         assert result.cofactor > 1
 
 
+@pytest.mark.parametrize(
+    "stop_at,factors,cofactor",
+    [
+        (7, [(2, 1), (3, 2), (5, 1), (7, 2)], 11 * 1_000_003),
+        (1_000_003, [(2, 1), (3, 2), (5, 1), (7, 2), (11, 1), (1_000_003, 1)], 1),  # the prime left over
+        (13, [(2, 1), (3, 2), (5, 1), (7, 2), (11, 1), (1_000_003, 1)], 1),  # never asked: factors fully
+    ],
+)
+def test_stop_ends_trial_division(stop_at, factors, cofactor):
+    n = -2 * 3**2 * 5 * 7**2 * 11 * 1_000_003
+    asked = []
+
+    def stop(p, e):
+        asked.append(p)
+        return p == stop_at
+
+    result = factor_integer(n, stop=stop)
+    assert (result.factors, result.cofactor, result.sign) == (factors, cofactor, -1)
+    assert result.reassemble() == n
+    assert asked == [p for p, _ in factors]
+
+
 @pytest.mark.parametrize("n,expected", [(2, True), (677, True), (561, False), (1, False)])
 def test_probable_prime(n, expected):
     assert is_probable_prime(n) is expected

@@ -8,13 +8,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from quadorbit.algebra import (
+    FactorBudget,
     IntPolynomial,
     discriminant,
     gcd_primitive,
     resultant,
     squarefree_decomposition,
 )
-from quadorbit.certify import MAX_PRIMITIVE, maximality_qt
+from quadorbit.certify import MAX_FAILS, MAX_PRIMITIVE, maximality_by_primitive_odd_prime, maximality_qt
 from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding, critical_orbit
 
 T = sympy.Symbol("t")
@@ -153,3 +154,35 @@ def test_maximality_witness_matches_sympy_factorization():
                 break
         got = maximality_qt(gens, values).kind == MAX_PRIMITIVE
         assert got == expected, (cs, coding.render(), n)
+
+
+def test_valuation_criterion_over_q_matches_factorint():
+    # Kind and witness of every level through 6, against the smallest prime
+    # that sympy's complete factorization shows to qualify.
+    rng = random.Random(113)
+    named = 0
+    for _ in range(12):
+        s = rng.randint(1, 3)
+        gens = GeneratorSet.from_constants(rng.sample(range(-12, 13), s))
+        prefix = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 2)))
+        coding = SequenceCoding(prefix, tuple(rng.randint(1, s) for _ in range(rng.randint(1, 2))))
+        values = critical_orbit(gens, coding, 6)
+        for n in range(2, 7):
+            if values[n - 1] == 0:
+                continue
+            qualifying = [
+                p
+                for p, e in sympy.factorint(abs(values[n - 1])).items()
+                if e % 2 == 1 and all(v % p != 0 for v in values[: n - 1])
+            ]
+            expected = (MAX_PRIMITIVE, str(min(qualifying))) if qualifying else (MAX_FAILS, "")
+            ev = maximality_by_primitive_odd_prime(gens, values[:n])
+            assert ev.kind == expected[0], (gens, coding.render(), n)
+            if ev.witness != expected[1]:
+                # Rho ran out of budget before it found the prime: the witness
+                # is the residue, which every qualifying prime divides.
+                assert min(qualifying) > FactorBudget().trial_bound, (gens, coding.render(), n)
+                assert all(int(ev.witness) % p == 0 for p in qualifying)
+            elif qualifying:
+                named += 1
+    assert named >= 30

@@ -5,7 +5,9 @@ Coding syntax is 'prefix|cycle' with 1-based generator indices, e.g. '|1'
 forever).  The first index names the OUTERMOST map of every composition:
 level n evaluates map1(map2(...mapn(x)...)).  Exit codes: 0 success,
 1 error, 2 inconclusive-dominated result (a cap exhausted, or out of
-memory).
+memory).  ``orbit --point`` exits 2 only when both its answers are unknown:
+over Q the finite-orbit answer is exact and uncapped, and ``--size-cap`` and
+``--height-cap`` bound only the status search and the Z[t] finite-orbit walk.
 
 Each subcommand returns (config, result, exit code): a dict result goes into
 the JSON envelope, a list of rows is written as CSV.  ``main`` renders and

@@ -27,8 +27,9 @@ QT = "qt"
 
 def as_number(value) -> int | Fraction | IntPolynomial:
     """The number type of a value: integral rationals become int, other
-    rationals stay Fraction, and IntPolynomial (an element of Z[t]) passes."""
-    if isinstance(value, IntPolynomial):
+    rationals stay Fraction, and int and IntPolynomial (an element of Z[t])
+    pass unchanged."""
+    if isinstance(value, (int, IntPolynomial)):
         return value
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
@@ -301,20 +302,26 @@ def escape_bound(gens: GeneratorSet):
     B = S + 1, with S the largest sum of non-leading |coefficients| of a map
     (|c| for x^2 + c): a map of degree d >= 2 with |leading coefficient| >= 1
     sends v to a value of size at least |v|^(d-1) (|v| - S) > |v|, so the
-    image clears B again and the orbit never returns.
+    image clears B again and the orbit never returns.  The same holds for
+    integers over Z[t] when every constant is an integer.
     """
     if gens.is_critical:
-        return max(abs(c) for c in gens.constants) + 1
+        return max(_height(c)[1] for c in gens.constants) + 1
     return max(sum(abs(c) for c in m.coeffs[:-1]) for m in gens.general) + 1
 
 
 def _growth_floor(gens: GeneratorSet):
-    """Predicate: every value whose height clears the floor grows strictly forever."""
-    if gens.ring == QT:
-        dmax = max(c.degree for c in gens.constants)
+    """Predicate: every value whose height clears the floor grows strictly forever.
+
+    Over Z[t] a value of degree above every constant's doubles its degree
+    under every map; with integer constants, so does every nonconstant value,
+    and integers grow beyond the escape bound as over Q.
+    """
+    dmax = max(c.degree for c in gens.constants) if gens.ring == QT else 0
+    if dmax > 0:
         return lambda h: h[0] > dmax
-    bound = escape_bound(gens)
-    return lambda h: h[1] > bound
+    floor = (0, escape_bound(gens))
+    return lambda h: h > floor
 
 
 def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) -> OrbitStatus:
@@ -388,36 +395,56 @@ class FiniteOrbitAnswer:
 def finite_orbit_points(gens: GeneratorSet) -> set[int]:
     """All rational finite orbit points of an integral set (they are integers).
 
-    Integer values beyond the escape bound strictly grow under every map
-    and never return, so the search space is the finite window inside it.
+    Integer values beyond the escape bound strictly grow under every map and
+    never return, so these are the closed core of the walk from every integer
+    inside it.
     """
     if not (gens.ring == QQ and gens.is_integral()):
         raise ValueError("exact finite-orbit enumeration needs an integral set over Q")
     bound = escape_bound(gens)
-    window = range(-bound, bound + 1)
-    return {q for q in window if all(abs(w) <= bound for w in _orbit_within(gens, q, bound))}
+    return set(_closed_walk(gens, range(-bound, bound + 1), OrbitCaps())[0])
 
 
-def _orbit_within(gens: GeneratorSet, start: int, bound: int):
-    """Yield the start, then each new value of its orbit, breadth-first in map order.
+def _closed_walk(gens: GeneratorSet, starts, caps: OrbitCaps):
+    """(closed core in walk order, whether a cap cut the walk).
 
-    Values beyond the escape bound are yielded but not expanded: they grow
-    under every map and never come back.
+    The walk visits the orbit of the starts breadth-first in map order and
+    expands only values that can still close: at or below the growth floor,
+    with a denominator not forced to grow, and over Z[t] within the caps.
+    Over Q that is finite: |v| <= B and den(v)^2 divides the lcm of the
+    constants' denominators.  The closed core is the largest set of expanded
+    values that every map sends into itself.  Its values have finite orbits,
+    and unless a cap cut the walk, so has no other value the walk met.
     """
-    yield start
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(1, gens.size + 1):
-                w = gens.apply(i, v)
-                if w not in seen:
-                    seen.add(w)
-                    yield w
-                    if abs(w) <= bound:
-                        nxt.append(w)
-        frontier = nxt
+    above_floor = _growth_floor(gens)
+    denominator_grows = _denominator_grows(gens)
+    capped = gens.ring == QT
+    expanded, preimages, cut = [], {}, False
+    queue = list(dict.fromkeys(starts))
+    seen = set(queue)
+    for v in queue:  # the queue grows as the walk meets new values
+        if above_floor(_height(v)) or denominator_grows(v):
+            continue
+        if capped and (len(expanded) >= caps.max_points or _height(v)[1] > caps.max_height):
+            cut = True
+            continue
+        expanded.append(v)
+        for i in range(1, gens.size + 1):
+            w = gens.apply(i, v)
+            preimages.setdefault(w, []).append(v)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    # Greatest fixed point: starting from the images never expanded, drop
+    # every value with an image outside the core.
+    core = set(expanded)
+    drop = [w for w in preimages if w not in core]
+    while drop:
+        for v in preimages.get(drop.pop(), ()):
+            if v in core:
+                core.remove(v)
+                drop.append(v)
+    return [v for v in expanded if v in core], cut
 
 
 def orbit_contains_finite_orbit_point(
@@ -425,45 +452,15 @@ def orbit_contains_finite_orbit_point(
 ) -> FiniteOrbitAnswer:
     """Does the semigroup orbit of the point contain a finite orbit point?
 
-    Exact (total) for integral sets over Q with integer starting points:
-    candidates and reachability both live within the escape bound.  Other
-    inputs fall back to a capped search that may answer unknown.
+    One walk for every ring (see ``_closed_walk``): yes with the first value
+    of the walk's closed core, else no.  Over Q the answer is exact and no
+    cap applies; over Z[t] the caps bound the walk, and a cut walk with an
+    empty core answers unknown.
     """
-    point = _normalize_point(gens, point)
-    if gens.ring == QQ and gens.is_integral() and isinstance(point, int):
-        targets = finite_orbit_points(gens)
-        # Bounded reachability: paths through values beyond the escape bound
-        # never come back, so pruning them is lossless.
-        for w in _orbit_within(gens, point, escape_bound(gens)):
-            if w in targets:
-                return FiniteOrbitAnswer("yes", witness=w)
-        return FiniteOrbitAnswer("no")
-
-    # Capped heuristic: explore orbit points breadth-first, test each.  Values
-    # whose denominators grow forever have infinite orbits, as do all their
-    # images, so pruning them loses no finite orbit point.
-    denominator_grows = _denominator_grows(gens)
-    seen = {point}
-    frontier = [point]
-    explored = 0
-    unknown_seen = False
-    while frontier and explored < caps.max_points:
-        for q in frontier:
-            explored += 1
-            status = semigroup_orbit(gens, q, caps)
-            if status.closed:
-                return FiniteOrbitAnswer("yes", witness=q)
-            if status.kind == "unknown":
-                unknown_seen = True
-        nxt = set()
-        for v in frontier:
-            for i in range(1, gens.size + 1):
-                w = gens.apply(i, v)
-                if w not in seen and _height(w)[1] <= caps.max_height and not denominator_grows(w):
-                    nxt.add(w)
-        seen |= nxt
-        frontier = sorted(nxt, key=_height)
-    return FiniteOrbitAnswer("unknown" if unknown_seen or frontier else "no")
+    core, cut = _closed_walk(gens, [_normalize_point(gens, point)], caps)
+    if core:
+        return FiniteOrbitAnswer("yes", witness=core[0])
+    return FiniteOrbitAnswer("unknown" if cut else "no")
 
 
 # ---------------------------------------------------------------------------

@@ -103,14 +103,17 @@ def primitive_odd_prime_oracle(values):
     return None
 
 
-def finite_orbit_oracle(constants, window=60):
-    """Integers whose orbit under every x^2 + c stays finite.
+def finite_orbit_oracle(constants, window=60, den=1):
+    """Rationals with denominator dividing ``den`` whose orbit under every
+    x^2 + c stays finite.
 
-    The greatest subset of a wide integer window that every map sends into
-    itself; a value leaving the window outgrows every constant and never
-    returns, so the window only needs to exceed max|c| + 1.
+    The greatest subset of a wide window of such rationals that every map
+    sends into itself; a value leaving the window outgrows every constant and
+    never returns, so the window only needs to exceed max|c| + 1.  The
+    denominators only need to cover those whose square divides every
+    constant's: any other denominator grows under every map.
     """
-    points = set(range(-window, window + 1))
+    points = {Fraction(k, den) for k in range(-window * den, window * den + 1)}
     while True:
         kept = {x for x in points if all(x * x + c in points for c in constants)}
         if kept == points:
@@ -118,13 +121,14 @@ def finite_orbit_oracle(constants, window=60):
         points = kept
 
 
-def reach_oracle(constants, start, targets, window=60):
+def reach_oracle(constants, start, targets, window=60, den=1):
     """(kind, witness) of the first target in breadth-first order of words.
 
     Level k lists (theta o v) for v in level k-1, then theta in map order,
     deduplicated inside the level only.  The first target of the first level
-    that has one is the witness.  Values outside the window never come back;
-    once a level's value set repeats, no later level brings a new value.
+    that has one is the witness.  Values outside the window (too large, or a
+    denominator not dividing ``den``) never come back; once a level's value
+    set repeats, no later level brings a new value.
     """
     level = [start]
     seen_levels = set()
@@ -134,7 +138,7 @@ def reach_oracle(constants, start, targets, window=60):
                 return "yes", v
         seen_levels.add(frozenset(level))
         images = (v * v + c for v in level for c in constants)
-        level = list(dict.fromkeys(w for w in images if abs(w) <= window))
+        level = list(dict.fromkeys(w for w in images if abs(w) <= window and den % w.denominator == 0))
     return "no", None
 
 

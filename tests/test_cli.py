@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import quadorbit.cli as cli
+import quadorbit.dynamics as dynamics
 import quadorbit.process as process
 from quadorbit import pool
 from quadorbit.cli import build_parser, main
@@ -324,9 +325,41 @@ def test_orbit_qt_integral_point(capsys):
     assert payload["config"]["point"] == "0"
     assert payload["result"]["status"] == "escaping"
     assert code == 0
+    # 0 -> t, -1 -> 1+t, 0: t and 1+t reach degree 2, where the degree
+    # doubles forever, so the walk ends and no point of it has a finite orbit.
     code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t; -1", "--point", "0", "--size-cap", "16")
-    assert json.loads(out)["result"]["status"] == "unknown"
+    result = json.loads(out)["result"]
+    assert (result["status"], result["contains_finite_orbit_point"]) == ("unknown", "no")
+    assert code == 0
+    # From 2, x^2 - 1 gives integers without bound, so the caps end both searches.
+    code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t; -1", "--point", "2", "--size-cap", "16")
+    result = json.loads(out)["result"]
+    assert (result["status"], result["contains_finite_orbit_point"]) == ("unknown", "unknown")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "c,point,status,answer",
+    [("0", "1", "closed", "yes"), ("0", "2", "escaping", "no"), ("5", "4", "escaping", "no")],
+)
+def test_orbit_qt_integer_constants(capsys, c, point, status, answer):
+    # With integer constants, integers beyond max|c| + 1 grow as over Q.
+    code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", c, "--point", point)
+    result = json.loads(out)["result"]
+    assert (result["status"], result["contains_finite_orbit_point"]) == (status, answer)
+    assert code == 0
+
+
+def test_orbit_huge_constant_walks_only_the_orbit(capsys, monkeypatch):
+    # The escape window [-B, B] has B = 10^400 + 1; enumerating it never ends.
+    def refuse(gens):
+        raise AssertionError("finite orbit points enumerated")
+
+    monkeypatch.setattr(dynamics, "finite_orbit_points", refuse)
+    code, out = run_cli(capsys, "orbit", "--c", "1e400", "--point", "0")
+    result = json.loads(out)["result"]
+    assert (result["contains_finite_orbit_point"], result["witness"]) == ("no", None)
+    assert code == 0
 
 
 def test_orbit_qt_fractional_point_is_an_error(capsys):
@@ -368,8 +401,8 @@ def test_internal_failures_exit_without_traceback(capsys, monkeypatch, exc, code
 
 @pytest.mark.parametrize("point,orbit", [("3/2", ["3/2"]), ("-3/2", ["-3/2", "3/2"])])
 def test_orbit_capped_search_finds_a_finite_orbit_point(capsys, point, orbit):
-    # A rational start leaves the exact integral search; 3/2 is a fixed point
-    # of x^2-3/4 and -3/2 maps onto it, so the first point explored answers yes.
+    # 3/2 is a fixed point of x^2-3/4 and -3/2 maps onto it, so the first
+    # point of the walk answers yes.
     code, out = run_cli(capsys, "orbit", "--c=-3/4", f"--point={point}")
     result = json.loads(out)["result"]
     assert result == {"status": "closed", "orbit": orbit, "contains_finite_orbit_point": "yes", "witness": point}

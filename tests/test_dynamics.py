@@ -15,7 +15,6 @@ from quadorbit.dynamics import (
     SequenceCoding,
     _denominator_grows,
     _normalize_point,
-    _orbit_within,
     classify_finite_orbit_obstruction,
     composition_polynomial,
     critical_orbit,
@@ -221,7 +220,8 @@ class TestFiniteOrbitPoints:
         assert type(bound) is int
         assert all(type(q) is int for q in finite_orbit_points(g))
         for start in range(-bound, bound + 1):
-            assert all(type(w) is int for w in _orbit_within(g, start, bound)), start
+            answer = orbit_contains_finite_orbit_point(g, start)
+            assert answer.witness is None or type(answer.witness) is int, start
 
     def test_points_over_zt_normalize_to_polynomials(self):
         g = GeneratorSet.from_constants([parse_poly("t")], ring=QT)
@@ -249,6 +249,26 @@ class TestFiniteOrbitPoints:
     def test_fractional_point_never_reaches_integers(self):
         g = GeneratorSet.from_constants([-1])
         assert orbit_contains_finite_orbit_point(g, Fraction(1, 2)).kind == "no"
+
+    def test_matches_bfs_oracle_over_q(self):
+        # Ordered pairs of constants in quarters, not both integral, from
+        # every half-integer start inside the escape radius.  A finite orbit
+        # point v has den(v)^2 dividing 4, so half-integers hold them all.
+        quarters = [Fraction(k, 4) for k in range(-20, 5)]
+        kinds = []
+        for constants in itertools.permutations(quarters, 2):
+            if all(c.denominator == 1 for c in constants):
+                continue
+            g = GeneratorSet.from_constants(constants)
+            targets = finite_orbit_oracle(constants, window=10, den=2)
+            radius = max(abs(c) for c in constants) + 2
+            for k in range(int(-2 * radius), int(2 * radius) + 1):
+                start = Fraction(k, 2)
+                answer = orbit_contains_finite_orbit_point(g, start)
+                expected = reach_oracle(constants, start, targets, window=10, den=2)
+                assert (answer.kind, answer.witness) == expected, (constants, start)
+                kinds.append(answer.kind)
+        assert len(kinds) > 11000 and kinds.count("yes") >= 20
 
 
 class TestPairFamilies:

@@ -5,9 +5,11 @@ Coding syntax is 'prefix|cycle' with 1-based generator indices, e.g. '|1'
 forever).  The first index names the OUTERMOST map of every composition:
 level n evaluates map1(map2(...mapn(x)...)).  Exit codes: 0 success,
 1 error, 2 inconclusive-dominated result (a cap exhausted, or out of
-memory).  ``orbit --point`` exits 2 only when both its answers are unknown:
-over Q the finite-orbit answer is exact and uncapped, and ``--size-cap`` and
-``--height-cap`` bound only the status search and the Z[t] finite-orbit walk.
+memory).  ``orbit --point`` reads its status and its finite-orbit answer
+from one walk of the point's orbit.  Over Q that walk is exact and uncapped;
+``--size-cap`` and ``--height-cap`` (both at least 1) bound it over Z[t], and
+the command exits 2 only when a cap cut the walk before it found a value
+with a finite orbit.
 
 Each subcommand returns (config, result, exit code): a dict result goes into
 the JSON envelope, a list of rows is written as CSV.  ``main`` renders and
@@ -32,7 +34,6 @@ from .dynamics import (
     SequenceCoding,
     classify_finite_orbit_obstruction,
     critical_orbit,
-    orbit_contains_finite_orbit_point,
     semigroup_orbit,
 )
 from .primescan import density_profile, fpp_comparison
@@ -74,9 +75,8 @@ def _cmd_orbit(args):
         config.update(coding=coding.render(), depth=args.depth)
         return config, {"critical_orbit": [str(v) for v in values]}, EXIT_OK
     point = Fraction(args.point)
-    caps = OrbitCaps(max_points=args.size_cap, max_height=args.height_cap)
-    status = semigroup_orbit(gens, point, caps)
-    answer = orbit_contains_finite_orbit_point(gens, point, caps)
+    status = semigroup_orbit(gens, point, OrbitCaps(max_points=args.size_cap, max_height=args.height_cap))
+    answer = status.finite_orbit_answer()
     result = {
         "status": status.kind,
         "orbit": sorted(str(v) for v in status.orbit) if status.closed else None,

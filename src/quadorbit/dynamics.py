@@ -100,6 +100,8 @@ class GeneratorSet:
                 if ring == QT:
                     return cls.from_constants([IntPolynomial((c,)) for c in consts], ring)
                 return cls.from_constants(consts, ring)
+            if ring == QT:
+                raise ValueError("general maps work over Q only, not over ring 'qt'")
             return cls.from_maps(maps)
         if ring == QT:
             return cls.from_constants([parse_poly(p, var="t") for p in parts], ring)
@@ -237,7 +239,7 @@ def composition_polynomial(gens: GeneratorSet, coding: SequenceCoding, n: int) -
 
 
 # ---------------------------------------------------------------------------
-# Escape criterion and semigroup orbits.
+# Escape criterion and the rules that bound the closed walk.
 
 def escape_criterion(gens: GeneratorSet) -> bool:
     """|c_i^2 + c_j| > max_k |c_k| for all ordered pairs.
@@ -253,21 +255,15 @@ def escape_criterion(gens: GeneratorSet) -> bool:
 
 
 @dataclass(frozen=True)
-class OrbitStatus:
-    kind: str  # "closed" | "escaping" | "unknown"
-    orbit: frozenset = frozenset()
-    level: int = 0
-
-    @property
-    def closed(self) -> bool:
-        return self.kind == "closed"
-
-
-@dataclass(frozen=True)
 class OrbitCaps:
+    """Bounds on the walk over Z[t]; over Q the walk is finite and takes none."""
+
     max_points: int = 4096
     max_height: int = 10**60
-    max_levels: int = 64
+
+    def __post_init__(self):
+        if self.max_points < 1 or self.max_height < 1:
+            raise ValueError("size and height caps must be at least 1")
 
 
 def _height(value) -> tuple:
@@ -284,8 +280,7 @@ def _denominator_grows(gens: GeneratorSet):
     that is, when den(v)^2 does not divide the lcm of the denominators of the
     c_i (den(v) does not divide the lcm of the a_i).  Then every image has
     p-valuation 2e (v_p(a_i) + deg*e) < e and meets the condition again, so no
-    value repeats.  Otherwise denominators stay bounded and the height cap
-    bounds the orbit.
+    value repeats.  Otherwise denominators stay bounded.
     """
     if gens.ring == QT:
         return lambda v: False
@@ -324,56 +319,6 @@ def _growth_floor(gens: GeneratorSet):
     return lambda h: h > floor
 
 
-def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) -> OrbitStatus:
-    """Breadth-first closure of {point} under every generator.
-
-    Closed when the closure stabilizes inside the caps.  Escaping when two
-    consecutive frontiers have strictly increasing minima, both clearing the
-    bound above which every single value grows under every map (absolute
-    value over Q, degree over Q(t)), or when a new value's denominator must
-    grow forever (p-adic escape, see ``_denominator_grows``).  Unknown
-    otherwise.
-    """
-    if caps.max_points < 1 or caps.max_levels < 1:
-        raise ValueError("caps must be positive")
-    point = _normalize_point(gens, point)
-    indices = range(1, gens.size + 1)
-    above_floor = _growth_floor(gens)
-    denominator_grows = _denominator_grows(gens)
-    visited = {point}
-    frontier = [point]
-    prev_min = None
-    for level in range(1, caps.max_levels + 1):
-        nxt = set()
-        for v in frontier:
-            for i in indices:
-                nxt.add(gens.apply(i, v))
-        new = nxt - visited
-        if not new:
-            orbit = frozenset(visited)
-            for v in orbit:  # re-verify closure under every generator
-                for i in indices:
-                    if gens.apply(i, v) not in orbit:
-                        raise RuntimeError("closure verification failed")
-            return OrbitStatus("closed", orbit=orbit)
-        cur_min = min(_height(v) for v in nxt)
-        if any(denominator_grows(v) for v in new) or (
-            prev_min is not None
-            and cur_min > prev_min
-            and above_floor(prev_min)
-            and above_floor(cur_min)
-        ):
-            return OrbitStatus("escaping", level=level)
-        prev_min = cur_min
-        visited |= new
-        # The level sets must keep recurring values (a fixed point stays in
-        # every level); deduplicating across levels would fake escape minima.
-        frontier = sorted(nxt, key=_height)
-        if len(visited) > caps.max_points or any(_height(v)[1] > caps.max_height for v in frontier):
-            break
-    return OrbitStatus("unknown")
-
-
 def _normalize_point(gens: GeneratorSet, point):
     point = as_number(point)
     if gens.ring == QT and not isinstance(point, IntPolynomial):
@@ -384,12 +329,38 @@ def _normalize_point(gens: GeneratorSet, point):
 
 
 # ---------------------------------------------------------------------------
-# Finite orbit points.
+# Semigroup orbits and finite orbit points.
 
 @dataclass(frozen=True)
 class FiniteOrbitAnswer:
     kind: str  # "yes" | "no" | "unknown"
     witness: object = None
+
+
+@dataclass(frozen=True)
+class OrbitStatus:
+    """The orbit of a point as one closed walk (``_closed_walk``) shows it.
+
+    Closed when the point lies in the walk's closed core, which is then its
+    orbit; escaping when the core is empty and no cap cut the walk, so no
+    value of the orbit has a finite orbit; unknown otherwise.  ``witness``
+    is the first core value and ``cut`` whether a cap cut the walk.
+    """
+
+    kind: str  # "closed" | "escaping" | "unknown"
+    orbit: frozenset = frozenset()
+    witness: object = None
+    cut: bool = False
+
+    @property
+    def closed(self) -> bool:
+        return self.kind == "closed"
+
+    def finite_orbit_answer(self) -> FiniteOrbitAnswer:
+        """Yes with the witness, unknown for a cut walk without one, else no."""
+        if self.witness is not None:
+            return FiniteOrbitAnswer("yes", witness=self.witness)
+        return FiniteOrbitAnswer("unknown" if self.cut else "no")
 
 
 def finite_orbit_points(gens: GeneratorSet) -> set[int]:
@@ -447,20 +418,30 @@ def _closed_walk(gens: GeneratorSet, starts, caps: OrbitCaps):
     return [v for v in expanded if v in core], cut
 
 
+def semigroup_orbit(gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()) -> OrbitStatus:
+    """The orbit of the point under every generator, from one closed walk.
+
+    The walk starts at the point, so the point lies in the closed core
+    exactly when the core's first value is the point.  Over Q the walk is
+    exact and no cap applies; over Z[t] the caps bound it.
+    """
+    point = _normalize_point(gens, point)
+    core, cut = _closed_walk(gens, [point], caps)
+    witness = core[0] if core else None
+    if core and core[0] == point:
+        return OrbitStatus("closed", frozenset(core), witness, cut)
+    return OrbitStatus("unknown" if core or cut else "escaping", witness=witness, cut=cut)
+
+
 def orbit_contains_finite_orbit_point(
     gens: GeneratorSet, point, caps: OrbitCaps = OrbitCaps()
 ) -> FiniteOrbitAnswer:
     """Does the semigroup orbit of the point contain a finite orbit point?
 
-    One walk for every ring (see ``_closed_walk``): yes with the first value
-    of the walk's closed core, else no.  Over Q the answer is exact and no
-    cap applies; over Z[t] the caps bound the walk, and a cut walk with an
-    empty core answers unknown.
+    Yes with the first value of the closed walk's core, else no; a walk
+    that a cap cut (over Z[t] only) with an empty core answers unknown.
     """
-    core, cut = _closed_walk(gens, [_normalize_point(gens, point)], caps)
-    if core:
-        return FiniteOrbitAnswer("yes", witness=core[0])
-    return FiniteOrbitAnswer("unknown" if cut else "no")
+    return semigroup_orbit(gens, point, caps).finite_orbit_answer()
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,17 @@ def finite_orbit_oracle(constants, window=60, den=1):
         points = kept
 
 
+def closure_oracle(constants, start):
+    """The orbit of a start with a finite orbit: {start} closed under every
+    x^2 + c by repeated passes over the whole set."""
+    points = {start}
+    while True:
+        grown = points | {x * x + c for x in points for c in constants}
+        if grown == points:
+            return frozenset(points)
+        points = grown
+
+
 def reach_oracle(constants, start, targets, window=60, den=1):
     """(kind, witness) of the first target in breadth-first order of words.
 

@@ -329,7 +329,7 @@ def test_orbit_qt_integral_point(capsys):
     # doubles forever, so the walk ends and no point of it has a finite orbit.
     code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t; -1", "--point", "0", "--size-cap", "16")
     result = json.loads(out)["result"]
-    assert (result["status"], result["contains_finite_orbit_point"]) == ("unknown", "no")
+    assert (result["status"], result["contains_finite_orbit_point"]) == ("escaping", "no")
     assert code == 0
     # From 2, x^2 - 1 gives integers without bound, so the caps end both searches.
     code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t; -1", "--point", "2", "--size-cap", "16")
@@ -360,6 +360,40 @@ def test_orbit_huge_constant_walks_only_the_orbit(capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert (result["contains_finite_orbit_point"], result["witness"]) == ("no", None)
     assert code == 0
+
+
+def test_orbit_point_walks_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closed_walk(*args)
+
+    closed_walk = dynamics._closed_walk
+    monkeypatch.setattr(dynamics, "_closed_walk", counted)
+    code, out = run_cli(capsys, "orbit", "--set", "x^2+x; x^2-6x", "--point", "2")
+    result = json.loads(out)["result"]
+    assert (result["status"], result["contains_finite_orbit_point"], result["witness"]) == ("unknown", "yes", "0")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ring", ["q", "qt"])
+@pytest.mark.parametrize("cap", [["--size-cap", "0"], ["--height-cap", "0"], ["--size-cap", "-3"]])
+def test_orbit_caps_below_one_are_errors(capsys, ring, cap):
+    code = main(["orbit", "--ring", ring, "--c", "-2", "--point", "0", *cap])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: size and height caps must be at least 1\n"
+
+
+def test_orbit_general_maps_over_qt_are_an_error(capsys):
+    code = main(["orbit", "--ring", "qt", "--set", "x^2+x; x^2-2x", "--point", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: general maps work over Q only")
 
 
 def test_orbit_qt_fractional_point_is_an_error(capsys):

@@ -1,10 +1,12 @@
 """The README's CLI examples and environment variables match the CLI, and
-the package's exports resolve."""
+the package's exports and the benchmark tracer's targets resolve."""
 
 import ast
 import importlib
+import importlib.util
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import quadorbit
@@ -12,6 +14,7 @@ import quadorbit.algebra as algebra
 import quadorbit.cli as cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _cli_block() -> str:
@@ -50,3 +53,15 @@ def test_package_imports_exist():
         module = importlib.import_module("." * node.level + (node.module or ""), "quadorbit")
         missing += [f"{node.module}.{alias.name}" for alias in node.names if not hasattr(module, alias.name)]
     assert missing == []
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # The tracer reports a target it cannot resolve as absent, and every
+    # per-layer metric built on it then reads 0.  gcd_qt was deleted from
+    # algebra.ratpoly while the tracer still names it.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    absent = [t.span for t in tracer.TARGETS if tracer._resolve(t) is None]
+    assert absent == ["algebra.ratpoly.gcd_qt"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import finite_orbit_oracle, gamma_values, reach_oracle
+from conftest import closure_oracle, finite_orbit_oracle, gamma_values, reach_oracle
 from quadorbit import dynamics
 from quadorbit.algebra import IntPolynomial, parse_poly
 from quadorbit.dynamics import (
@@ -145,11 +145,31 @@ class TestSemigroupOrbit:
     )
     def test_fractional_orbit_escapes_padically(self, c, point):
         # Each orbit stays inside [-1, 1] for levels (for c = -1 and -3/4,
-        # forever) while its denominators square: escaping at the first level.
+        # forever) while its denominators square, so the walk stops at once.
         g = GeneratorSet.from_constants([c])
-        status = semigroup_orbit(g, point, OrbitCaps(max_levels=3))
+        status = semigroup_orbit(g, point)
         assert status.kind == "escaping"
-        assert status.level == 1
+        assert (status.witness, status.cut) == (None, False)
+
+    @pytest.mark.parametrize(
+        "spec,ring,point,caps,kind",
+        [
+            ("1e400", QQ, 0, OrbitCaps(), "escaping"),
+            ("-1; 5", QQ, 0, OrbitCaps(), "escaping"),
+            ("-1; 1/2", QQ, 0, OrbitCaps(), "escaping"),
+            ("x^2+x; x^2-6x", QQ, 2, OrbitCaps(), "unknown"),
+            ("-2", QQ, 0, OrbitCaps(max_points=2), "closed"),
+            ("t; -1", QT, 0, OrbitCaps(), "escaping"),
+        ],
+    )
+    def test_status_table(self, spec, ring, point, caps, kind):
+        # 1e400 leaves the escape window at once.  x^2+5 sends both values of
+        # the 2-cycle {0, -1} of x^2-1 out of the window, and x^2+1/2 gives
+        # them growing denominators.  2 reaches 0, fixed by x^2+x and x^2-6x,
+        # through 6, but 6 -> 42 escapes.  Over Q no cap bounds the walk.
+        # Over Z[t], t and t+1 reach degree 2, where the degree doubles.
+        status = semigroup_orbit(GeneratorSet.parse(spec, ring=ring), point, caps)
+        assert status.kind == kind
 
     def test_bounded_denominators_still_close(self):
         # den(1/2)^2 divides den(-3/4), and -1/2 is a fixed point.
@@ -179,6 +199,18 @@ class TestSemigroupOrbit:
                 assert grows(v) and v not in path, (g, path, v)
                 path.append(v)
         assert walks > 100
+
+
+def assert_status_matches_oracle(g, start, targets, reach):
+    """semigroup_orbit against the oracles: closed with the oracle's orbit
+    exactly when the start has a finite orbit, escaping exactly when its
+    orbit reaches no such point, unknown otherwise.  Returns the kind."""
+    status = semigroup_orbit(g, start)
+    if start in targets:
+        assert (status.kind, status.orbit) == ("closed", closure_oracle(g.constants, start)), (g, start)
+    else:
+        assert status.kind == ("escaping" if reach == "no" else "unknown"), (g, start)
+    return status.kind
 
 
 class TestFiniteOrbitPoints:
@@ -245,6 +277,7 @@ class TestFiniteOrbitPoints:
                     answer = orbit_contains_finite_orbit_point(g, start)
                     expected = reach_oracle(constants, start, targets)
                     assert (answer.kind, answer.witness) == expected, (constants, start)
+                    assert_status_matches_oracle(g, start, targets, expected[0])
 
     def test_fractional_point_never_reaches_integers(self):
         g = GeneratorSet.from_constants([-1])
@@ -267,8 +300,8 @@ class TestFiniteOrbitPoints:
                 answer = orbit_contains_finite_orbit_point(g, start)
                 expected = reach_oracle(constants, start, targets, window=10, den=2)
                 assert (answer.kind, answer.witness) == expected, (constants, start)
-                kinds.append(answer.kind)
-        assert len(kinds) > 11000 and kinds.count("yes") >= 20
+                kinds.append(assert_status_matches_oracle(g, start, targets, expected[0]))
+        assert len(kinds) > 11000 and kinds.count("closed") >= 20
 
 
 class TestPairFamilies:

@@ -1,11 +1,11 @@
 """The fixed-point count process on the full binary-tree automorphism groups.
 
-At a maximal level the count evolves like flipping u fair coins with heads
-worth 2 (an exact martingale step); composed from the root this reproduces
-the fixed-point proportion of the full automorphism group, which satisfies
-f(1) = 1/2 and f(n) = f(n-1) - f(n-1)^2/2.  The exact rationals square in
-size every level, so large levels are handled by certified dyadic
-enclosures instead of raw fractions.
+X_n counts the fixed points at level n, from X_0 = 1.  At a maximal level each
+fixed point lifts to 0 or 2 with probability 1/2 each (an exact martingale
+step); at a non-maximal level it lifts to 2 (``double``) or to 1 (``hold``).
+``survival`` gives P(X_n > 0) exactly or as a certified dyadic enclosure; with
+every level maximal it is the fixed-point proportion of the full group,
+f(1) = 1/2 and f(n) = f(n-1) - f(n-1)^2/2.
 """
 
 from __future__ import annotations
@@ -21,27 +21,47 @@ from . import pool
 from .certify import certify_chain
 from .dynamics import GeneratorSet, SequenceCoding
 
-MAX_EXACT_LEVEL = 18  # the exact f(n) needs a 2^n-bit denominator
+MAX_EXACT_LEVEL = 18  # an exact survival at level n needs up to a 2^n-bit denominator
+
+MODEL_DOUBLE = "double"
+MODEL_HOLD = "hold"
+
+
+def survival(mask, model: str = MODEL_DOUBLE, bits: int | None = None) -> tuple[int, int, int]:
+    """P(X_n > 0) for the n = len(mask) levels as dyadic bounds lo / 2^e <= P <= hi / 2^e.
+
+    The survival f starts at 1 and takes the level maps from level n out to
+    level 1 (composed generating functions): f - f^2/2 at a maximal level,
+    2f - f^2 at a ``double`` one, f at a ``hold`` one.  On f = a / 2^e both real
+    steps are a 2^(e+1) - a^2, over 2^(2e+1) or 2^(2e), with an odd numerator,
+    so the exact value (lo == hi) needs no reduction but doubles in size each
+    step.  ``bits`` caps e by rounding lo down and hi up, which is rigorous
+    because every level map is increasing on [0, 1].
+    """
+    lo = hi = 1
+    e = 0
+    for maximal in reversed(mask):
+        if not maximal and model == MODEL_HOLD:
+            continue
+        lo = (lo << (e + 1)) - lo * lo
+        hi = lo if bits is None else (hi << (e + 1)) - hi * hi
+        e = 2 * e + 1 if maximal else 2 * e
+        if bits is not None and e > bits:
+            lo >>= e - bits
+            hi = -(-hi >> (e - bits))
+            e = bits
+    return lo, hi, e
 
 
 def fpp_dyadic(n: int) -> tuple[int, int]:
-    """Exact f(n) as (odd numerator, exponent) with f(n) = a / 2^e.
-
-    Pure integer recursion: the step a/2^e -> (a 2^(e+1) - a^2) / 2^(2e+1)
-    keeps the numerator odd, so no reduction is ever needed.  Sizes double
-    per level; beyond MAX_EXACT_LEVEL use fpp_enclosure.
-    """
+    """Exact f(n) as (odd numerator, exponent) with f(n) = a / 2^e: the all-maximal survival."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_EXACT_LEVEL:
         raise ValueError(
-            f"exact value at level {n} needs a {2**n}-bit numerator; "
-            "use fpp_enclosure for certified bounds"
+            f"exact value at level {n} needs a {2**n}-bit numerator; use fpp_enclosure for certified bounds"
         )
-    a, e = 1, 1
-    for _ in range(n - 1):
-        a = a * (1 << (e + 1)) - a * a
-        e = 2 * e + 1
+    a, _, e = survival([True] * n)
     return a, e
 
 
@@ -52,19 +72,11 @@ def fpp_full_binary(n: int) -> Fraction:
 
 
 def fpp_enclosure(n: int) -> tuple[Fraction, Fraction]:
-    """Certified dyadic bounds lo <= f(n) <= hi with 256-bit numerators.
-
-    The step map x -> x - x^2/2 is increasing on [0, 1], so rounding the
-    endpoints outward keeps the enclosure rigorous: with x = a / 2^256 the
-    step is a - a^2 / 2^257, rounded down for lo and up for hi.
-    """
+    """Certified dyadic bounds lo <= f(n) <= hi with 256-bit numerators."""
     if n < 1:
         raise ValueError("need n >= 1")
-    lo = hi = 1 << 255
-    for _ in range(n - 1):
-        lo -= -(-lo * lo >> 257)
-        hi -= hi * hi >> 257
-    return Fraction(lo, 1 << 256), Fraction(hi, 1 << 256)
+    lo, hi, e = survival([True] * n, bits=256)
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 def fpp_rows(depth: int) -> list[dict]:
@@ -138,16 +150,6 @@ def coin_transition(u: int) -> dict[int, Fraction]:
     return {2 * k: Fraction(comb(u, k), scale) for k in range(u + 1)}
 
 
-def martingale_check(u_values) -> bool:
-    """Exact expectation identity: the coin step has mean u for every even u given."""
-    for u in u_values:
-        dist = coin_transition(u)
-        expectation = sum(value * p for value, p in dist.items())
-        if expectation != u:
-            return False
-    return True
-
-
 def stay_probability_bound(u: int) -> Fraction:
     """P(stay at u) = C(u, u/2)/2^u, asserted <= 1/2 for even u >= 2."""
     if u < 2 or u % 2 != 0:
@@ -167,10 +169,6 @@ CHUNK = 2048
 POOL_MIN_TRIALS = 50_000
 # A path counts as constant-tailed when its last CONSTANT_WINDOW values agree.
 CONSTANT_WINDOW = 3
-
-MODEL_DOUBLE = "double"
-MODEL_HOLD = "hold"
-
 
 @dataclass
 class ProcessLevel:
@@ -305,7 +303,9 @@ def simulate_process(
     per-chunk derived streams, so the report does not depend on the worker
     count.  Above POOL_MIN_TRIALS the chunks run in one worker process per
     usable CPU, in batches of several chunks each; ``workers`` fixes the
-    count instead.
+    count instead.  Each level through MAX_EXACT_LEVEL carries the model's
+    exact survival P(X_n > 0) from ``survival``, on every mask and model;
+    deeper levels carry none.
     """
     if trials < 1 or depth < 1:
         raise ValueError("need positive depth and trials")
@@ -318,14 +318,7 @@ def simulate_process(
     mask = [True] * depth if maximal_mask is None else list(maximal_mask)
     if len(mask) != depth:
         raise ValueError("mask length must equal depth")
-    chunks = []
-    start = 0
-    index = 0
-    while start < trials:
-        count = min(CHUNK, trials - start)
-        chunks.append((index, count))
-        start += count
-        index += 1
+    chunks = [(index, min(CHUNK, trials - start)) for index, start in enumerate(range(0, trials, CHUNK))]
     # About four batches per worker: few enough to amortise each hand-off,
     # enough to even out the load.
     results = pool.parallel_map(
@@ -348,10 +341,11 @@ def simulate_process(
         nonmaximal_model=nonmaximal_model,
         constant_window_count=constant,
     )
-    all_maximal_prefix = True
     for n in range(1, depth + 1):
-        all_maximal_prefix = all_maximal_prefix and mask[n - 1]
-        exact = fpp_full_binary(n) if (all_maximal_prefix and n <= MAX_EXACT_LEVEL) else None
+        exact = None
+        if n <= MAX_EXACT_LEVEL:
+            a, _, e = survival(mask[:n], nonmaximal_model)
+            exact = Fraction(a, 1 << e)
         report.levels.append(
             ProcessLevel(n=n, positive=positive[n - 1], trials=trials, exact_fpp=exact)
         )

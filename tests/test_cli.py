@@ -117,6 +117,19 @@ def test_simulate_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch):
     assert json.loads(one[1])["result"]["trials"] == process.POOL_MIN_TRIALS + 1
 
 
+def test_simulate_prints_exact_survival_on_mixed_masks(capsys):
+    code, out = run_cli(
+        capsys, "simulate", "--depth", "6", "--mask", "101101", "--nonmaximal-model", "hold", "--trials", "100"
+    )
+    assert code == 0
+    levels = json.loads(out)["result"]["levels"]
+    exact = [(level["fpp_num"], level["fpp_den"]) for level in levels]
+    assert exact == [(1, 2), (1, 2), (3, 8), (39, 128), (39, 128), (8463, 32768)]
+    code, out = run_cli(capsys, "simulate", "--depth", "20", "--mask", "none", "--trials", "10")
+    levels = json.loads(out)["result"]["levels"]
+    assert [level["fpp_num"] for level in levels] == [1] * 18 + [None, None]
+
+
 def test_sample(capsys):
     code, out = run_cli(capsys, "sample", "--weights", "1/4,3/4", "--length", "8", "--samples", "100", "--seed", "3")
     assert code == 0

@@ -1,4 +1,5 @@
 import concurrent.futures
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,12 @@ from quadorbit.process import (
     fpp_dyadic,
     fpp_enclosure,
     fpp_full_binary,
-    martingale_check,
     parse_mask,
     sample_codings,
     simulate_paths,
     simulate_process,
     stay_probability_bound,
+    survival,
     within_three_sigma,
     wreath_elements,
 )
@@ -32,7 +33,7 @@ class TestFpp:
     def test_small_values(self, n, expected):
         assert fpp_full_binary(n) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_brute_force(self, n):
         assert fpp_full_binary(n) == fpp_brute_force(n)
 
@@ -85,6 +86,73 @@ class TestFpp:
         assert bounds[-1][1] < Fraction(1, 16)
 
 
+def survival_oracle(mask, model):
+    """P(X_n > 0) from the whole law of X_1..X_n, propagated level by level."""
+    law = {1: Fraction(1)}
+    for maximal in mask:
+        nxt = {}
+        for u, p in law.items():
+            if maximal:
+                # X_0 = 1 is the one odd count a maximal level can meet.
+                step = coin_transition(u) if u != 1 else {0: Fraction(1, 2), 2: Fraction(1, 2)}
+            else:
+                step = {2 * u if model == "double" else u: Fraction(1)}
+            for v, q in step.items():
+                nxt[v] = nxt.get(v, 0) + p * q
+        law = nxt
+    return 1 - law.get(0, 0)
+
+
+def random_masks(count, max_depth, seed):
+    rng = random.Random(seed)
+    return [[rng.random() < 0.5 for _ in range(rng.randint(1, max_depth))] for _ in range(count)]
+
+
+def as_fraction(a, e):
+    return Fraction(a, 1 << e)
+
+
+class TestSurvival:
+    @pytest.mark.parametrize("model", ["double", "hold"])
+    def test_matches_distribution_oracle(self, model):
+        for mask in random_masks(60, 8, seed=15) + [[False], [True, False], [False, True]]:
+            lo, hi, e = survival(mask, model)
+            assert lo == hi and lo % 2 == 1
+            assert as_fraction(lo, e) == survival_oracle(mask, model), mask
+
+    @pytest.mark.parametrize("model", ["double", "hold"])
+    def test_enclosures_contain_exact(self, model):
+        for mask in random_masks(30, MAX_EXACT_LEVEL, seed=7):
+            a, _, e = survival(mask, model)
+            exact = as_fraction(a, e)
+            for bits in (4, 64, 256):
+                lo, hi, cap = survival(mask, model, bits=bits)
+                assert cap <= bits
+                assert as_fraction(lo, cap) <= exact <= as_fraction(hi, cap), (mask, bits)
+                # a level map at most doubles a width, and its rounding adds under two units
+                assert hi - lo < 2 ** (len(mask) + 1)
+
+    def test_hold_counts_maximal_levels(self):
+        # Under hold only maximal levels act, so P(X_n > 0) = f(k) with k of them.
+        for mask in random_masks(40, 24, seed=11):
+            k = sum(mask)
+            if k > MAX_EXACT_LEVEL:
+                continue
+            a, _, e = survival(mask, "hold")
+            assert as_fraction(a, e) == (fpp_full_binary(k) if k else 1)
+
+    @pytest.mark.parametrize("model", ["double", "hold"])
+    @pytest.mark.parametrize("mask", ["110101110011", "101101011010", "011011101110", "100110010111"])
+    def test_simulation_within_three_sigma(self, mask, model):
+        report = simulate_process(
+            seed=20250810, depth=12, trials=200_000, maximal_mask=parse_mask(mask, 12), nonmaximal_model=model
+        )
+        for level in report.levels:
+            assert within_three_sigma(level.positive, level.trials, level.exact_fpp), level.n
+        if (mask, model) == ("110101110011", "hold"):
+            assert abs(report.levels[-1].exact_fpp - Fraction(16355, 10**5)) < Fraction(1, 2 * 10**5)
+
+
 class TestCoinModel:
     def test_distributions(self):
         assert coin_transition(2) == {0: Fraction(1, 4), 2: Fraction(1, 2), 4: Fraction(1, 4)}
@@ -94,9 +162,6 @@ class TestCoinModel:
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             coin_transition(3)
-
-    def test_martingale_identity(self):
-        assert martingale_check(range(0, 130, 2))
 
     def test_stay_probability(self):
         assert stay_probability_bound(2) == Fraction(1, 2)

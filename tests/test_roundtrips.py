@@ -58,9 +58,11 @@ def test_semigroup_orbit_qt_degree_growth():
     assert status.kind == "escaping"
 
 
-def test_exit_code_2_on_unknown_orbit(capsys):
-    # {x^2, x^2-2} from 1/3: non-integral point, general verdicts capped out
-    code = main(["orbit", "--c", "0; -2", "--point", "1/3", "--size-cap", "64"])
-    out = json.loads(capsys.readouterr().out)
-    assert out["result"]["contains_finite_orbit_point"] in ("no", "unknown")
-    assert code in (0, 2)
+def test_orbit_over_q_escapes_whatever_the_size_cap(capsys):
+    # {x^2, x^2-2} from 1/3: the denominator grows under both maps, so the
+    # walk over Q ends at once and no cap can cut it.
+    for cap in ("1", "64"):
+        code = main(["orbit", "--c", "0; -2", "--point", "1/3", "--size-cap", cap])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["status"], result["contains_finite_orbit_point"]) == ("escaping", "no")
+        assert code == 0

@@ -59,7 +59,8 @@ def fpp_dyadic(n: int) -> tuple[int, int]:
         raise ValueError("need n >= 1")
     if n > MAX_EXACT_LEVEL:
         raise ValueError(
-            f"exact value at level {n} needs a {2**n}-bit numerator; use fpp_enclosure for certified bounds"
+            f"exact value at level {n} needs a {2**n}-bit numerator; "
+            "use fpp_enclosure for certified bounds"
         )
     a, _, e = survival([True] * n)
     return a, e
@@ -169,6 +170,7 @@ CHUNK = 2048
 POOL_MIN_TRIALS = 50_000
 # A path counts as constant-tailed when its last CONSTANT_WINDOW values agree.
 CONSTANT_WINDOW = 3
+
 
 @dataclass
 class ProcessLevel:

@@ -1,40 +1,39 @@
 """Exact arithmetic substrate: integers, rationals, and integer polynomials
-standing for elements of Q[t] and Q(t)."""
+standing for elements of Q[t] and Q(t).
 
-from .factorint import FactorBudget, factor_integer, is_probable_prime
-from .intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
-from .parse import PolynomialSyntaxError, parse_poly
-from .rationals import is_square_int, is_square_rational, padic_valuation
-from .ratpoly import (
-    discriminant,
-    gcd_primitive,
-    is_square,
-    is_square_qt,
-    is_squarefree,
-    resultant,
-    square_in_quadratic_extension,
-    squarefree_decomposition,
-)
+The names in ``__all__`` load their submodule on first access (PEP 562), so
+a caller that needs only ``intpoly`` never compiles ``ratpoly`` or
+``factorint``.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "FactorBudget": "factorint",
+    "factor_integer": "factorint",
+    "is_probable_prime": "factorint",
+    "IntPolynomial": "intpoly",
+    "derivative_is_one_mod2": "intpoly",
+    "render_poly": "intpoly",
+    "PolynomialSyntaxError": "parse",
+    "parse_poly": "parse",
+    "is_square_int": "rationals",
+    "is_square_rational": "rationals",
+    "padic_valuation": "rationals",
+    "discriminant": "ratpoly",
+    "gcd_primitive": "ratpoly",
+    "is_square": "ratpoly",
+    "is_square_qt": "ratpoly",
+    "is_squarefree": "ratpoly",
+    "resultant": "ratpoly",
+    "square_in_quadratic_extension": "ratpoly",
+    "squarefree_decomposition": "ratpoly",
+}
+
+__all__ = sorted(_EXPORTS)
 
 
-__all__ = [
-    "FactorBudget",
-    "IntPolynomial",
-    "PolynomialSyntaxError",
-    "derivative_is_one_mod2",
-    "discriminant",
-    "factor_integer",
-    "gcd_primitive",
-    "is_probable_prime",
-    "is_square",
-    "is_square_int",
-    "is_square_qt",
-    "is_square_rational",
-    "is_squarefree",
-    "padic_valuation",
-    "parse_poly",
-    "render_poly",
-    "resultant",
-    "square_in_quadratic_extension",
-    "squarefree_decomposition",
-]
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

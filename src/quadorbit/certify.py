@@ -21,24 +21,19 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .algebra import (
-    FactorBudget,
-    IntPolynomial,
-    derivative_is_one_mod2,
+from . import QQ, QT
+from .algebra.factorint import FactorBudget, factor_integer
+from .algebra.intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
+from .algebra.rationals import is_square_int, is_square_rational
+from .algebra.ratpoly import (
     discriminant,
-    factor_integer,
     gcd_primitive,
     is_square,
-    is_square_int,
-    is_square_rational,
-    render_poly,
     resultant,
     square_in_quadratic_extension,
     squarefree_decomposition,
 )
 from .dynamics import (
-    QQ,
-    QT,
     GeneratorSet,
     SequenceCoding,
     composition_polynomial,

@@ -13,7 +13,8 @@ with a finite orbit.
 
 Each subcommand returns (config, result, exit code): a dict result goes into
 the JSON envelope, a list of rows is written as CSV.  ``main`` renders and
-writes every report.
+writes every report.  Each subcommand imports, when it runs, only the modules
+it calls, so a command's start-up compiles no other part of the package.
 """
 
 from __future__ import annotations
@@ -22,23 +23,13 @@ import argparse
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import FactorBudget
-from .census import convergence_experiment
-from .certify import certify_chain
-from .dynamics import (
-    QQ,
-    QT,
-    GeneratorSet,
-    OrbitCaps,
-    SequenceCoding,
-    classify_finite_orbit_obstruction,
-    critical_orbit,
-    semigroup_orbit,
-)
-from .primescan import density_profile, fpp_comparison
-from .process import fpp_rows, parse_mask, sample_codings, simulate_process
+from . import QQ, QT
 from .reporting import canonical_json, render_csv, report_envelope
+
+if TYPE_CHECKING:
+    from .dynamics import GeneratorSet
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,6 +37,8 @@ EXIT_INCONCLUSIVE = 2
 
 
 def _gens(args) -> GeneratorSet:
+    from .dynamics import GeneratorSet
+
     spec = args.set or args.c
     if spec is None:
         raise ValueError("provide --c or --set")
@@ -53,6 +46,8 @@ def _gens(args) -> GeneratorSet:
 
 
 def _cmd_classify(args):
+    from .dynamics import classify_finite_orbit_obstruction
+
     gens = _gens(args)
     result = classify_finite_orbit_obstruction(gens)
     return (
@@ -67,6 +62,8 @@ def _cmd_classify(args):
 
 
 def _cmd_orbit(args):
+    from .dynamics import OrbitCaps, SequenceCoding, critical_orbit, semigroup_orbit
+
     gens = _gens(args)
     config = {"set": gens.canonical_name(), "ring": gens.ring}
     if args.point is None:
@@ -88,6 +85,10 @@ def _cmd_orbit(args):
 
 
 def _cmd_certify(args):
+    from .algebra.factorint import FactorBudget
+    from .certify import certify_chain
+    from .dynamics import SequenceCoding
+
     gens = _gens(args)
     coding = SequenceCoding.parse(args.coding)
     budget = FactorBudget(rho_iterations=args.factor_budget)
@@ -97,6 +98,8 @@ def _cmd_certify(args):
 
 
 def _cmd_census(args):
+    from .census import convergence_experiment
+
     b_values = [int(b) for b in args.b_list.split(",")]
     report = convergence_experiment(args.d, args.s, b_values, args.variant)
     if args.format == "csv":
@@ -106,10 +109,14 @@ def _cmd_census(args):
 
 
 def _cmd_fpp(args):
+    from .process import fpp_rows
+
     return {"depth": args.depth}, {"levels": fpp_rows(args.depth)}, EXIT_OK
 
 
 def _cmd_simulate(args):
+    from .process import parse_mask, simulate_process
+
     report = simulate_process(
         seed=args.seed,
         depth=args.depth,
@@ -128,6 +135,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_sample(args):
+    from .process import sample_codings
+
     weights = [Fraction(w) for w in args.weights.split(",")]
     report = sample_codings(
         weights=weights,
@@ -148,13 +157,20 @@ def _cmd_sample(args):
 
 
 def _cmd_primes(args):
+    from .dynamics import SequenceCoding
+    from .primescan import density_profile, fpp_comparison
+
     gens = _gens(args)
     coding = SequenceCoding.parse(args.coding)
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
     if args.fpp_depth is not None and args.format == "csv":
         raise ValueError("--fpp-depth writes JSON only; drop --format csv")
     # The table is built first so that a bad depth fails before the scan.
-    fpp = None if args.fpp_depth is None else fpp_rows(args.fpp_depth)
+    fpp = None
+    if args.fpp_depth is not None:
+        from .process import fpp_rows
+
+        fpp = fpp_rows(args.fpp_depth)
     report = density_profile(gens, coding, Fraction(args.a0), cutoffs)
     code = EXIT_INCONCLUSIVE if report.over_cap else EXIT_OK
     config = {"set": gens.canonical_name(), "coding": coding.render(), "a0": report.a0}

@@ -14,15 +14,10 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .algebra import (
-    IntPolynomial,
-    padic_valuation,
-    parse_poly,
-    render_poly,
-)
-
-QQ = "q"
-QT = "qt"
+from . import QQ, QT
+from .algebra.intpoly import IntPolynomial, render_poly
+from .algebra.parse import parse_poly
+from .algebra.rationals import padic_valuation
 
 
 def as_number(value) -> int | Fraction | IntPolynomial:

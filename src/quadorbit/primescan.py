@@ -22,8 +22,8 @@ from functools import partial
 from itertools import compress
 from math import isqrt
 
-from . import pool
-from .dynamics import QQ, GeneratorSet, SequenceCoding, as_number, escape_bound
+from . import QQ, pool
+from .dynamics import GeneratorSet, SequenceCoding, as_number, escape_bound
 
 
 # ---------------------------------------------------------------------------

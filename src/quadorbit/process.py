@@ -15,16 +15,40 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import comb
+from typing import TYPE_CHECKING
 
 from . import pool
-from .certify import certify_chain
-from .dynamics import GeneratorSet, SequenceCoding
+
+if TYPE_CHECKING:
+    from .dynamics import GeneratorSet
 
 MAX_EXACT_LEVEL = 18  # an exact survival at level n needs up to a 2^n-bit denominator
 
 MODEL_DOUBLE = "double"
 MODEL_HOLD = "hold"
+
+
+def survival_steps(mask, model: str = MODEL_DOUBLE, bits: int | None = None):
+    """The bounds of ``survival`` after each level map, in the order the maps apply.
+
+    The k-th triple covers the last k levels of the mask.  With every level
+    maximal those levels are interchangeable, so the k-th triple is the
+    survival at level k and one pass yields a whole fpp table.
+    """
+    lo = hi = 1
+    e = 0
+    for maximal in reversed(mask):
+        if maximal or model != MODEL_HOLD:
+            lo = (lo << (e + 1)) - lo * lo
+            hi = lo if bits is None else (hi << (e + 1)) - hi * hi
+            e = 2 * e + 1 if maximal else 2 * e
+            if bits is not None and e > bits:
+                lo >>= e - bits
+                hi = -(-hi >> (e - bits))
+                e = bits
+        yield lo, hi, e
 
 
 def survival(mask, model: str = MODEL_DOUBLE, bits: int | None = None) -> tuple[int, int, int]:
@@ -38,19 +62,10 @@ def survival(mask, model: str = MODEL_DOUBLE, bits: int | None = None) -> tuple[
     step.  ``bits`` caps e by rounding lo down and hi up, which is rigorous
     because every level map is increasing on [0, 1].
     """
-    lo = hi = 1
-    e = 0
-    for maximal in reversed(mask):
-        if not maximal and model == MODEL_HOLD:
-            continue
-        lo = (lo << (e + 1)) - lo * lo
-        hi = lo if bits is None else (hi << (e + 1)) - hi * hi
-        e = 2 * e + 1 if maximal else 2 * e
-        if bits is not None and e > bits:
-            lo >>= e - bits
-            hi = -(-hi >> (e - bits))
-            e = bits
-    return lo, hi, e
+    bounds = (1, 1, 0)
+    for bounds in survival_steps(mask, model, bits):
+        pass
+    return bounds
 
 
 def fpp_dyadic(n: int) -> tuple[int, int]:
@@ -81,25 +96,29 @@ def fpp_enclosure(n: int) -> tuple[Fraction, Fraction]:
 
 
 def fpp_rows(depth: int) -> list[dict]:
-    """The fpp table for levels 1..depth: exact through MAX_EXACT_LEVEL, enclosures beyond."""
+    """The fpp table for levels 1..depth: exact through MAX_EXACT_LEVEL, enclosures beyond.
+
+    One exact chain and one 256-bit chain from level 1 give every row, with
+    the values of ``fpp_full_binary`` and ``fpp_enclosure`` at each level.  An
+    exact numerator is odd, so a / 2^e is already in lowest terms.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rows = []
-    for n in range(1, depth + 1):
-        if n <= MAX_EXACT_LEVEL:
-            f = fpp_full_binary(n)
-            rows.append({"n": n, "fpp_num": f.numerator, "fpp_den": f.denominator})
-        else:
-            lo, hi = fpp_enclosure(n)
-            rows.append(
-                {
-                    "n": n,
-                    "lower_num": lo.numerator,
-                    "lower_den": lo.denominator,
-                    "upper_num": hi.numerator,
-                    "upper_den": hi.denominator,
-                }
-            )
+    for n, (a, _, e) in enumerate(survival_steps([True] * min(depth, MAX_EXACT_LEVEL)), start=1):
+        rows.append({"n": n, "fpp_num": a, "fpp_den": 1 << e})
+    enclosures = islice(survival_steps([True] * depth, bits=256), MAX_EXACT_LEVEL, None)
+    for n, (lo, hi, e) in enumerate(enclosures, start=MAX_EXACT_LEVEL + 1):
+        lower, upper = Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+        rows.append(
+            {
+                "n": n,
+                "lower_num": lower.numerator,
+                "lower_den": lower.denominator,
+                "upper_num": upper.numerator,
+                "upper_den": upper.denominator,
+            }
+        )
     return rows
 
 
@@ -141,12 +160,14 @@ def fpp_brute_force(depth: int) -> Fraction:
 # Exact transition model.
 
 def coin_transition(u: int) -> dict[int, Fraction]:
-    """Distribution of the next count from u: P(2k) = C(u, k) / 2^u.
+    """Distribution of the next count from u fixed points at a maximal level.
 
-    Only even u occur in the process (u = 0 is absorbing); odd u rejected.
+    Each fixed point lifts to 0 or 2 with probability 1/2, so P(2k) =
+    C(u, k) / 2^u for every u >= 0.  The one odd count the process meets is
+    X_0 = 1, which leading ``hold`` levels keep; u = 0 is absorbing.
     """
-    if u < 0 or u % 2 != 0:
-        raise ValueError("u must be an even nonnegative integer")
+    if u < 0:
+        raise ValueError("u must be a nonnegative integer")
     scale = 1 << u
     return {2 * k: Fraction(comb(u, k), scale) for k in range(u + 1)}
 
@@ -415,6 +436,10 @@ def sample_codings(
     for w in weights:
         acc += int(w * denom)
         thresholds.append(acc)
+    if certify_count:
+        # Certifying is the only part of this module that needs the algebra.
+        from .certify import certify_chain
+        from .dynamics import SequenceCoding
     rng = random.Random(_chunk_seed(seed, 0))
     first_counts: dict[int, int] = {}
     totals: dict[int, int] = {}
@@ -430,7 +455,7 @@ def sample_codings(
         first_counts[word[0]] = first_counts.get(word[0], 0) + 1
         for idx in word:
             totals[idx] = totals.get(idx, 0) + 1
-        if gens is not None and sample_index < certify_count:
+        if sample_index < certify_count:
             coding = SequenceCoding(tuple(word), (word[-1],))
             depth = length if certify_depth is None else certify_depth
             chain = certify_chain(gens, coding, depth)

@@ -8,6 +8,7 @@ import pytest
 
 import quadorbit.cli as cli
 import quadorbit.dynamics as dynamics
+import quadorbit.primescan as primescan
 import quadorbit.process as process
 from quadorbit import pool
 from quadorbit.cli import build_parser, main
@@ -220,7 +221,7 @@ def test_primes_fpp_depth_is_checked_before_the_scan(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("density_profile called")
 
-    monkeypatch.setattr(cli, "density_profile", refuse)
+    monkeypatch.setattr(primescan, "density_profile", refuse)
     code = main(["primes", "--c", "1", "--cutoffs", "100000", "--fpp-depth", "-2"])
     assert code == 1
     assert capsys.readouterr().err == "error: depth must be >= 1\n"
@@ -260,7 +261,7 @@ def test_fpp_depth_rejects_csv(capsys):
 @pytest.mark.parametrize("fpp_depth", [[], ["--fpp-depth", "3"]], ids=["scan", "fpp_depth"])
 def test_primes_over_cap_exits_inconclusive(capsys, monkeypatch, fpp_depth):
     # p = 1987 needs more than 4 walker states (see TestProfiles.test_walker_budget).
-    monkeypatch.setattr(cli, "density_profile", functools.partial(density_profile, max_states=4))
+    monkeypatch.setattr(primescan, "density_profile", functools.partial(density_profile, max_states=4))
     code, out = run_cli(capsys, "primes", "--c", "1", "--coding", "|1", "--cutoffs", "1000,2000", *fpp_depth)
     assert json.loads(out)["result"]
     assert code == 2
@@ -282,7 +283,7 @@ def test_primes_reports_a0_once_normalized(capsys, fpp_depth, a0, normalized):
 def test_primes_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch, form, max_states):
     # Above the pool threshold, so with two usable CPUs the scan runs in worker
     # processes; with max_states=4 some primes are over the cap and both runs exit 2.
-    monkeypatch.setattr(cli, "density_profile", functools.partial(density_profile, max_states=max_states))
+    monkeypatch.setattr(primescan, "density_profile", functools.partial(density_profile, max_states=max_states))
     argv = ["primes", "--c", "1", "--coding", "|1", "--a0", "1/6", "--cutoffs", "1000,24999", *form]
     runs = []
     for cpus in (1, 2):

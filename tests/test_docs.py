@@ -1,7 +1,6 @@
 """The README's CLI examples and environment variables match the CLI, and
 the package's exports and the benchmark tracer's targets resolve."""
 
-import ast
 import importlib
 import importlib.util
 import re
@@ -44,15 +43,13 @@ def test_algebra_exports_resolve():
 
 
 def test_package_imports_exist():
-    # Every name quadorbit/__init__.py imports from a submodule is defined there.
-    tree = ast.parse(Path(quadorbit.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    missing = []
-    for node in imports:
-        module = importlib.import_module("." * node.level + (node.module or ""), "quadorbit")
-        missing += [f"{node.module}.{alias.name}" for alias in node.names if not hasattr(module, alias.name)]
-    assert missing == []
+    # Every name in a package's export table loads the object its submodule defines.
+    for package in (quadorbit, algebra):
+        assert package._EXPORTS
+        for name, module in package._EXPORTS.items():
+            submodule = importlib.import_module(f"{package.__name__}.{module}")
+            assert getattr(package, name) is vars(submodule)[name], name
+            assert getattr(package, name).__module__ == submodule.__name__, name
 
 
 def test_tracer_targets_resolve(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import quadorbit.process as process
 from quadorbit import pool
 from quadorbit.process import (
     CHUNK,
@@ -16,6 +17,7 @@ from quadorbit.process import (
     fpp_dyadic,
     fpp_enclosure,
     fpp_full_binary,
+    fpp_rows,
     parse_mask,
     sample_codings,
     simulate_paths,
@@ -79,6 +81,37 @@ class TestFpp:
             lo = floor_dyadic(lo - lo * lo / 2)
             hi = -floor_dyadic(-(hi - hi * hi / 2))
 
+    def test_rows_match_per_level_values(self, monkeypatch):
+        # fpp_rows carries one exact and one 256-bit chain from level 1; the
+        # per-level calls start each level from the root.
+        def row(n):
+            if n <= MAX_EXACT_LEVEL:
+                f = fpp_full_binary(n)
+                return {"n": n, "fpp_num": f.numerator, "fpp_den": f.denominator}
+            lo, hi = fpp_enclosure(n)
+            return {
+                "n": n,
+                "lower_num": lo.numerator,
+                "lower_den": lo.denominator,
+                "upper_num": hi.numerator,
+                "upper_den": hi.denominator,
+            }
+
+        reference = [row(n) for n in range(1, 301)]
+        steps = [0]
+        chain = process.survival_steps
+
+        def counted(*args, **kwargs):
+            for bounds in chain(*args, **kwargs):
+                steps[0] += 1
+                yield bounds
+
+        monkeypatch.setattr(process, "survival_steps", counted)
+        for depth in range(1, 301):
+            steps[0] = 0
+            assert fpp_rows(depth) == reference[:depth], depth
+            assert steps[0] <= 2 * depth, depth
+
     def test_enclosures_decrease_through_64(self):
         bounds = [fpp_enclosure(n) for n in range(1, 65)]
         for (lo_prev, hi_prev), (lo_cur, hi_cur) in zip(bounds, bounds[1:]):
@@ -93,8 +126,7 @@ def survival_oracle(mask, model):
         nxt = {}
         for u, p in law.items():
             if maximal:
-                # X_0 = 1 is the one odd count a maximal level can meet.
-                step = coin_transition(u) if u != 1 else {0: Fraction(1, 2), 2: Fraction(1, 2)}
+                step = coin_transition(u)
             else:
                 step = {2 * u if model == "double" else u: Fraction(1)}
             for v, q in step.items():
@@ -159,9 +191,12 @@ class TestCoinModel:
         assert coin_transition(0) == {0: Fraction(1)}
         assert coin_transition(4)[4] == Fraction(3, 8)
 
-    def test_odd_rejected(self):
+    def test_odd_counts(self):
+        # The process starts from the odd count X_0 = 1; the formula holds for every u >= 0.
+        assert coin_transition(1) == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert coin_transition(3) == {0: Fraction(1, 8), 2: Fraction(3, 8), 4: Fraction(3, 8), 6: Fraction(1, 8)}
         with pytest.raises(ValueError):
-            coin_transition(3)
+            coin_transition(-1)
 
     def test_stay_probability(self):
         assert stay_probability_bound(2) == Fraction(1, 2)

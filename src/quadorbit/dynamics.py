@@ -1,4 +1,8 @@
-"""Generator sets, sequence codings, semigroup orbits, and the finite-orbit classifier.
+"""Generator sets, sequence codings, semigroup orbits, and Eisenstein stability.
+
+One closed walk (``_closed_walk``) answers every orbit question: the orbit
+of a point, whether it contains a finite orbit point, and so the
+finite-orbit obstruction, which asks that of the orbit of 0.
 
 Composition convention (used everywhere in this package): a coding lists
 generator indices theta_1, theta_2, ... and level n evaluates the critical
@@ -11,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Sequence
 
 from . import QQ, QT
 from .algebra.intpoly import IntPolynomial, render_poly
 from .algebra.parse import parse_poly
-from .algebra.rationals import padic_valuation
 
 
 def as_number(value) -> int | Fraction | IntPolynomial:
@@ -301,15 +304,24 @@ def escape_bound(gens: GeneratorSet):
 
 
 def _growth_floor(gens: GeneratorSet):
-    """Predicate: every value whose height clears the floor grows strictly forever.
+    """Predicate: every value whose height clears the floor has an infinite orbit.
 
     Over Z[t] a value of degree above every constant's doubles its degree
     under every map; with integer constants, so does every nonconstant value,
-    and integers grow beyond the escape bound as over Q.
+    and integers grow beyond the escape bound as over Q.  When constants of
+    positive degree sit beside integer ones, an integer beyond the integer
+    constants' escape bound still grows forever under an integer map.  Such a
+    set has no finite orbit point at all (an integer map doubles the degree
+    of every nonconstant value, and a nonconstant map makes every integer
+    nonconstant), so leaving those integers unexpanded loses nothing.
     """
     dmax = max(c.degree for c in gens.constants) if gens.ring == QT else 0
     if dmax > 0:
-        return lambda h: h[0] > dmax
+        ints = [c.max_abs_coefficient() for c in gens.constants if c.is_constant()]
+        if not ints:
+            return lambda h: h[0] > dmax
+        bound = max(ints) + 1
+        return lambda h: h[0] > dmax or (h[0] < 1 and h[1] > bound)
     floor = (0, escape_bound(gens))
     return lambda h: h > floor
 
@@ -324,7 +336,7 @@ def _normalize_point(gens: GeneratorSet, point):
 
 
 # ---------------------------------------------------------------------------
-# Semigroup orbits and finite orbit points.
+# Semigroup orbits, finite orbit points and the finite-orbit obstruction.
 
 @dataclass(frozen=True)
 class FiniteOrbitAnswer:
@@ -439,38 +451,6 @@ def orbit_contains_finite_orbit_point(
     return semigroup_orbit(gens, point, caps).finite_orbit_answer()
 
 
-# ---------------------------------------------------------------------------
-# The two integral pair families and the obstruction classifier.
-
-@dataclass(frozen=True)
-class PairFamily:
-    family: str  # "A" | "B"
-    y: int
-
-
-def pair_family_membership(c1: Fraction | int, c2: Fraction | int) -> PairFamily | None:
-    """Match (c1, c2) in either order against the two one-parameter families.
-
-    Family A: ((1-y^2)/4, (1-(y+2)^2)/4); family B: ((1-y^2)/4, (-3-y^2)/4),
-    with y a nonnegative odd integer (odd is the same as y = +-1 mod 4 here).
-    """
-    c1, c2 = Fraction(c1), Fraction(c2)
-    if c1 == c2:
-        raise ValueError("constants must be distinct")
-    for u, v in ((c1, c2), (c2, c1)):
-        w = 1 - 4 * u
-        if w < 0 or w.denominator != 1:
-            continue
-        y = isqrt(int(w))
-        if y * y != int(w) or y % 2 == 0:
-            continue
-        if v == Fraction(1 - (y + 2) ** 2, 4):
-            return PairFamily("A", y)
-        if v == Fraction(-3 - y * y, 4):
-            return PairFamily("B", y)
-    return None
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "exceptional" | "not_obstructed"
@@ -482,37 +462,14 @@ class Classification:
         return self.kind == "exceptional"
 
 
-# Widened integer windows for the family parameter (the published decimal
-# endpoints are treated as over-approximations only; every candidate is
-# confirmed by a direct orbit search, so wider is safe).
-_WINDOW_A = range(1, 6)
-_WINDOW_B = range(1, 6)
-
-
 def classify_finite_orbit_obstruction(gens: GeneratorSet) -> Classification:
     """Decide whether the orbit of 0 contains a finite orbit point (over Q).
 
-    Non-integral constants and sets of size >= 3 are never obstructed; one
-    map is obstructed exactly for c in {0, -1, -2}; pairs are screened by
-    family membership plus the parameter window and confirmed by orbit search.
+    The closed walk from 0 is exact over Q, so it decides every critical set
+    and names the witness, the first finite orbit point it meets.
     """
     if not (gens.is_critical and gens.ring == QQ):
         raise ValueError("classification needs a critical-mode set over Q")
-    if not gens.is_integral():
-        return Classification("not_obstructed")
-    cs = sorted(gens.constants)
-    if len(cs) >= 3:
-        return Classification("not_obstructed")
-    if len(cs) == 1:
-        if cs[0] in (0, -1, -2):
-            return Classification("exceptional", name=gens.canonical_name(), witness=0)
-        return Classification("not_obstructed")
-    member = pair_family_membership(cs[0], cs[1])
-    if member is None:
-        return Classification("not_obstructed")
-    window = _WINDOW_A if member.family == "A" else _WINDOW_B
-    if member.y not in window:
-        return Classification("not_obstructed")
     answer = orbit_contains_finite_orbit_point(gens, 0)
     if answer.kind == "yes":
         return Classification("exceptional", name=gens.canonical_name(), witness=answer.witness)
@@ -520,36 +477,7 @@ def classify_finite_orbit_obstruction(gens: GeneratorSet) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# Valuation lemma and Eisenstein stability.
-
-def valuation_lemma_check(
-    c: Fraction | int, alpha: Fraction | int, p: int, d: int = 2, cap: int = 256
-) -> bool:
-    """For alpha preperiodic under x^d + c with v_p(c) < 0: check v_p(c) == d v_p(alpha).
-
-    Expected true; False would falsify the valuation relation.  Raises if the
-    preperiodicity of alpha cannot be verified within the cap.
-    """
-    c, alpha = Fraction(c), Fraction(alpha)
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if c == 0 or padic_valuation(c, p) >= 0:
-        raise ValueError("lemma hypothesis v_p(c) < 0 not met")
-    seen = set()
-    v = alpha
-    for _ in range(cap):
-        if v in seen:
-            break
-        seen.add(v)
-        v = v**d + c
-        if max(abs(v.numerator), v.denominator) > 10**80:
-            raise ValueError("orbit is escaping; alpha is not verifiably preperiodic")
-    else:
-        raise ValueError("could not verify preperiodicity within the cap")
-    if alpha == 0:
-        raise ValueError("alpha = 0 has no finite valuation")
-    return padic_valuation(c, p) == d * padic_valuation(alpha, p)
-
+# Eisenstein stability.
 
 @dataclass(frozen=True)
 class EisensteinResult:

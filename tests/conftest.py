@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's own code paths: compositions are
 evaluated directly with Fractions, resultants via Sylvester determinants,
-counts by brute-force enumeration.
+counts by brute-force enumeration.  The paper's classification of the
+finite-orbit obstruction is here too, as the theorem the walk must agree with,
+with the valuation lemma; the lemma reads v_p through the library's
+``padic_valuation``, which ``test_rationals.py`` checks on its own.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from quadorbit.algebra.rationals import padic_valuation
 
 
 def gamma_value(gens, coding, a0, n):
@@ -103,7 +109,7 @@ def primitive_odd_prime_oracle(values):
     return None
 
 
-def finite_orbit_oracle(constants, window=60, den=1):
+def finite_orbit_oracle(constants, window=60, den=1, within=None):
     """Rationals with denominator dividing ``den`` whose orbit under every
     x^2 + c stays finite.
 
@@ -111,9 +117,10 @@ def finite_orbit_oracle(constants, window=60, den=1):
     sends into itself; a value leaving the window outgrows every constant and
     never returns, so the window only needs to exceed max|c| + 1.  The
     denominators only need to cover those whose square divides every
-    constant's: any other denominator grows under every map.
+    constant's: any other denominator grows under every map.  ``within``, a
+    set holding every such point, replaces the window as the starting set.
     """
-    points = {Fraction(k, den) for k in range(-window * den, window * den + 1)}
+    points = {Fraction(k, den) for k in range(-window * den, window * den + 1)} if within is None else within
     while True:
         kept = {x for x in points if all(x * x + c in points for c in constants)}
         if kept == points:
@@ -151,6 +158,86 @@ def reach_oracle(constants, start, targets, window=60, den=1):
         images = (v * v + c for v in level for c in constants)
         level = list(dict.fromkeys(w for w in images if abs(w) <= window and den % w.denominator == 0))
     return "no", None
+
+
+# The paper's classification of the finite-orbit obstruction: the orbit of 0
+# under a set over Q contains a finite orbit point only for the singletons
+# {0, -1, -2} and for integral pairs in two one-parameter families.
+
+
+@dataclass(frozen=True)
+class PairFamily:
+    family: str  # "A" | "B"
+    y: int
+
+
+def pair_family_membership(c1, c2):
+    """Match (c1, c2) in either order against the two one-parameter families.
+
+    Family A: ((1-y^2)/4, (1-(y+2)^2)/4); family B: ((1-y^2)/4, (-3-y^2)/4),
+    with y a nonnegative odd integer (odd is the same as y = +-1 mod 4 here).
+    """
+    c1, c2 = Fraction(c1), Fraction(c2)
+    if c1 == c2:
+        raise ValueError("constants must be distinct")
+    for u, v in ((c1, c2), (c2, c1)):
+        w = 1 - 4 * u
+        if w < 0 or w.denominator != 1:
+            continue
+        y = isqrt(int(w))
+        if y * y != int(w) or y % 2 == 0:
+            continue
+        if v == Fraction(1 - (y + 2) ** 2, 4):
+            return PairFamily("A", y)
+        if v == Fraction(-3 - y * y, 4):
+            return PairFamily("B", y)
+    return None
+
+
+# Widened integer windows for each family's parameter (the published decimal
+# endpoints are treated as over-approximations only).
+FAMILY_WINDOWS = {"A": range(1, 6), "B": range(1, 6)}
+
+
+def obstruction_candidate(constants):
+    """The theorem's candidates: a singleton in {0, -1, -2}, or an integral
+    pair in family A or B with its parameter inside the family's window."""
+    cs = [Fraction(c) for c in constants]
+    if any(c.denominator != 1 for c in cs):
+        return False
+    if len(cs) == 1:
+        return cs[0] in (0, -1, -2)
+    if len(cs) != 2:
+        return False
+    member = pair_family_membership(*cs)
+    return member is not None and member.y in FAMILY_WINDOWS[member.family]
+
+
+def valuation_lemma_check(c, alpha, p, d=2, cap=256):
+    """For alpha preperiodic under x^d + c with v_p(c) < 0: check v_p(c) == d v_p(alpha).
+
+    Expected true; False would falsify the valuation relation.  Raises if the
+    preperiodicity of alpha cannot be verified within the cap.
+    """
+    c, alpha = Fraction(c), Fraction(alpha)
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if c == 0 or padic_valuation(c, p) >= 0:
+        raise ValueError("lemma hypothesis v_p(c) < 0 not met")
+    seen = set()
+    v = alpha
+    for _ in range(cap):
+        if v in seen:
+            break
+        seen.add(v)
+        v = v**d + c
+        if max(abs(v.numerator), v.denominator) > 10**80:
+            raise ValueError("orbit is escaping; alpha is not verifiably preperiodic")
+    else:
+        raise ValueError("could not verify preperiodicity within the cap")
+    if alpha == 0:
+        raise ValueError("alpha = 0 has no finite valuation")
+    return padic_valuation(c, p) == d * padic_valuation(alpha, p)
 
 
 def gcd_mod_p_oracle(a, b, p):

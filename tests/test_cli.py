@@ -34,19 +34,37 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def test_classify_exceptional(capsys):
-    code, out = run_cli(capsys, "classify", "--c", "-2; -6")
+@pytest.mark.parametrize(
+    "c,witness",
+    [("-2", "0"), ("-1", "0"), ("0", "0"), ("-2; -6", "-2"), ("-2; -3", "-2"), ("0; -1", "0")],
+)
+def test_classify_exceptional(capsys, c, witness):
+    code, out = run_cli(capsys, "classify", "--c", c)
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, _schema("envelope.schema.json"))
-    assert payload["result"]["verdict"] == "Exceptional"
-    assert payload["result"]["witness_point"] == "-2"
+    result = payload["result"]
+    assert (result["verdict"], result["witness_point"]) == ("Exceptional", witness)
+    assert result["name"] == payload["config"]["set"]
 
 
-def test_classify_plain(capsys):
-    code, out = run_cli(capsys, "classify", "--c", "1")
+# Two exceptional pairs inside one set of three maps; a pair that is not
+# integral; family A at y = 7, an integral pair of the family outside its window.
+@pytest.mark.parametrize("c", ["1", "-3; -2; -6", "1/4; -3/4", "-12; -20"])
+def test_classify_plain(capsys, c):
+    code, out = run_cli(capsys, "classify", "--c", c)
     assert code == 0
-    assert json.loads(out)["result"]["verdict"] == "NotObstructed"
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("envelope.schema.json"))
+    assert payload["result"] == {"name": None, "verdict": "NotObstructed", "witness_point": None}
+
+
+def test_classify_general_maps_is_an_error(capsys):
+    code = main(["classify", "--set", "x^2+x; x^2-6x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: classification needs a critical-mode set over Q\n"
 
 
 def test_certify_qt(capsys):
@@ -345,19 +363,24 @@ def test_orbit_qt_integral_point(capsys):
     result = json.loads(out)["result"]
     assert (result["status"], result["contains_finite_orbit_point"]) == ("escaping", "no")
     assert code == 0
-    # From 2, x^2 - 1 gives integers without bound, so the caps end both searches.
+    # From 2, x^2 - 1 gives integers without bound and x^2 + t values of
+    # degree 1, so the walk stops at integers beyond max|integer c| + 1.
     code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", "t; -1", "--point", "2", "--size-cap", "16")
     result = json.loads(out)["result"]
-    assert (result["status"], result["contains_finite_orbit_point"]) == ("unknown", "unknown")
-    assert code == 2
+    assert (result["status"], result["contains_finite_orbit_point"]) == ("escaping", "no")
+    assert code == 0
 
 
 @pytest.mark.parametrize(
     "c,point,status,answer",
-    [("0", "1", "closed", "yes"), ("0", "2", "escaping", "no"), ("5", "4", "escaping", "no")],
+    [("0", "1", "closed", "yes"), ("0", "2", "escaping", "no"), ("5", "4", "escaping", "no")]
+    + [(c, p, "escaping", "no") for c in ("t; -1", "t; 0") for p in ("2", "-2", "3", "-3")]
+    + [("t^2; -2", "3", "escaping", "no"), ("t^2; -2", "-3", "escaping", "no")],
 )
 def test_orbit_qt_integer_constants(capsys, c, point, status, answer):
-    # With integer constants, integers beyond max|c| + 1 grow as over Q.
+    # With integer constants, integers beyond max|c| + 1 grow as over Q.  So
+    # they do beside constants of positive degree, where max|c| is over the
+    # integer constants (0 among them) and no value has a finite orbit.
     code, out = run_cli(capsys, "orbit", "--ring", "qt", "--c", c, "--point", point)
     result = json.loads(out)["result"]
     assert (result["status"], result["contains_finite_orbit_point"]) == (status, answer)

@@ -1,10 +1,19 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import closure_oracle, finite_orbit_oracle, gamma_values, reach_oracle
+from conftest import (
+    closure_oracle,
+    finite_orbit_oracle,
+    gamma_values,
+    obstruction_candidate,
+    pair_family_membership,
+    reach_oracle,
+    valuation_lemma_check,
+)
 from quadorbit import dynamics
 from quadorbit.algebra import IntPolynomial, parse_poly
 from quadorbit.dynamics import (
@@ -23,9 +32,7 @@ from quadorbit.dynamics import (
     escape_criterion,
     finite_orbit_points,
     orbit_contains_finite_orbit_point,
-    pair_family_membership,
     semigroup_orbit,
-    valuation_lemma_check,
 )
 
 CONST = SequenceCoding.constant(1)
@@ -325,6 +332,30 @@ class TestPairFamilies:
 EXCEPTIONAL = [(-2,), (-1,), (0,), (-6, -2), (-3, -2), (-1, 0)]
 
 
+def classification_grid():
+    """(constants, den) for every integer set of 1-3 maps with c in [-30, 30],
+    every pair of rationals with denominator dividing 8 in [-12, 4], and the
+    pairs of families A and B for y = 1..15.  A finite orbit point v of such a
+    set has den(v)^2 dividing the constants' denominators, so den(v) | den."""
+    for size in (1, 2, 3):
+        for constants in itertools.combinations(range(-30, 31), size):
+            yield constants, 1
+    for constants in itertools.combinations([Fraction(k, 8) for k in range(-96, 33)], 2):
+        yield constants, 2
+    for y in range(1, 16):
+        yield (Fraction(1 - y * y, 4), Fraction(1 - (y + 2) ** 2, 4)), 2
+        yield (Fraction(1 - y * y, 4), Fraction(-3 - y * y, 4)), 2
+
+
+# Wider than max|c| + 1 for every set of the grid (family A at y = 15 has -72).
+GRID_WINDOW = 80
+
+
+@functools.cache
+def single_map_points(c, den):
+    return frozenset(finite_orbit_oracle((c,), window=GRID_WINDOW, den=den))
+
+
 class TestClassifier:
     def test_exhaustive_scan(self):
         found = []
@@ -335,6 +366,25 @@ class TestClassifier:
                     found.append(combo)
         assert found == EXCEPTIONAL
 
+    def test_walk_agrees_with_theorem(self):
+        # The walk from 0 against the paper's classification and the
+        # breadth-first oracle, on 46,167 sets.  Every exceptional set is one
+        # of the theorem's candidates, and every verdict and witness is the
+        # oracle's.
+        found = []
+        for constants, den in classification_grid():
+            result = classify_finite_orbit_obstruction(GeneratorSet.from_constants(constants))
+            # A finite semigroup orbit is finite under each map, so the
+            # single-map point sets hold every target; starting there is faster.
+            within = frozenset.intersection(*(single_map_points(c, den) for c in constants))
+            targets = finite_orbit_oracle(constants, den=den, within=within)
+            kind, witness = reach_oracle(constants, 0, targets, window=GRID_WINDOW, den=den)
+            assert (result.exceptional, result.witness) == (kind == "yes", witness), constants
+            if result.exceptional:
+                assert obstruction_candidate(constants), constants
+                found.append((tuple(sorted(constants)), result.witness))
+        assert sorted(set(found)) == sorted(zip(EXCEPTIONAL, (0, 0, 0, -2, -2, 0)))
+
     def test_non_integral(self):
         g = GeneratorSet.from_constants([Fraction(1, 4), Fraction(-3, 4)])
         assert not classify_finite_orbit_obstruction(g).exceptional
@@ -343,6 +393,11 @@ class TestClassifier:
         result = classify_finite_orbit_obstruction(GeneratorSet.from_constants([-2, -6]))
         assert result.exceptional
         assert result.witness == -2
+
+    def test_general_maps_and_zt_rejected(self):
+        for g in (GeneratorSet.parse("x^2+x; x^2-6x"), GeneratorSet.parse("t", ring=QT)):
+            with pytest.raises(ValueError, match="critical-mode set over Q"):
+                classify_finite_orbit_obstruction(g)
 
 
 class TestValuationLemma:

@@ -34,8 +34,8 @@ def modules(*names):
     return {"quadorbit", "quadorbit.cli", "quadorbit.reporting"} | {f"quadorbit.{n}" for n in names}
 
 
-ORBITS = ("dynamics", "algebra", "algebra.intpoly", "algebra.parse", "algebra.rationals")
-CERTIFICATES = (*ORBITS, "certify", "algebra.factorint", "algebra.ratpoly")
+ORBITS = ("dynamics", "algebra", "algebra.intpoly", "algebra.parse")
+CERTIFICATES = (*ORBITS, "certify", "algebra.factorint", "algebra.ratpoly", "algebra.rationals")
 PROCESS = ("process", "pool")
 SCAN = (*ORBITS, "primescan", "pool")
 

@@ -9,7 +9,6 @@ a caller that needs only ``intpoly`` never compiles ``ratpoly`` or
 import importlib
 
 _EXPORTS = {
-    "FactorBudget": "factorint",
     "factor_integer": "factorint",
     "is_probable_prime": "factorint",
     "IntPolynomial": "intpoly",

@@ -1,11 +1,12 @@
-"""Integer factorization with an explicit work budget.
+"""Integer factorization with a fixed trial bound and one rho attempt per composite.
 
-Trial division up to a bound, in ascending order, then Pollard's rho
-(Brent's variant) with an iteration cap.  Running out of budget is not an
-error: the result carries the primes found so far plus the unfactored
-cofactor.  Certificates decide their criterion without factoring and call
-this only to name a witness prime, stopping at the first trial prime that
-qualifies.
+Trial division up to TRIAL_BOUND, in ascending order, then Pollard's rho
+(Brent's variant) with an iteration cap: every composite left over gets one
+rho call, and one that the call does not split stays in the cofactor while
+the other parts are still factored.  An incomplete result is not an error:
+it carries the primes found plus the unfactored cofactor.  Certificates
+decide their criterion without factoring and call this only to name a
+witness prime, stopping at the first trial prime that qualifies.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+TRIAL_BOUND = 10**6
+RHO_ITERATIONS = 200_000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -41,13 +44,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FactorBudget:
-    trial_bound: int = 10**6
-    rho_iterations: int = 200_000
-    rho_restarts: int = 8
 
 
 @dataclass
@@ -106,12 +102,13 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
 
 
 def factor_integer(
-    n: int, budget: FactorBudget | None = None, *, stop: Callable[[int, int], bool] | None = None
+    n: int, rho_iterations: int = RHO_ITERATIONS, *, stop: Callable[[int, int], bool] | None = None
 ) -> Factorization:
-    """Factor a nonzero integer within the budget.
+    """Factor a nonzero integer: trial division, then one rho attempt of
+    ``rho_iterations`` steps on each composite left.
 
-    An incomplete result (cofactor > 1) means the budget ran out; the
-    cofactor is known composite-or-prime-untested, never silently dropped.
+    A composite that its attempt does not split goes into the cofactor, so
+    an incomplete result (cofactor > 1) never silently drops a factor.
     ``stop(p, e)`` is asked about each prime p that trial division takes
     out (to exponent e), in ascending order, and about the prime left over
     when trial division ends; once it answers true, factoring ends there and
@@ -119,7 +116,6 @@ def factor_integer(
     """
     if n == 0:
         raise ValueError("cannot factor zero")
-    budget = budget or FactorBudget()
     sign = -1 if n < 0 else 1
     n = abs(n)
     found: dict[int, int] = {}
@@ -147,19 +143,18 @@ def factor_integer(
         return result(n)
     f = 5
     step = 2
-    while f <= budget.trial_bound and f * f <= n:
+    while f <= TRIAL_BOUND and f * f <= n:
         if n % f == 0 and take(f):
             return result(n)
         f += step
         step = 6 - step
     # No factor up to the trial bound and below its square means prime.
-    if n > 1 and (n < budget.trial_bound * budget.trial_bound or is_probable_prime(n)) and take(n):
+    if n > 1 and (n < TRIAL_BOUND * TRIAL_BOUND or is_probable_prime(n)) and take(n):
         return result(n)
 
     # Pollard rho on what remains.
     rng = random.Random(0x5EED ^ n)
     stack = [n] if n > 1 else []
-    restarts_left = budget.rho_restarts
     cofactor = 1
     while stack:
         m = stack.pop()
@@ -168,10 +163,7 @@ def factor_integer(
         if is_probable_prime(m):
             record(m)
             continue
-        d = None
-        while d is None and restarts_left > 0:
-            restarts_left -= 1
-            d = _pollard_brent(m, budget.rho_iterations, rng)
+        d = _pollard_brent(m, rho_iterations, rng)
         if d is None:
             cofactor *= m
             continue

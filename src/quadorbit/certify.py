@@ -12,7 +12,7 @@ Both rings decide the valuation criterion the same way: strip from the
 level value every prime (or irreducible factor) it shares with an earlier
 value, by repeated gcds, and test whether the residue is a square.  Over Q
 integer factoring then only names the witness prime, so every level is
-decided whatever the factoring budget.
+decided whatever the rho iteration cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import QQ, QT
-from .algebra.factorint import FactorBudget, factor_integer
+from .algebra.factorint import RHO_ITERATIONS, factor_integer
 from .algebra.intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .algebra.rationals import is_square_int, is_square_rational
 from .algebra.ratpoly import (
@@ -215,7 +215,7 @@ def _stability(gens: GeneratorSet, coding: SequenceCoding, values: list, decompo
 def maximality_by_primitive_odd_prime(
     gens: GeneratorSet,
     values: list,
-    budget: FactorBudget | None = None,
+    rho_iterations: int = RHO_ITERATIONS,
 ) -> MaximalityEvidence:
     """Valuation criterion over Q at level n = len(values), given the orbit
     values of levels 1..n: some prime divides the level-n value to odd
@@ -224,8 +224,9 @@ def maximality_by_primitive_odd_prime(
     Decided without factoring: stripping from |value| every prime an earlier
     value shares leaves a residue that is a square iff the criterion fails.
     Factoring then names the witness, the smallest qualifying prime, and
-    stops at the first trial prime that qualifies; when the budget finds
-    none, the witness is the residue, as over Q(t)."""
+    stops at the first trial prime that qualifies.  Past the trial bound each
+    composite gets one rho attempt of ``rho_iterations`` steps; when no
+    qualifying prime is found, the witness is the residue, as over Q(t)."""
     if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if not (gens.ring == QQ and gens.is_critical and gens.is_integral()):
@@ -246,7 +247,7 @@ def maximality_by_primitive_odd_prime(
     def primitive(p: int, e: int) -> bool:
         return e % 2 == 1 and all(v % p != 0 for v in earlier)
 
-    fac = factor_integer(target, budget, stop=primitive)
+    fac = factor_integer(target, rho_iterations, stop=primitive)
     witness = next((p for p, e in fac.factors if primitive(p, e)), residue)
     return MaximalityEvidence(MAX_PRIMITIVE, witness=str(witness))
 
@@ -340,7 +341,7 @@ def certify_chain(
     gens: GeneratorSet,
     coding: SequenceCoding,
     depth: int,
-    budget: FactorBudget | None = None,
+    rho_iterations: int = RHO_ITERATIONS,
 ) -> CertificateChain:
     """Full stability-plus-maximality certificate chain through the given depth."""
     if depth < 1:
@@ -393,7 +394,7 @@ def certify_chain(
             # The valuation criterion lives on integer sets; rational sets
             # still get the exact oracle at n = 2.
             if gens.is_integral():
-                max_ev = maximality_by_primitive_odd_prime(gens, values[:n], budget)
+                max_ev = maximality_by_primitive_odd_prime(gens, values[:n], rho_iterations)
             else:
                 max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
             if n == 2 and max_ev.kind in (MAX_FAILS, MAX_NOT_ATTEMPTED):

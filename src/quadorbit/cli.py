@@ -85,14 +85,12 @@ def _cmd_orbit(args):
 
 
 def _cmd_certify(args):
-    from .algebra.factorint import FactorBudget
     from .certify import certify_chain
     from .dynamics import SequenceCoding
 
     gens = _gens(args)
     coding = SequenceCoding.parse(args.coding)
-    budget = FactorBudget(rho_iterations=args.factor_budget)
-    chain = certify_chain(gens, coding, args.depth, budget)
+    chain = certify_chain(gens, coding, args.depth, args.factor_budget)
     config = {"set": gens.canonical_name(), "ring": gens.ring, "coding": coding.render(), "depth": args.depth}
     return config, chain.to_dict(), EXIT_OK
 
@@ -215,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", _cmd_certify, "stability/maximality certificate chain", gens=True, coding=True, ring=True
     )
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--factor-budget", type=int, default=200_000, help="rho iteration cap")
+    p.add_argument("--factor-budget", type=int, default=200_000, help="rho iterations per composite")
 
     p = command("census", _cmd_census, "exact parity-property counting over coefficient boxes")
     p.add_argument("--d", type=int, required=True)
@@ -257,7 +255,14 @@ def main(argv: list[str] | None = None) -> int:
     # Exact reports legitimately carry very long decimal integers.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; a usage error is an error,
+        # not an inconclusive result.  --help still exits 0.
+        if exc.code == 0:
+            raise
+        return EXIT_ERROR
     try:
         config, result, code = args.func(args)
         if isinstance(result, list):

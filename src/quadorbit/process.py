@@ -198,7 +198,14 @@ class ProcessLevel:
     n: int
     positive: int
     trials: int
-    exact_fpp: Fraction | None = None
+    # The exact survival fpp_num / 2^fpp_exp, already in lowest terms: the
+    # numerator is odd or the exponent 0 (see ``survival``).
+    fpp_num: int | None = None
+    fpp_exp: int = 0
+
+    @property
+    def exact_fpp(self) -> Fraction | None:
+        return None if self.fpp_num is None else Fraction(self.fpp_num, 1 << self.fpp_exp)
 
     @property
     def p_hat(self) -> Fraction:
@@ -227,8 +234,8 @@ class ProcessLevel:
             "p_hat_num": self.p_hat.numerator,
             "p_hat_den": self.p_hat.denominator,
             "stderr": self.stderr(),
-            "fpp_num": self.exact_fpp.numerator if self.exact_fpp is not None else None,
-            "fpp_den": self.exact_fpp.denominator if self.exact_fpp is not None else None,
+            "fpp_num": self.fpp_num,
+            "fpp_den": 1 << self.fpp_exp if self.fpp_num is not None else None,
         }
 
 
@@ -365,13 +372,10 @@ def simulate_process(
         constant_window_count=constant,
     )
     for n in range(1, depth + 1):
-        exact = None
+        level = ProcessLevel(n=n, positive=positive[n - 1], trials=trials)
         if n <= MAX_EXACT_LEVEL:
-            a, _, e = survival(mask[:n], nonmaximal_model)
-            exact = Fraction(a, 1 << e)
-        report.levels.append(
-            ProcessLevel(n=n, positive=positive[n - 1], trials=trials, exact_fpp=exact)
-        )
+            level.fpp_num, _, level.fpp_exp = survival(mask[:n], nonmaximal_model)
+        report.levels.append(level)
     return report
 
 

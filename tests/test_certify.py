@@ -124,6 +124,22 @@ class TestMaximalityQ:
         chain = certify_chain(g, SequenceCoding((1,), (2,)), 8)
         assert chain.levels[7].maximality.witness == "313"
 
+    def test_one_rho_call_per_composite(self, monkeypatch):
+        # Level 6 leaves a 31-digit composite that rho does not split; it gets
+        # one attempt, not a restart loop, and the residue is the witness.
+        calls = []
+        brent = factorint._pollard_brent
+
+        def counting_rho(n, iterations, rng):
+            calls.append(n)
+            return brent(n, iterations, rng)
+
+        monkeypatch.setattr(factorint, "_pollard_brent", counting_rho)
+        g = GeneratorSet.from_constants([-12, -10])
+        chain = certify_chain(g, SequenceCoding((1,), (2, 2)), 6)
+        assert len(calls) == 1 and len(str(calls[0])) == 31
+        assert [lc.maximality.kind for lc in chain.levels[1:]] == [MAX_PRIMITIVE] * 5
+
     def test_matches_trial_division_oracle(self):
         rng = random.Random(31)
         checked = 0

@@ -210,6 +210,27 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["census", "--bogus"], ["orbit", "--c", "1", "--depth", "x"], ["classify", "--ring", "qt", "--c", "t"]],
+    ids=["unknown_option", "bad_int", "option_of_another_command"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # Exit 2 means inconclusive; a command line argparse rejects is an error.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: quadorbit")
+    assert "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "--factor-budget" in capsys.readouterr().out
+
+
 def test_fpp_enclosures_beyond_exact(capsys):
     code, out = run_cli(capsys, "fpp", "--depth", "26")
     payload = json.loads(out)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadorbit.algebra import FactorBudget, factor_integer, is_probable_prime
+from quadorbit.algebra import factor_integer, factorint, is_probable_prime
 
 
 @pytest.mark.parametrize(
@@ -37,8 +37,8 @@ def test_reassemble_random():
 
 
 def test_large_semiprime_with_rho():
-    p, q = 1_000_003, 1_000_033
-    result = factor_integer(p * q, FactorBudget(trial_bound=1000))
+    p, q = 1_000_003, 1_000_033  # both beyond the trial bound
+    result = factor_integer(p * q)
     assert result.complete
     assert result.factors == [(p, 1), (q, 1)]
 
@@ -49,10 +49,25 @@ def test_partial_when_budget_too_small():
     p = 2_543_568_463_757_438_675_740_327
     q = 2_543_568_463_757_438_675_740_817  # adjusted below if not prime
     n = p * q
-    result = factor_integer(n, FactorBudget(trial_bound=100, rho_iterations=4, rho_restarts=1))
+    result = factor_integer(n, rho_iterations=4)
     assert result.reassemble() == n
     if not result.complete:
         assert result.cofactor > 1
+
+
+def test_one_rho_attempt_per_composite(monkeypatch):
+    # A composite that its one attempt does not split is the cofactor, whole.
+    calls = []
+
+    def failing_rho(n, iterations, rng):
+        calls.append(n)
+        return None
+
+    monkeypatch.setattr(factorint, "_pollard_brent", failing_rho)
+    n = 1_000_003 * 1_000_033
+    result = factor_integer(-6 * n)
+    assert calls == [n]
+    assert (result.sign, result.factors, result.cofactor) == (-1, [(2, 1), (3, 1)], n)
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,18 @@ class TestSimulation:
         for level in report.levels:
             assert within_three_sigma(level.positive, level.trials, level.exact_fpp)
 
+    @pytest.mark.parametrize("model", ["double", "hold"])
+    def test_reported_survival_is_in_lowest_terms(self, model):
+        # fpp_num / fpp_den are the dyadic survival as it comes, with no gcd.
+        for depth in range(1, 9):
+            for bits in range(1 << depth):
+                mask = [bool(bits >> i & 1) for i in range(depth)]
+                report = simulate_process(seed=0, depth=depth, trials=1, maximal_mask=mask, nonmaximal_model=model)
+                for level in report.to_dict()["levels"]:
+                    a, _, e = survival(mask[: level["n"]], model)
+                    exact = Fraction(a, 1 << e)
+                    assert (level["fpp_num"], level["fpp_den"]) == (exact.numerator, exact.denominator)
+
     def test_all_nonmaximal_doubling_never_dies(self):
         report = simulate_process(seed=3, depth=8, trials=500, maximal_mask=[False] * 8)
         assert all(level.p_hat == 1 for level in report.levels)

@@ -8,13 +8,13 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from quadorbit.algebra import (
-    FactorBudget,
     IntPolynomial,
     discriminant,
     gcd_primitive,
     resultant,
     squarefree_decomposition,
 )
+from quadorbit.algebra import factorint
 from quadorbit.certify import MAX_FAILS, MAX_PRIMITIVE, maximality_by_primitive_odd_prime, maximality_qt
 from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding, critical_orbit
 
@@ -181,7 +181,7 @@ def test_valuation_criterion_over_q_matches_factorint():
             if ev.witness != expected[1]:
                 # Rho ran out of budget before it found the prime: the witness
                 # is the residue, which every qualifying prime divides.
-                assert min(qualifying) > FactorBudget().trial_bound, (gens, coding.render(), n)
+                assert min(qualifying) > factorint.TRIAL_BOUND, (gens, coding.render(), n)
                 assert all(int(ev.witness) % p == 0 for p in qualifying)
             elif qualifying:
                 named += 1

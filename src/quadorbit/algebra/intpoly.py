@@ -167,10 +167,6 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
-    def shift_by_one(self) -> "IntPolynomial":
-        """self(t+1)."""
-        return self.compose(IntPolynomial((1, 1)))
-
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
         g = 0

@@ -137,12 +137,6 @@ class CertificateChain:
         }
 
 
-def _value_str(value) -> str:
-    if isinstance(value, IntPolynomial):
-        return render_poly(value)
-    return str(value)
-
-
 def derivative_trick_applies(gens: GeneratorSet, coding: SequenceCoding) -> bool:
     """Mod-2 derivative shortcut over Q(t): certifies every level at once.
 
@@ -201,14 +195,14 @@ def _stability(gens: GeneratorSet, coding: SequenceCoding, values: list, decompo
     out = []
     for n in range(1, depth + 1):
         if not _level_is_square(gens, values, n, decompose):
-            out.append(StabilityEvidence(STAB_NON_SQUARE, witness=_value_str(values[n - 1])))
+            out.append(StabilityEvidence(STAB_NON_SQUARE, witness=str(values[n - 1])))
             continue
         if gens.ring == QQ and gens.is_integral():
             eis = eisenstein_stability(gens, coding, n)
             if eis.ok:
                 out.append(StabilityEvidence(STAB_EISENSTEIN, detail=eis.case))
                 continue
-        out.append(StabilityEvidence(STAB_FAILED, witness=_value_str(values[n - 1])))
+        out.append(StabilityEvidence(STAB_FAILED, witness=str(values[n - 1])))
     return out
 
 
@@ -407,7 +401,7 @@ def certify_chain(
         levels.append(
             LevelCertificate(
                 level=n,
-                orbit_value=_value_str(values[n - 1]),
+                orbit_value=str(values[n - 1]),
                 stability=stab[n - 1],
                 maximality=max_ev,
             )

@@ -489,29 +489,24 @@ class EisensteinResult:
         return self.ok
 
 
-def eisenstein_at_two(poly: IntPolynomial) -> bool:
-    """Eisenstein's criterion at p = 2 for an integer polynomial."""
-    if poly.degree < 1:
-        return False
-    if poly.leading_coefficient() % 2 == 0:
-        return False
-    if any(c % 2 for c in poly.coeffs[:-1]):
-        return False
-    return poly.constant_coefficient() % 4 != 0
-
-
 def eisenstein_stability(gens: GeneratorSet, coding: SequenceCoding, n: int) -> EisensteinResult:
-    """Irreducibility of the level-n composition by Eisenstein at 2.
+    """Irreducibility of the level-n composition f by Eisenstein at 2.
 
-    Constant term 2 mod 4: test the composition itself; constant term
-    +-1 mod 4: test the shift by one.  Anything else is a plain failure.
+    Mod 2 each map x^2 + c is (x + c)^2, so f = (x + f(0))^(2^n) mod 2: f is
+    monic and every other coefficient but f(0) is even.  Constant term 2
+    mod 4: f itself is Eisenstein.  Constant term +-1 mod 4: f(x+1) is
+    x^(2^n) mod 2 with constant term f(1), so it is Eisenstein iff f(1) = 2
+    mod 4.  Anything else is a plain failure.  Only f(0) and f(1) mod 4 are
+    computed.
     """
     if not (gens.is_critical and gens.ring == QQ and gens.is_integral()):
         raise ValueError("Eisenstein stability needs an integer critical set")
-    f = composition_polynomial(gens, coding, n)
-    c0 = f.constant_coefficient() % 4
-    if c0 == 2:
-        return EisensteinResult(eisenstein_at_two(f), "direct", c0)
-    if c0 in (1, 3):
-        return EisensteinResult(eisenstein_at_two(f.shift_by_one()), "shifted", c0)
-    return EisensteinResult(False, "", c0)
+    at0, at1 = 0, 1
+    for k in range(n, 0, -1):
+        c = gens.constants[coding.index_at(k) - 1]
+        at0, at1 = (at0 * at0 + c) % 4, (at1 * at1 + c) % 4
+    if at0 == 2:
+        return EisensteinResult(True, "direct", at0)
+    if at0 in (1, 3):
+        return EisensteinResult(at1 == 2, "shifted", at0)
+    return EisensteinResult(False, "", at0)

@@ -1,17 +1,17 @@
 """Exact membership in the prime-divisor set of a quadratic orbit sequence.
 
-For an eventually periodic coding the level-n value factors through the
-prefix composition applied to a forward orbit of the full cycle block, so
-membership mod p is decided by finite cycle detection: per cycle phase the
-inner value walks a rho-shaped orbit in F_p.  One walker decides every
-prime: per phase it runs Brent's cycle detection in O(1) memory on the
-states (inner value mod p, step mod the period of the phase's exact-zero
-mask).  Exact zero terms of the sequence (skipped by definition) are
-resolved completely over Q first: with integer maps, inner values that
-leave the escape bound or pick up a denominator can never produce zeros
-again, so the zero pattern is eventually periodic and computed exactly.  A
-density profile sieves fixed ranges of primes and decides each prime with
-that walker, the ranges in worker processes when the scan is large.
+For an eventually periodic coding the level-n value is the prefix
+composition applied to an inner value, and per cycle phase the inner value
+follows the forward orbit of the full cycle block.  Exact zero levels are
+skipped by definition, and with integer maps they occur only while an inner
+value is an integer inside the escape bound: past it, or with a
+denominator, the value never returns.  So the sequence is split once over
+Q: an exact head of every nonzero level met inside the bound, and per
+escaping phase a tail that holds no zero.  A prime is decided by the least
+head level it divides, then by Brent's cycle detection on each tail in F_p
+in O(1) memory.  A density profile sieves fixed ranges of primes and
+decides each prime this way, the ranges in worker processes when the scan
+is large.
 """
 
 from __future__ import annotations
@@ -57,42 +57,26 @@ def primes_up_to(limit: int):
 
 
 # ---------------------------------------------------------------------------
-# Exact zero pattern of the sequence gamma_n(a0) over Q.
-
-@dataclass
-class _PhaseZeros:
-    pre_hits: set[int]
-    cycle_start: int | None = None  # None: no zeros beyond the recorded ones
-    cycle_len: int = 0
-    cycle_hits: frozenset[int] = frozenset()
-
-    def is_zero(self, q: int) -> bool:
-        if self.cycle_start is not None and q >= self.cycle_start:
-            return (q - self.cycle_start) % self.cycle_len in self.cycle_hits
-        return q in self.pre_hits
-
+# The sequence gamma_n(a0) over Q: an exact head, then tails without zeros.
 
 @dataclass
 class ZeroPattern:
-    """Exact description of { n >= 0 : gamma_n(a0) == 0 }, eventually periodic.
+    """The sequence split once, where its exact zeros end.
 
-    It keeps the start and the integer prefix and cycle constants it was
-    resolved from, so a scan sets them up once and not once per prime.
+    ``head`` holds (n, gamma_n(a0)) for every nonzero level met while the
+    inner value of its phase stays inside the escape bound, in order of n.
+    ``tails`` holds (n, u) for each phase whose inner value u leaves the
+    bound or picks up a denominator at level n; no level of that phase from
+    n on is exactly 0.  A phase that cycles inside the bound has no tail.
+    The start and the integer prefix and cycle constants are kept, so a
+    scan sets them up once and not once per prime.
     """
 
     a0: int | Fraction
     prefix: list[int]
     cycle: list[int]
-    prefix_zeros: set[int]
-    phases: list[_PhaseZeros]
-
-    def is_zero(self, n: int) -> bool:
-        if n == 0:
-            return self.a0 == 0
-        if n <= len(self.prefix):
-            return n in self.prefix_zeros
-        q, r = divmod(n - len(self.prefix), len(self.cycle))
-        return self.phases[r].is_zero(q)
+    head: list[tuple[int, int | Fraction]]
+    tails: list[tuple[int, int | Fraction]]
 
 
 def _setup(gens: GeneratorSet, coding: SequenceCoding):
@@ -113,12 +97,14 @@ def _apply_chain_exact(constants: list[int], value: int | Fraction) -> int | Fra
 
 
 def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction) -> ZeroPattern:
-    """Resolve every exact zero of the sequence.
+    """Walk the sequence exactly up to the end of its exact zeros.
 
-    Integer inner values either stay within the escape bound (hence become
-    periodic within about twice that many steps) or grow forever; fractional
-    values keep a nontrivial denominator forever.  Both resolve each phase
-    completely.
+    Level a + q*b + r (a prefix maps, b cycle maps, 0 <= r < b) is the prefix
+    applied to the inner value u_q of phase r, and u_{q+1} is u_q pushed
+    through one full cycle block.  Integer inner values either stay within
+    the escape bound (hence repeat within about twice that many blocks) or
+    grow forever; fractional ones keep a nontrivial denominator forever, and
+    neither of the last two ever gives a zero level.
     """
     prefix, cycle = _setup(gens, coding)
     a0 = as_number(a0)
@@ -126,39 +112,25 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
     # Fewer than 2*escape + 2 integers v have |v| <= escape, so an integer
     # inner value repeats before this many cycle blocks.
     bound = 2 * escape + 6
-    pattern = ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, prefix_zeros=set(), phases=[])
-    for n in range(1, len(prefix) + 1):
-        if _apply_chain_exact(prefix[:n], a0) == 0:
-            pattern.prefix_zeros.add(n)
-    for r in range(len(cycle)):
+    a_len, b_len = len(prefix), len(cycle)
+    levels = {n: _apply_chain_exact(prefix[:n], a0) for n in range(a_len + 1)}
+    tails = []
+    for r in range(b_len):
         v = _apply_chain_exact(cycle[:r], a0)
-        hits: set[int] = set()
-        seen: dict[int, int] = {}
-        for q in range(bound + 1):
+        seen = set()
+        for n in range(a_len + r, a_len + r + (bound + 1) * b_len, b_len):
             if v.denominator > 1 or abs(v) > escape:
-                # No zero can ever appear from here on.
-                pattern.phases.append(_PhaseZeros(pre_hits=hits))
+                tails.append((n, v))
                 break
             if v in seen:
-                start = seen[v]
-                length = q - start
-                cyc = frozenset((h - start) % length for h in hits if h >= start)
-                pattern.phases.append(
-                    _PhaseZeros(
-                        pre_hits={h for h in hits if h < start},
-                        cycle_start=start,
-                        cycle_len=length,
-                        cycle_hits=cyc,
-                    )
-                )
                 break
-            if _apply_chain_exact(prefix, v) == 0:
-                hits.add(q)
-            seen[v] = q
+            seen.add(v)
+            levels[n] = _apply_chain_exact(prefix, v)
             v = _apply_chain_exact(cycle, v)  # one full cycle block
         else:
             raise RuntimeError(f"zero pattern unresolved within {bound} cycle blocks")
-    return pattern
+    head = [(n, value) for n, value in sorted(levels.items()) if value != 0]
+    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, head=head, tails=tails)
 
 
 # ---------------------------------------------------------------------------
@@ -180,77 +152,49 @@ def prime_divides_orbit(
 ) -> PrimeOrbitResult:
     """Does p divide gamma_n(a0) for some n >= 0 with gamma_n(a0) != 0 exactly?
 
-    Exact decision via cycle detection in F_p; yes answers carry the least
-    index.  Primes dividing the denominator of a0 are excluded with their
-    own status.  ``max_states`` bounds each phase's Brent power, counted in
-    walker steps; a phase that would exceed it makes the answer "over_cap".
-    When a ``pattern`` is given, its start and constants are used and
-    ``gens`` and ``coding`` are not read; it must be resolved from the same
-    inputs, and a pattern for another start raises ValueError.
+    Yes answers carry the least such n.  The least head level whose exact
+    value p divides comes first; then Brent's cycle detection walks each
+    tail mod p while its level stays below the best hit so far.  No tail
+    level is exactly 0, so the walk needs no mask, and once a state repeats
+    every later level repeats an earlier one.  Primes dividing the
+    denominator of a0 are excluded with their own status.  ``max_states``
+    bounds each tail's Brent power, counted in cycle blocks from the tail's
+    start; a tail that would exceed it makes the answer "over_cap".  When a
+    ``pattern`` is given, its start and constants are used and ``gens`` and
+    ``coding`` are not read; it must be resolved from the same inputs, and a
+    pattern for another start raises ValueError.
     """
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
     elif pattern.a0 is not a0 and pattern.a0 != a0:
         raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
-    num, den = pattern.a0.numerator, pattern.a0.denominator
-    prefix, cycle = pattern.prefix, pattern.cycle
-    if den % p == 0:
+    if pattern.a0.denominator % p == 0:
         return PrimeOrbitResult("excluded")
-    x0 = num * pow(den, -1, p) % p
-
-    if num and x0 == 0:
-        return PrimeOrbitResult("yes", 0)
-
-    # Prefix levels: level n applies the first n prefix maps, innermost last.
-    for n in range(1, len(prefix) + 1):
-        v = x0
-        for c in reversed(prefix[:n]):
-            v = (v * v + c) % p
-        if v == 0 and not pattern.is_zero(n):
-            return PrimeOrbitResult("yes", n)
-
-    # Level a_len + q*b_len + r is the prefix applied to the inner value u_q of
-    # phase r, and u_{q+1} is u_q pushed through one full cycle block.  Maps
-    # are listed innermost first.
-    a_len, b_len = len(prefix), len(cycle)
-    pre = [c % p for c in reversed(prefix)]
-    cyc = [c % p for c in reversed(cycle)]
-    first = None  # least hit level found so far; later phases stop there
-    for r, phase in enumerate(pattern.phases):
-        # From step `settle` on, the exact-zero mask of the phase repeats with
-        # `period`, so the walk is a function of the state (u_q, q mod period).
-        if phase.cycle_start is None:
-            period, settle = 1, max(phase.pre_hits, default=-1) + 1
-        else:
-            period, settle = phase.cycle_len, phase.cycle_start
-        n = a_len + r
-        u = x0
-        for c in cyc[b_len - r :]:
-            u = (u * u + c) % p
-        # Brent's cycle detection on those states.  lam starts low enough that
-        # the first tortoise lands on step max(settle, 1): the settle steps and
-        # the caller's level-0 slot are tested for hits but never enrolled, as a
-        # masked slot must not retire a value whose later occurrences are
-        # unmasked.  Every level is tested before the walker moves past it.
-        tort = None
-        power, lam = 1, 2 - max(settle, 1)
+    first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
+    # Maps are listed innermost first.
+    pre = [c % p for c in reversed(pattern.prefix)]
+    cyc = [c % p for c in reversed(pattern.cycle)]
+    b_len = len(cyc)
+    for n, u in pattern.tails:
+        u = u.numerator * pow(u.denominator, -1, p) % p
+        tort, power, lam = u, 1, 0
         while first is None or n < first:
             v = u
             for c in pre:
                 v = (v * v + c) % p
-            if v == 0 and not pattern.is_zero(n):
+            if v == 0:
                 first = n
                 break
             for c in cyc:
                 u = (u * u + c) % p
             n += b_len
-            if u == tort and lam % period == 0:
+            lam += 1
+            if u == tort:
                 break
             if power == lam:
                 tort, power, lam = u, 2 * power, 0
                 if power > max_states:
                     return PrimeOrbitResult("over_cap")
-            lam += 1
     return PrimeOrbitResult("no") if first is None else PrimeOrbitResult("yes", first)
 
 

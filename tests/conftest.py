@@ -5,7 +5,10 @@ evaluated directly with Fractions, resultants via Sylvester determinants,
 counts by brute-force enumeration.  The paper's classification of the
 finite-orbit obstruction is here too, as the theorem the walk must agree with,
 with the valuation lemma; the lemma reads v_p through the library's
-``padic_valuation``, which ``test_rationals.py`` checks on its own.
+``padic_valuation``, which ``test_rationals.py`` checks on its own.  The
+Eisenstein oracle reads the coefficients of the library's
+``composition_polynomial``, which ``test_dynamics.py`` checks against direct
+evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from quadorbit.algebra.intpoly import IntPolynomial
 from quadorbit.algebra.rationals import padic_valuation
+from quadorbit.dynamics import EisensteinResult, composition_polynomial
 
 
 def gamma_value(gens, coding, a0, n):
@@ -41,8 +46,8 @@ def brute_force_membership(gens, coding, a0, p):
       level value is exactly 0.  A value with a denominator, or outside the
       radius, keeps that property under every map and so is never 0.
     A level counts when it is 0 mod p without being exactly 0.  The horizon
-    runs past every state of the walker (p residues times a mask period below
-    2*radius, after fewer than 2*radius settle steps, per phase).
+    runs past every level the walker decides: per phase, fewer than 2*radius
+    cycle blocks inside the escape bound, then at most p residues mod p.
     """
     a0 = Fraction(a0)
     if a0.denominator % p == 0:
@@ -317,3 +322,24 @@ def sylvester_resultant(f_coeffs, g_coeffs):
                 for c2 in range(col, size):
                     rows[r][c2] -= factor * rows[col][c2]
     return det
+
+
+def eisenstein_at_two(poly):
+    """Eisenstein's criterion at p = 2 for an integer polynomial."""
+    if poly.degree < 1 or poly.leading_coefficient() % 2 == 0:
+        return False
+    if any(c % 2 for c in poly.coeffs[:-1]):
+        return False
+    return poly.constant_coefficient() % 4 != 0
+
+
+def eisenstein_oracle(gens, coding, n):
+    """EisensteinResult of the level-n composition f from its coefficients:
+    Eisenstein at 2 on f when f(0) = 2 mod 4, on f(x+1) when f(0) is odd."""
+    f = composition_polynomial(gens, coding, n)
+    c0 = f.constant_coefficient() % 4
+    if c0 == 2:
+        return EisensteinResult(eisenstein_at_two(f), "direct", c0)
+    if c0 in (1, 3):
+        return EisensteinResult(eisenstein_at_two(f.compose(IntPolynomial((1, 1)))), "shifted", c0)
+    return EisensteinResult(False, "", c0)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     closure_oracle,
+    eisenstein_oracle,
     finite_orbit_oracle,
     gamma_values,
     obstruction_candidate,
@@ -420,7 +421,8 @@ class TestEisenstein:
         result = eisenstein_stability(g, SequenceCoding.constant(2), 1)
         assert result.ok and result.case == "shifted"
         # the shifted polynomial is x^2+2x-2
-        assert composition_polynomial(g, SequenceCoding.constant(2), 1).shift_by_one().coeffs == (-2, 2, 1)
+        shifted = composition_polynomial(g, SequenceCoding.constant(2), 1).compose(IntPolynomial((1, 1)))
+        assert shifted.coeffs == (-2, 2, 1)
 
     def test_direct_case(self):
         g = GeneratorSet.from_constants([-2, -6])
@@ -431,6 +433,20 @@ class TestEisenstein:
     def test_failure(self):
         result = eisenstein_stability(GeneratorSet.from_constants([-1]), CONST, 1)
         assert not result.ok
+
+    def test_matches_polynomial_oracle(self):
+        # Every 1- and 2-map set with constants in [-9, 9]; singletons with
+        # coding |1, ordered pairs with |1, |1,2 and 1|2; levels 1 to 6.
+        checked = 0
+        constants = range(-9, 10)
+        for cs in [(c,) for c in constants] + list(itertools.permutations(constants, 2)):
+            g = GeneratorSet.from_constants(list(cs))
+            codings = [CONST] if len(cs) == 1 else [CONST, SequenceCoding((), (1, 2)), SequenceCoding((1,), (2,))]
+            for coding in codings:
+                for n in range(1, 7):
+                    assert eisenstein_stability(g, coding, n) == eisenstein_oracle(g, coding, n), (cs, coding, n)
+                    checked += 1
+        assert checked == 6270
 
     def test_every_composition_for_minus2_minus3(self):
         g = GeneratorSet.from_constants([-2, -3])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_membership, gamma_values, zero_levels
+from conftest import brute_force_membership, gamma_value, gamma_values, zero_levels
 from quadorbit import pool
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
 from quadorbit.process import fpp_rows
@@ -46,29 +46,33 @@ class TestSieve:
 
 
 class TestZeroPattern:
+    """The head holds the nonzero levels met inside the escape bound, the
+    tails the first level of each phase past it."""
+
     def test_all_zero_map(self):
         pattern = zero_pattern(GeneratorSet.from_constants([0]), CONST, 0)
-        assert all(pattern.is_zero(n) for n in range(20))
+        assert (pattern.head, pattern.tails) == ([], [])
 
     def test_alternating(self):
+        # 0, -1, 0, -1, ...: the phase cycles inside the bound, so no tail.
         pattern = zero_pattern(GeneratorSet.from_constants([-1]), CONST, 0)
-        assert [pattern.is_zero(n) for n in range(8)] == [True, False, True, False, True, False, True, False]
+        assert (pattern.head, pattern.tails) == ([(1, -1)], [])
 
     def test_no_zeros_generic(self):
+        # 0, 1, 2, 5, ...: level 0 is exactly 0, and 5 is past the bound 2.
         pattern = zero_pattern(X2P1, CONST, 0)
-        assert pattern.is_zero(0)  # a0 itself
-        assert not any(pattern.is_zero(n) for n in range(1, 30))
+        assert (pattern.head, pattern.tails) == ([(1, 1), (2, 2)], [(3, 5)])
 
     def test_prefix_zero(self):
         # gamma_1(-1) = 0 for c = -1 as the first prefix map
         gens = GeneratorSet.from_constants([-1, 8])
         pattern = zero_pattern(gens, SequenceCoding((1,), (2,)), -1)
-        assert pattern.is_zero(1)
-        assert not pattern.is_zero(2)
+        assert pattern.head == [(0, -1), (2, 80)]
+        assert pattern.tails == [(3, 89)]
 
     def test_fractional_start(self):
         pattern = zero_pattern(X2P1, CONST, Fraction(1, 2))
-        assert not any(pattern.is_zero(n) for n in range(12))
+        assert (pattern.head, pattern.tails) == ([(0, Fraction(1, 2))], [(0, Fraction(1, 2))])
 
     def test_start_is_normalized(self):
         assert type(zero_pattern(X2P1, CONST, Fraction(0)).a0) is int
@@ -179,18 +183,65 @@ def test_walker_matches_brute_force(inputs, p):
 @given(inputs=scan_inputs())
 def test_zero_pattern_matches_exact_zeros(inputs):
     # Levels run to three times the resolution bound of 2*radius + 4 cycle
-    # blocks.  Exact level values double their digits every level, so they
-    # are compared directly on the first levels and through exact rational
-    # preimages of 0 on all of them.
+    # blocks.  Exact zeros come from exact rational preimages of 0, so the
+    # huge values past a tail's start are never computed; every other level
+    # stays inside the escape bound and is evaluated directly.
     gens, coding, a0 = inputs
     pattern = zero_pattern(gens, coding, a0)
     constants = [int(c) for c in gens.constants]
     radius = max(abs(c) for c in constants) + 2
     depth = len(coding.prefix) + 3 * len(coding.cycle) * (2 * radius + 4)
     zeros = zero_levels(constants, coding, a0, depth)
-    assert {n for n in range(depth + 1) if pattern.is_zero(n)} == zeros
+    a_len, b_len = len(coding.prefix), len(coding.cycle)
+    head = dict(pattern.head)
+    assert list(head) == sorted(head) and len(head) == len(pattern.head)
+    for n, value in pattern.head:
+        assert value != 0 and value == gamma_value(gens, coding, a0, n)
+    tails = {(n - a_len) % b_len: (n, u) for n, u in pattern.tails}
+    assert len(tails) == len(pattern.tails)
+    for n, u in pattern.tails:
+        assert n >= a_len
+        assert u.denominator > 1 or abs(u) > radius - 1
+        prefix_value = u
+        for i in reversed(coding.prefix):
+            prefix_value = prefix_value * prefix_value + constants[i - 1]
+        assert prefix_value == gamma_value(gens, coding, a0, n)
+    for m in range(depth + 1):
+        tail = tails.get((m - a_len) % b_len) if m >= a_len else None
+        if tail is not None and m >= tail[0]:
+            assert m not in zeros
+            continue
+        value = gamma_value(gens, coding, a0, m)
+        assert (value == 0) == (m in zeros)
+        # A nonzero level repeats a head value no later than itself, so the
+        # least head level a prime divides is the least such level here.
+        assert value == 0 or value in {head[n] for n in head if n <= m}
     exact = [a0] + gamma_values(gens, coding, a0, 8)
     assert {n for n, v in enumerate(exact) if v == 0} == zeros & set(range(9))
+
+
+@pytest.mark.parametrize(
+    "constants, coding, blocks",
+    [
+        # x^2+1 inside the bound 13 for 0, 1, 2, 5; 26 escapes.
+        ([1, 12], SequenceCoding((2,), (1,)), 4),
+        # blocks of x^2 then x^2+1: 0, 1, 2 inside the bound 2; 5 escapes.
+        ([1, 0], SequenceCoding((), (1, 2)), 3),
+        # blocks of two exact-zero maps, with exact zeros in the head.
+        ([-1, -2], SequenceCoding((1,), (1, 2)), 3),
+        ([-2, 1], SequenceCoding((), (1, 1, 2)), 3),
+    ],
+    ids=["one_map_cycle", "two_map_cycle", "zero_maps", "three_map_cycle"],
+)
+def test_late_escape_matches_brute_force(constants, coding, blocks):
+    # A phase stays inside the escape bound for several cycle blocks before
+    # its tail starts, so head and tail levels interleave.
+    gens = GeneratorSet.from_constants(constants)
+    pattern = zero_pattern(gens, coding, 0)
+    assert max((n - len(coding.prefix)) // len(coding.cycle) for n, _ in pattern.tails) == blocks
+    for p in SMALL_PRIMES:
+        result = prime_divides_orbit(p, gens, coding, 0, pattern)
+        assert (result.status, result.first_index) == brute_force_membership(gens, coding, 0, p), p
 
 
 class TestProfiles:
@@ -228,8 +279,10 @@ class TestProfiles:
             density_profile(gens, CONST, 0, [100])
 
     def test_walker_budget(self):
-        # p = 1987 never divides the orbit of 0 under x^2+1, and its rho of 44
-        # steps is longer than a Brent power of 4 walker steps can cover.
+        # p = 1987 never divides the orbit of 0 under x^2+1.  The walk starts
+        # at the tail, level 3 with inner value 5, whose rho mod p has 41
+        # states (36 before the cycle of 5), more than a Brent power of 4
+        # cycle blocks can cover.
         assert prime_divides_orbit(1987, X2P1, CONST, 0) == PrimeOrbitResult("no")
         assert prime_divides_orbit(1987, X2P1, CONST, 0, max_states=4) == PrimeOrbitResult("over_cap")
         report = density_profile(X2P1, CONST, 0, [2000], max_states=4)

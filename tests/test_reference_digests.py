@@ -38,13 +38,13 @@ COMMANDS = [
 def checks():
     # checks.py imports its sibling as ``workloads`` and lifts the limit on
     # integer digits, which its digest of a JSON report needs; the limit is
-    # restored after every test.
-    limit = sys.get_int_max_str_digits()
+    # restored when this module's tests are done.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, "workloads", workloads)
-        module = _load("checks")
-    sys.set_int_max_str_digits(limit)
-    return module
+        yield _load("checks")
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_every_unseeded_command_is_covered():
@@ -64,9 +64,4 @@ def test_command_matches_reference(cmd, checks):
         timeout=120,
     )
     assert out.returncode == entry["exit"], out.stderr
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        assert checks.report_digest(out.stdout) == entry["sha256"]
-    finally:
-        sys.set_int_max_str_digits(limit)
+    assert checks.report_digest(out.stdout) == entry["sha256"]

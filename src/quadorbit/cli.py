@@ -136,12 +136,13 @@ def _cmd_sample(args):
     from .process import sample_codings
 
     weights = [Fraction(w) for w in args.weights.split(",")]
+    gens = _gens(args) if args.c or args.set else None
     report = sample_codings(
         weights=weights,
         seed=args.seed,
         length=args.length,
         samples=args.samples,
-        gens=_gens(args) if args.c or args.set else None,
+        gens=gens,
         certify_count=args.certify,
         certify_depth=args.certify_depth,
     )
@@ -151,6 +152,11 @@ def _cmd_sample(args):
         "length": args.length,
         "samples": args.samples,
     }
+    if args.certify > 0:
+        # What the certificates were computed for; sample_codings has refused a missing set.
+        config.update(
+            set=gens.canonical_name(), ring=gens.ring, certify=args.certify, certify_depth=args.certify_depth
+        )
     return config, report.to_dict(), EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -411,6 +412,63 @@ class SampleReport:
         }
 
 
+# Draws decoded per getrandbits call in sample_codings: 2^14 groups of m words.
+SAMPLE_BLOCK = 1 << 14
+# Index code of a draw that its leading byte does not decide, and, once its
+# words decide it, of an accepted draw whose index does not fit a byte.
+_WIDE = 255
+
+
+def _index_blocks(rng: random.Random, thresholds: list[int]):
+    """Yield the outcomes of ``rng.randrange(denom)`` as index codes, a block at a time.
+
+    denom is the last threshold, and an outcome r has the index of the first
+    threshold above it.  ``randrange(denom)`` repeats ``r = getrandbits(k)``,
+    with k = denom.bit_length(), until r < denom.  getrandbits(k) takes
+    m = ceil(k / 32) outputs of the generator, fills r from its low word up and
+    shifts the last output right by 32m - k; getrandbits(32 * m * SAMPLE_BLOCK)
+    returns the same outputs in the same order, the first at the lowest bits.
+    So each draw is m words of a block, and the top byte of its last word
+    confines r to a range.  ``table`` gives each such byte the index of that
+    range, 0 when the range lies at or above denom (a rejected draw), or
+    _WIDE when it crosses a threshold or denom, or when the index does not
+    fit a byte; those draws are decoded from their own words.
+
+    Each block yields the codes of its accepted draws, one byte each, in
+    order, and the indices of the draws coded _WIDE, in order.
+    """
+    denom = thresholds[-1]
+    k = denom.bit_length()
+    m = -(-k // 32)
+    shift = 32 * m - k
+    low = 32 * (m - 1)  # bits of r below the last word
+    size = 4 * m  # bytes per draw
+
+    def index(r):
+        return bisect_right(thresholds, r) + 1 if r < denom else 0
+
+    table = bytearray(256)
+    for byte in range(256):
+        first = index((byte << 24 >> shift) << low)
+        last = index(((((byte << 24 | 0xFFFFFF) >> shift) + 1) << low) - 1)
+        table[byte] = first if first == last and first < _WIDE else _WIDE
+    getrandbits = rng.getrandbits
+    while True:
+        raw = getrandbits(8 * size * SAMPLE_BLOCK).to_bytes(size * SAMPLE_BLOCK, "little")
+        codes = bytearray(raw[size - 1 :: size].translate(table))
+        wide = []
+        at = codes.find(_WIDE)
+        while at >= 0:
+            word = int.from_bytes(raw[at * size : (at + 1) * size], "little")
+            code = index(word & ((1 << low) - 1) | word >> (low + shift) << low)
+            if code < _WIDE:
+                codes[at] = code
+            else:
+                wide.append(code)
+            at = codes.find(_WIDE, at + 1)
+        yield codes.translate(None, b"\0"), wide
+
+
 def sample_codings(
     weights: list[Fraction],
     seed: int,
@@ -421,6 +479,12 @@ def sample_codings(
     certify_depth: int | None = None,
 ) -> SampleReport:
     """Independent index draws per position under exact rational weights.
+
+    With denom the least common denominator of the weights, and thresholds
+    the cumulative sums of weight * denom, position i of the samples laid end
+    to end has the index of the first threshold above the i-th
+    ``randrange(denom)`` draw from the stream of chunk 0.  The draws are
+    decoded in blocks (``_index_blocks``).
 
     Optionally certifies the first few sampled prefixes (as prefix-plus-
     constant-tail codings) and attaches the chain summaries.
@@ -445,39 +509,53 @@ def sample_codings(
         from .certify import certify_chain
         from .dynamics import SequenceCoding
     rng = random.Random(_chunk_seed(seed, 0))
-    first_counts: dict[int, int] = {}
-    totals: dict[int, int] = {}
+    total = samples * length
+    certified = min(certify_count, samples) * length
+    firsts = [0] * (len(weights) + 1)
+    totals = [0] * (len(weights) + 1)
+    prefix: list[int] = []  # the indices of the samples to certify
+    done = 0
+    # The last block decodes draws past the last one needed.  That is
+    # harmless, because nothing reads rng afterwards.
+    for codes, wide in _index_blocks(rng, thresholds):
+        codes = codes[: total - done]
+        wide = wide[: codes.count(_WIDE)]
+        heads = codes[-done % length :: length]  # the draws at positions = 0 mod length
+        for idx in range(1, min(len(weights), _WIDE - 1) + 1):
+            totals[idx] += codes.count(idx)
+            firsts[idx] += heads.count(idx)
+        at = -1
+        for idx in wide:
+            at = codes.find(_WIDE, at + 1)
+            totals[idx] += 1
+            firsts[idx] += (done + at) % length == 0
+        if len(prefix) < certified:
+            wide_indices = iter(wide)
+            prefix.extend(next(wide_indices) if c == _WIDE else c for c in codes[: certified - len(prefix)])
+        done += len(codes)
+        if done == total:
+            break
     certificates = []
-    for sample_index in range(samples):
-        word = []
-        for _ in range(length):
-            roll = rng.randrange(denom)
-            for idx, bound in enumerate(thresholds, start=1):
-                if roll < bound:
-                    word.append(idx)
-                    break
-        first_counts[word[0]] = first_counts.get(word[0], 0) + 1
-        for idx in word:
-            totals[idx] = totals.get(idx, 0) + 1
-        if sample_index < certify_count:
-            coding = SequenceCoding(tuple(word), (word[-1],))
-            depth = length if certify_depth is None else certify_depth
-            chain = certify_chain(gens, coding, depth)
-            certificates.append(
-                {
-                    "coding": coding.render(),
-                    "stable": chain.stable,
-                    "maximal_levels": chain.maximal_levels,
-                    "tool_guarantee": chain.tool_guarantee,
-                }
-            )
+    for sample_index in range(min(certify_count, samples)):
+        word = prefix[sample_index * length : (sample_index + 1) * length]
+        coding = SequenceCoding(tuple(word), (word[-1],))
+        depth = length if certify_depth is None else certify_depth
+        chain = certify_chain(gens, coding, depth)
+        certificates.append(
+            {
+                "coding": coding.render(),
+                "stable": chain.stable,
+                "maximal_levels": chain.maximal_levels,
+                "tool_guarantee": chain.tool_guarantee,
+            }
+        )
     return SampleReport(
         seed=seed,
         length=length,
         samples=samples,
         weights=[str(w) for w in weights],
-        first_index_counts=first_counts,
-        index_totals=totals,
+        first_index_counts={idx: n for idx, n in enumerate(firsts) if n},
+        index_totals={idx: n for idx, n in enumerate(totals) if n},
         certificates=certificates,
     )
 

@@ -8,18 +8,22 @@ with the valuation lemma; the lemma reads v_p through the library's
 ``padic_valuation``, which ``test_rationals.py`` checks on its own.  The
 Eisenstein oracle reads the coefficients of the library's
 ``composition_polynomial``, which ``test_dynamics.py`` checks against direct
-evaluation.
+evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
+``sample_codings`` did before it decoded the generator's words in blocks.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from quadorbit.algebra.intpoly import IntPolynomial
 from quadorbit.algebra.rationals import padic_valuation
-from quadorbit.dynamics import EisensteinResult, composition_polynomial
+from quadorbit.dynamics import EisensteinResult, SequenceCoding, composition_polynomial
+from quadorbit.process import SampleReport, _chunk_seed
 
 
 def gamma_value(gens, coding, a0, n):
@@ -343,3 +347,53 @@ def eisenstein_oracle(gens, coding, n):
     if c0 in (1, 3):
         return EisensteinResult(eisenstein_at_two(f.compose(IntPolynomial((1, 1)))), "shifted", c0)
     return EisensteinResult(False, "", c0)
+
+
+def sample_codings_oracle(weights, seed, length, samples, gens=None, certify_count=0, certify_depth=None):
+    """The SampleReport of ``sample_codings`` for valid arguments, from one
+    ``randrange(denom)`` per position of the chunk-0 stream, mapped through
+    the cumulative thresholds by a linear search."""
+    from quadorbit.certify import certify_chain
+
+    weights = [Fraction(w) for w in weights]
+    denom = math.lcm(*(w.denominator for w in weights))
+    thresholds = []
+    acc = 0
+    for w in weights:
+        acc += int(w * denom)
+        thresholds.append(acc)
+    rng = random.Random(_chunk_seed(seed, 0))
+    first_counts = {}
+    totals = {}
+    certificates = []
+    for sample_index in range(samples):
+        word = []
+        for _ in range(length):
+            roll = rng.randrange(denom)
+            for idx, bound in enumerate(thresholds, start=1):
+                if roll < bound:
+                    word.append(idx)
+                    break
+        first_counts[word[0]] = first_counts.get(word[0], 0) + 1
+        for idx in word:
+            totals[idx] = totals.get(idx, 0) + 1
+        if sample_index < certify_count:
+            coding = SequenceCoding(tuple(word), (word[-1],))
+            chain = certify_chain(gens, coding, length if certify_depth is None else certify_depth)
+            certificates.append(
+                {
+                    "coding": coding.render(),
+                    "stable": chain.stable,
+                    "maximal_levels": chain.maximal_levels,
+                    "tool_guarantee": chain.tool_guarantee,
+                }
+            )
+    return SampleReport(
+        seed=seed,
+        length=length,
+        samples=samples,
+        weights=[str(w) for w in weights],
+        first_index_counts=first_counts,
+        index_totals=totals,
+        certificates=certificates,
+    )

@@ -156,6 +156,39 @@ def test_sample(capsys):
     assert sum(payload["result"]["first_index_counts"].values()) == 100
 
 
+def test_sample_certify_config_names_what_was_certified(capsys):
+    argv = ["sample", "--weights", "1/2,1/2", "--length", "3", "--samples", "4", "--seed", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == {"weights": ["1/2", "1/2"], "seed": 1, "length": 3, "samples": 4}
+    configs = []
+    for extra in (
+        ["--c", "-3; 2", "--certify", "2"],
+        ["--c", "-3; 1", "--certify", "2"],
+        ["--c", "-3; 2", "--certify", "2", "--certify-depth", "2"],
+        ["--c", "t; 1", "--ring", "qt", "--certify", "1"],
+    ):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        configs.append(json.loads(out)["config"])
+    assert configs[0] == {
+        "weights": ["1/2", "1/2"],
+        "seed": 1,
+        "length": 3,
+        "samples": 4,
+        "set": "{x^2-3, x^2+2}",
+        "ring": "q",
+        "certify": 2,
+        "certify_depth": None,
+    }
+    assert configs[1]["set"] == "{x^2-3, x^2+1}"
+    assert configs[2]["certify_depth"] == 2
+    assert (configs[3]["ring"], configs[3]["certify"]) == ("qt", 1)
+    # --c without --certify certifies nothing, and the config does not name the set.
+    code, out = run_cli(capsys, *argv, "--c", "-3; 2")
+    assert json.loads(out)["config"] == {"weights": ["1/2", "1/2"], "seed": 1, "length": 3, "samples": 4}
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_sample_certify_depth_below_one_is_an_error(capsys, depth):
     # 0 is a depth like any other, not a stand-in for --length.

@@ -1,5 +1,6 @@
 import concurrent.futures
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from quadorbit.process import (
     CHUNK,
     MAX_EXACT_LEVEL,
     POOL_MIN_TRIALS,
+    SAMPLE_BLOCK,
     ProcessLevel,
     coin_transition,
     fixed_leaf_count,
@@ -28,6 +30,8 @@ from quadorbit.process import (
     wreath_elements,
 )
 from quadorbit.reporting import canonical_json
+
+from conftest import sample_codings_oracle
 
 
 class TestFpp:
@@ -330,6 +334,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_codings([Fraction(1, 2), Fraction(1, 3)], seed=1, length=4, samples=2)
 
+    def test_no_randrange_per_position(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("randrange called")
+
+        monkeypatch.setattr(random.Random, "randrange", refuse)
+        report = sample_codings([Fraction(1, 4), Fraction(3, 4)], seed=0, length=64, samples=100)
+        assert sum(report.index_totals.values()) == 6400
+
+    def test_memory_stays_within_a_block(self):
+        # The draw stream of 3.2 M positions is decoded a block at a time.
+        tracemalloc.start()
+        try:
+            report = sample_codings([Fraction(1, 4), Fraction(3, 4)], seed=0, length=64, samples=50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(report.index_totals.values()) == 64 * 50_000
+        assert peak < 2 * 1024 * 1024
+
     def test_certified_samples_with_tool_set(self):
         from quadorbit.algebra import parse_poly
         from quadorbit.dynamics import QT, GeneratorSet
@@ -351,3 +374,62 @@ class TestSampling:
                 for n in range(2, 9):
                     if word[n - 1] == 1:
                         assert n in cert["maximal_levels"]
+
+
+# The leading byte of a draw decides it for denom < 256.  From 256 up it may
+# not (k = 9, 10, 33, 41 bits), and 300 indices do not fit a byte code.
+DIFFERENTIAL_WEIGHTS = {
+    "one": [Fraction(1)],
+    "halves": [Fraction(1, 2)] * 2,
+    "quarter": [Fraction(1, 4), Fraction(3, 4)],
+    "thirds": [Fraction(1, 3)] * 3,
+    "sevenths": [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)],
+    "k8": [Fraction(1, 255), Fraction(254, 255)],
+    "k9": [Fraction(1, 256), Fraction(255, 256)],
+    "k10": [Fraction(1, 1000), Fraction(999, 1000)],
+    "300": [Fraction(1, 300)] * 300,
+    "k33": [Fraction(1, 2**32), 1 - Fraction(1, 2**32)],
+    "k41": [Fraction(1, 2**40 + 3), 1 - Fraction(1, 2**40 + 3)],
+}
+
+
+class TestSamplingAgainstOracle:
+    @pytest.mark.parametrize("weights", DIFFERENTIAL_WEIGHTS.values(), ids=DIFFERENTIAL_WEIGHTS)
+    def test_grid(self, weights):
+        for seed in (0, 1, 7):
+            for length in (1, 3, 64):
+                for samples in (1, 7, 500):
+                    report = sample_codings(weights, seed, length, samples)
+                    assert report.to_dict() == sample_codings_oracle(weights, seed, length, samples).to_dict()
+
+    @pytest.mark.parametrize(
+        "weights,length,samples",
+        [
+            # No rejects: the draws are the positions, so these end one draw
+            # below, at and above one block, and in the third block.
+            *[(DIFFERENTIAL_WEIGHTS["halves"], 1, n) for n in (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1)],
+            (DIFFERENTIAL_WEIGHTS["halves"], 1, 2 * SAMPLE_BLOCK + 1),
+            # Samples that straddle a block carry their position across it.
+            *[(DIFFERENTIAL_WEIGHTS["halves"], 7, SAMPLE_BLOCK // 7 + d) for d in (0, 1, 2)],
+            # About half the draws are rejected.
+            *[(DIFFERENTIAL_WEIGHTS["quarter"], 5, n) for n in (SAMPLE_BLOCK // 10 - 1, SAMPLE_BLOCK // 10 + 1)],
+            (DIFFERENTIAL_WEIGHTS["k41"], 3, SAMPLE_BLOCK // 6 + 1),
+        ],
+    )
+    def test_block_boundaries(self, weights, length, samples):
+        for seed in (0, 5):
+            report = sample_codings(weights, seed, length, samples)
+            assert report.to_dict() == sample_codings_oracle(weights, seed, length, samples).to_dict()
+
+    @pytest.mark.parametrize("weights", ["quarter", "k9", "k41", "300"])
+    def test_certificates(self, weights):
+        from quadorbit.dynamics import GeneratorSet
+
+        weights = DIFFERENTIAL_WEIGHTS[weights]
+        # A 2-map set, or for 300 weights 300 maps, so that indices past a byte code reach the words.
+        gens = GeneratorSet.from_constants([-3, 2] if len(weights) == 2 else list(range(1, 301)))
+        for seed in (0, 3):
+            args = (weights, seed, 4, 9, gens, 5)
+            report = sample_codings(*args, certify_depth=2)
+            assert len(report.certificates) == 5
+            assert report.to_dict() == sample_codings_oracle(*args, certify_depth=2).to_dict()

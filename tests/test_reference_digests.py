@@ -1,10 +1,11 @@
-"""The benchmark's unseeded commands keep their recorded exit codes and bytes.
+"""The benchmark's commands keep their recorded exit codes and bytes.
 
 ``perfbench/reference.json`` holds the exit code and report digest of every
 benchmark command, and a benchmark run counts a command whose output differs
-as a failed operation.  This runs the same commands the same way, a fresh
+as a failed operation.  This runs the unseeded commands the same way, a fresh
 ``python -m quadorbit.cli`` against ``src/``, so a byte change shows up here
-first.  It only reads ``perfbench/``.
+first.  The seeded ``sample`` command runs in-process through ``cli.main`` at
+every 16th recorded seed.  It only reads ``perfbench/``.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from quadorbit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -65,3 +68,18 @@ def test_command_matches_reference(cmd, checks):
     )
     assert out.returncode == entry["exit"], out.stderr
     assert checks.report_digest(out.stdout) == entry["sha256"]
+
+
+SAMPLE_SEEDS = range(0, 512, 16)
+
+
+def test_sample_seeds_are_recorded(checks):
+    assert SAMPLE_SEEDS == range(0, checks.load_reference()["seeds"], 16)
+
+
+@pytest.mark.parametrize("seed", SAMPLE_SEEDS)
+def test_seeded_sample_matches_reference(seed, checks, capsys):
+    (cmd,) = [cmd for cmd in workloads.workload_commands("session", seed) if cmd.key == "session.sample"]
+    entry = checks.load_reference()["commands"][cmd.key]
+    assert cli.main(list(cmd.argv)) == entry["exit"]
+    assert checks.report_digest(capsys.readouterr().out) == entry["sha256_by_seed"][str(seed)]

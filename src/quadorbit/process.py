@@ -510,17 +510,17 @@ def sample_codings(
         from .dynamics import SequenceCoding
     rng = random.Random(_chunk_seed(seed, 0))
     total = samples * length
-    certified = min(certify_count, samples) * length
+    certified = min(certify_count, samples) * length  # positions in the samples to certify
     firsts = [0] * (len(weights) + 1)
     totals = [0] * (len(weights) + 1)
-    prefix: list[int] = []  # the indices of the samples to certify
+    prefix: list[int] = []  # the indices at those positions
     done = 0
     # The last block decodes draws past the last one needed.  That is
     # harmless, because nothing reads rng afterwards.
     for codes, wide in _index_blocks(rng, thresholds):
         codes = codes[: total - done]
         wide = wide[: codes.count(_WIDE)]
-        heads = codes[-done % length :: length]  # the draws at positions = 0 mod length
+        heads = codes[-done % length :: length]  # the draws at positions 0 mod length
         for idx in range(1, min(len(weights), _WIDE - 1) + 1):
             totals[idx] += codes.count(idx)
             firsts[idx] += heads.count(idx)
@@ -536,8 +536,8 @@ def sample_codings(
         if done == total:
             break
     certificates = []
-    for sample_index in range(min(certify_count, samples)):
-        word = prefix[sample_index * length : (sample_index + 1) * length]
+    for start in range(0, certified, length):
+        word = prefix[start : start + length]
         coding = SequenceCoding(tuple(word), (word[-1],))
         depth = length if certify_depth is None else certify_depth
         chain = certify_chain(gens, coding, depth)

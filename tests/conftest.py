@@ -14,11 +14,10 @@ evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from quadorbit.algebra.intpoly import IntPolynomial
 from quadorbit.algebra.rationals import padic_valuation
@@ -356,7 +355,7 @@ def sample_codings_oracle(weights, seed, length, samples, gens=None, certify_cou
     from quadorbit.certify import certify_chain
 
     weights = [Fraction(w) for w in weights]
-    denom = math.lcm(*(w.denominator for w in weights))
+    denom = lcm(*(w.denominator for w in weights))
     thresholds = []
     acc = 0
     for w in weights:

@@ -19,12 +19,10 @@ _EXPORTS = {
     "is_square_int": "rationals",
     "is_square_rational": "rationals",
     "padic_valuation": "rationals",
-    "discriminant": "ratpoly",
     "gcd_primitive": "ratpoly",
     "is_square": "ratpoly",
     "is_square_qt": "ratpoly",
     "is_squarefree": "ratpoly",
-    "resultant": "ratpoly",
     "square_in_quadratic_extension": "ratpoly",
     "squarefree_decomposition": "ratpoly",
 }

@@ -2,18 +2,18 @@
 
 Every polynomial in this package has integer coefficients, and a nonzero
 element of Q[t] is determined up to a rational unit by its primitive part,
-so gcds, square-free decompositions, square tests, resultants and
-discriminants all take and return IntPolynomial.  GCDs run through
-homomorphic images modulo word-sized primes just below 2^26 (a degree-0
-image certifies coprimality outright) and a CRT lift with trial division
-otherwise; the trial division's quotients are the cofactors, which
-gcd_primitive returns with the gcd so no caller divides again.  Each image
-runs Euclid on packed big-integer slots, so no Python loop walks the
-coefficients of a division; square-freeness certificates on orbit values of
-degree 4096 and more stay affordable.  Square-free decomposition is Yun's
-iterated-gcd scheme; no irreducible factorization happens anywhere in this
-package.  The module keeps its name because the benchmark tracer wraps the
-gcd, square-free and square-test functions here by module path.
+so gcds, square-free decompositions and square tests all take and return
+IntPolynomial.  GCDs run through homomorphic images modulo word-sized
+primes just below 2^26 (a degree-0 image certifies coprimality outright)
+and a CRT lift with trial division otherwise; the trial division's
+quotients are the cofactors, which gcd_primitive returns with the gcd so no
+caller divides again.  Each image runs Euclid on packed big-integer slots,
+so no Python loop walks the coefficients of a division; square-freeness
+certificates on orbit values of degree 4096 and more stay affordable.
+Square-free decomposition is Yun's iterated-gcd scheme; no irreducible
+factorization happens anywhere in this package.  The module keeps its name
+because the benchmark tracer wraps the gcd, square-free and square-test
+functions here by module path.
 """
 
 from __future__ import annotations
@@ -280,64 +280,3 @@ def square_in_quadratic_extension(a, m) -> bool:
         raise ValueError("m must not be a square (the extension is degenerate)")
     return is_square(a) or is_square(a * m)
 
-
-# ---------------------------------------------------------------------------
-# Resultants and discriminants (subresultant pseudo-remainder chain).
-
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, all in Z[t]."""
-    lb = b.leading_coefficient()
-    e = a.degree - b.degree + 1
-    r = a
-    while not r.is_zero() and r.degree >= b.degree:
-        shift = IntPolynomial.term(r.leading_coefficient(), r.degree - b.degree)
-        r = r * lb - b * shift
-        e -= 1
-    if e > 0:
-        r = r * (lb**e)
-    return r
-
-
-def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Resultant of nonzero integer polynomials, exact."""
-    if a.is_zero() or b.is_zero():
-        raise ValueError("resultant of the zero polynomial is undefined")
-    sign = 1
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    if b.degree == 0:
-        return sign * b.leading_coefficient() ** a.degree
-    ca, cb = a.content(), b.content()
-    acc = ca**b.degree * cb**a.degree
-    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
-    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
-    g = h = 1
-    while True:
-        delta = a.degree - b.degree
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
-            sign = -sign
-        r = _pseudo_rem(a, b)
-        a = b
-        b_scale = g * h**delta
-        if r.is_zero():
-            return 0
-        b = IntPolynomial(tuple(c // b_scale for c in r.coeffs))
-        g = a.leading_coefficient()
-        h = g**delta // h ** (delta - 1) if delta > 0 else h
-        if b.degree <= 0:
-            break
-    h = b.leading_coefficient() ** a.degree // h ** (a.degree - 1) if a.degree > 0 else 1
-    return sign * acc * h
-
-
-def discriminant(f: IntPolynomial) -> int:
-    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f); the division is exact."""
-    if f.is_zero():
-        raise ValueError("discriminant of the zero polynomial is undefined")
-    d = f.degree
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) // f.leading_coefficient()

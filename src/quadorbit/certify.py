@@ -13,6 +13,14 @@ level value every prime (or irreducible factor) it shares with an earlier
 value, by repeated gcds, and test whether the residue is a square.  Over Q
 integer factoring then only names the witness prime, so every level is
 decided whatever the rho iteration cap.
+
+Over Z[t] a chain does less work in two cases, with the same result:
+- a coding that applies one map at every level strips level n only against
+  the levels that divide n, because the critical orbit of one map is a
+  divisibility sequence (``_strip_levels``);
+- when the derivative shortcut applies, a level value with an odd leading
+  coefficient is square-free by its reduction mod 2, and its square-free
+  decomposition is read off without Yun's gcds (``_decomposer``).
 """
 
 from __future__ import annotations
@@ -26,20 +34,12 @@ from .algebra.factorint import RHO_ITERATIONS, factor_integer
 from .algebra.intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .algebra.rationals import is_square_int, is_square_rational
 from .algebra.ratpoly import (
-    discriminant,
     gcd_primitive,
     is_square,
-    resultant,
     square_in_quadratic_extension,
     squarefree_decomposition,
 )
-from .dynamics import (
-    GeneratorSet,
-    SequenceCoding,
-    composition_polynomial,
-    critical_orbit,
-    eisenstein_stability,
-)
+from .dynamics import GeneratorSet, SequenceCoding, critical_orbit, eisenstein_stability
 
 STAB_NON_SQUARE = "non_square_witness"
 STAB_EISENSTEIN = "eisenstein_witness"
@@ -153,12 +153,27 @@ def derivative_trick_applies(gens: GeneratorSet, coding: SequenceCoding) -> bool
     return derivative_is_one_mod2(c1)
 
 
-def _decomposer(values: list):
-    """n -> square-free decomposition of the level-n Z[t] value, made at most once."""
+def _decomposer(values: list, mod2_squarefree: bool = False):
+    """n -> square-free decomposition of the level-n Z[t] value, made at most once.
+
+    ``mod2_squarefree`` says the chain passes ``derivative_trick_applies``:
+    then every value has derivative 1 mod 2 (gamma_n' = 2 z z' + c_(theta_1)'
+    for the inner value z).  A value whose leading coefficient is odd keeps
+    its degree mod 2 and is coprime there to its derivative, so it has no
+    repeated factor over Q: a primitive h with h^2 | gamma_n has an odd
+    leading coefficient, so its image mod 2 has positive degree and would
+    divide that gcd.  Its decomposition is then (signed content,
+    [(primitive part, 1)]), which is what Yun's gives when its first gcd is
+    constant, and no gcd is run.  An even leading coefficient still takes
+    Yun's path."""
 
     @functools.cache
     def decompose(n: int):
-        return squarefree_decomposition(values[n - 1])
+        value = values[n - 1]
+        if mod2_squarefree and value.leading_coefficient() % 2:
+            part = value.primitive_part()
+            return value.leading_coefficient() // part.leading_coefficient(), [(part, 1)]
+        return squarefree_decomposition(value)
 
     return decompose
 
@@ -258,11 +273,34 @@ def _odd_multiplicity_part(parts: list[tuple[IntPolynomial, int]]) -> IntPolynom
 def maximality_qt(gens: GeneratorSet, values: list) -> MaximalityEvidence:
     """Valuation criterion over Q(t) at level n = len(values), given the orbit
     values of levels 1..n, by square-free decomposition and gcd-stripping
-    against the earlier values; no factorization needed."""
-    return _maximality_qt(gens, values, _decomposer(values))
+    against every earlier value; no factorization needed."""
+    return _maximality_qt(gens, values, _decomposer(values), range(1, len(values)))
 
 
-def _maximality_qt(gens: GeneratorSet, values: list, decompose) -> MaximalityEvidence:
+def _strip_levels(coding: SequenceCoding, n: int):
+    """The earlier levels whose values level n's residue is stripped against.
+
+    A coding that applies one map f at every level (every index of its
+    prefix and cycle the same) needs only the proper divisors d of n.  There
+    gamma_n = f^(n-m)(gamma_m) == f^(n-m)(0) = gamma_(n-m) mod gamma_m, so by
+    Euclid on the indices any factor gamma_n shares with gamma_m divides
+    gamma_gcd(n,m): the critical orbit is a rigid divisibility sequence
+    (Rice, "Primitive prime divisors in polynomial arithmetic dynamics",
+    Integers 2007).  The residue starts square-free, and each strip step
+    divides out a primitive gcd with a positive leading coefficient, so the
+    residue ends as the primitive product of its irreducible factors that
+    divide no earlier value, whichever levels remove them: the same
+    polynomial as the full strip.  A zero earlier value needs a constant f,
+    whose constant levels fail the criterion before any strip.
+
+    Every other coding strips against all n - 1 earlier levels.
+    """
+    if len(set(coding.prefix + coding.cycle)) > 1:
+        return range(1, n)
+    return [d for d in range(1, n // 2 + 1) if n % d == 0]
+
+
+def _maximality_qt(gens: GeneratorSet, values: list, decompose, strip_levels) -> MaximalityEvidence:
     if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if gens.ring != QT or not gens.is_critical:
@@ -271,7 +309,8 @@ def _maximality_qt(gens: GeneratorSet, values: list, decompose) -> MaximalityEvi
     if target.is_zero():
         raise ValueError("degenerate orbit: the level value is zero")
     residue = _odd_multiplicity_part(decompose(len(values))[1])
-    for earlier in values[:-1]:
+    for m in strip_levels:
+        earlier = values[m - 1]
         if residue.degree < 1:
             break
         if earlier.is_zero():
@@ -344,7 +383,7 @@ def certify_chain(
     values = critical_orbit(gens, coding, depth)
     # Both the square test and the valuation criterion read each level's
     # square-free decomposition; the value is decomposed once for both.
-    decompose = _decomposer(values)
+    decompose = _decomposer(values, derivative_trick_applies(gens, coding))
     stab = _stability(gens, coding, values, decompose)
     stable_through = 0
     for ev in stab:
@@ -374,7 +413,7 @@ def certify_chain(
         elif stable_through < n - 1:
             max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
         elif gens.ring == QT:
-            max_ev = _maximality_qt(gens, values[:n], decompose)
+            max_ev = _maximality_qt(gens, values[:n], decompose, _strip_levels(coding, n))
             if n in guaranteed_levels:
                 if max_ev.kind != MAX_PRIMITIVE:
                     raise RuntimeError(
@@ -418,39 +457,3 @@ def certify_chain(
         tool_guarantee=tool_ok,
     )
 
-
-# ---------------------------------------------------------------------------
-# Identity checkers.
-
-def discriminant_identity_check(
-    gens: GeneratorSet, coding: SequenceCoding, n: int, cap: int = 5
-) -> bool:
-    """disc(gamma_n) == Res(gamma_{n-1}, gamma_{n-1}')^2 * 2^(2^n) * gamma_n(0), exactly."""
-    if not 2 <= n <= cap:
-        raise ValueError(f"n must be between 2 and {cap}")
-    if not gens.is_critical:
-        raise ValueError("needs a critical set over Q")
-    gamma_n = composition_polynomial(gens, coding, n)
-    gamma_prev = composition_polynomial(gens, coding, n - 1)
-    res = resultant(gamma_prev, gamma_prev.derivative())
-    return discriminant(gamma_n) == res * res * 2 ** (2**n) * gamma_n.constant_coefficient()
-
-
-def degree_law_check(gens: GeneratorSet, coding: SequenceCoding, n: int) -> bool:
-    """Degree bound deg <= d 2^(n-1), with equality and the leading-power law
-    whenever the innermost constant attains the maximal degree d."""
-    if gens.ring != QT or not gens.is_critical:
-        raise ValueError("degree law applies over Z[t]")
-    d = max(c.degree for c in gens.constants)
-    if d <= 0:
-        raise ValueError("needs a nonconstant degree bound")
-    value = critical_orbit(gens, coding, n)[-1]
-    if value.degree > d * 2 ** (n - 1):
-        return False
-    inner = gens.constants[coding.index_at(n) - 1]
-    if inner.degree == d:
-        if value.degree != d * 2 ** (n - 1):
-            return False
-        if value.leading_coefficient() != inner.leading_coefficient() ** (2 ** (n - 1)):
-            return False
-    return True

@@ -10,6 +10,9 @@ Eisenstein oracle reads the coefficients of the library's
 ``composition_polynomial``, which ``test_dynamics.py`` checks against direct
 evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 ``sample_codings`` did before it decoded the generator's words in blocks.
+The subresultant ``resultant`` and ``discriminant``, with the discriminant
+identity and the degree law they check, live here because no command uses
+them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import isqrt, lcm
 
 from quadorbit.algebra.intpoly import IntPolynomial
 from quadorbit.algebra.rationals import padic_valuation
-from quadorbit.dynamics import EisensteinResult, SequenceCoding, composition_polynomial
+from quadorbit.dynamics import QT, EisensteinResult, SequenceCoding, composition_polynomial, critical_orbit
 from quadorbit.process import SampleReport, _chunk_seed
 
 
@@ -325,6 +328,103 @@ def sylvester_resultant(f_coeffs, g_coeffs):
                 for c2 in range(col, size):
                     rows[r][c2] -= factor * rows[col][c2]
     return det
+
+# The subresultant resultant and the discriminant, with the two identities
+# they check: no command computes them, so they live beside their own
+# oracles (``sylvester_resultant`` here, sympy in ``test_sympy_oracles.py``).
+
+
+def _pseudo_rem(a, b):
+    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, all in Z[t]."""
+    lb = b.leading_coefficient()
+    e = a.degree - b.degree + 1
+    r = a
+    while not r.is_zero() and r.degree >= b.degree:
+        shift = IntPolynomial.term(r.leading_coefficient(), r.degree - b.degree)
+        r = r * lb - b * shift
+        e -= 1
+    if e > 0:
+        r = r * (lb**e)
+    return r
+
+
+def resultant(a, b):
+    """Resultant of nonzero integer polynomials, exact, by the subresultant
+    pseudo-remainder chain."""
+    if a.is_zero() or b.is_zero():
+        raise ValueError("resultant of the zero polynomial is undefined")
+    sign = 1
+    if a.degree < b.degree:
+        if (a.degree * b.degree) % 2 == 1:
+            sign = -sign
+        a, b = b, a
+    if b.degree == 0:
+        return sign * b.leading_coefficient() ** a.degree
+    ca, cb = a.content(), b.content()
+    acc = ca**b.degree * cb**a.degree
+    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
+    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
+    g = h = 1
+    while True:
+        delta = a.degree - b.degree
+        if a.degree % 2 == 1 and b.degree % 2 == 1:
+            sign = -sign
+        r = _pseudo_rem(a, b)
+        a = b
+        b_scale = g * h**delta
+        if r.is_zero():
+            return 0
+        b = IntPolynomial(tuple(c // b_scale for c in r.coeffs))
+        g = a.leading_coefficient()
+        h = g**delta // h ** (delta - 1) if delta > 0 else h
+        if b.degree <= 0:
+            break
+    h = b.leading_coefficient() ** a.degree // h ** (a.degree - 1) if a.degree > 0 else 1
+    return sign * acc * h
+
+
+def discriminant(f):
+    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f); the division is exact."""
+    if f.is_zero():
+        raise ValueError("discriminant of the zero polynomial is undefined")
+    d = f.degree
+    if d < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant(f, f.derivative()) // f.leading_coefficient()
+
+
+def discriminant_identity_check(gens, coding, n, cap=5):
+    """disc(gamma_n) == Res(gamma_{n-1}, gamma_{n-1}')^2 * 2^(2^n) * gamma_n(0), exactly."""
+    if not 2 <= n <= cap:
+        raise ValueError(f"n must be between 2 and {cap}")
+    if not gens.is_critical:
+        raise ValueError("needs a critical set over Q")
+    gamma_n = composition_polynomial(gens, coding, n)
+    gamma_prev = composition_polynomial(gens, coding, n - 1)
+    res = resultant(gamma_prev, gamma_prev.derivative())
+    return discriminant(gamma_n) == res * res * 2 ** (2**n) * gamma_n.constant_coefficient()
+
+
+def degree_law_check(gens, coding, n):
+    """Degree bound deg <= d 2^(n-1), with equality and the leading-power law
+    whenever the innermost constant attains the maximal degree d."""
+    if gens.ring != QT or not gens.is_critical:
+        raise ValueError("degree law applies over Z[t]")
+    d = max(c.degree for c in gens.constants)
+    if d <= 0:
+        raise ValueError("needs a nonconstant degree bound")
+    value = critical_orbit(gens, coding, n)[-1]
+    if value.degree > d * 2 ** (n - 1):
+        return False
+    inner = gens.constants[coding.index_at(n) - 1]
+    if inner.degree == d:
+        if value.degree != d * 2 ** (n - 1):
+            return False
+        if value.leading_coefficient() != inner.leading_coefficient() ** (2 ** (n - 1)):
+            return False
+    return True
+
 
 
 def eisenstein_at_two(poly):

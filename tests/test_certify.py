@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import gamma_value, primitive_odd_prime_oracle
+from conftest import degree_law_check, discriminant_identity_check, gamma_value, primitive_odd_prime_oracle
 import quadorbit.certify as certify
 from quadorbit.algebra import (
     squarefree_decomposition,
@@ -25,15 +25,13 @@ from quadorbit.certify import (
     STAB_FAILED,
     STAB_NON_SQUARE,
     certify_chain,
-    degree_law_check,
-    discriminant_identity_check,
     level2_oracle,
     maximality_by_primitive_odd_prime,
     maximality_qt,
     stability_certificate,
     tool_conditions,
 )
-from quadorbit.algebra import factorint
+from quadorbit.algebra import factorint, ratpoly
 from quadorbit.cli import main
 from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding, critical_orbit
 from quadorbit.reporting import canonical_json
@@ -317,14 +315,18 @@ def test_chain_computes_the_critical_orbit_once(monkeypatch, gens, coding, depth
 @pytest.mark.parametrize(
     "gens, coding, depth, decomposed_levels",
     [
-        (qt_set("t"), CONST, 6, [2, 3, 4, 5, 6]),
+        (qt_set("t"), CONST, 6, []),
+        (qt_set("2t^2+t"), CONST, 6, [2, 3, 4, 5, 6]),
         (qt_set("t^2+1", "t"), SequenceCoding((), (1, 2)), 5, [1, 2, 3, 4, 5]),
     ],
-    ids=["qt_derivative_shortcut", "qt_square_tests"],
+    ids=["qt_derivative_shortcut", "qt_shortcut_even_leading", "qt_square_tests"],
 )
 def test_chain_decomposes_each_orbit_value_once(monkeypatch, gens, coding, depth, decomposed_levels):
     # The square tests and the valuation criterion share one square-free
-    # decomposition per level; the shortcut chain needs none at level 1.
+    # decomposition per level.  The derivative shortcut chain needs none at
+    # level 1, and none at all where the leading coefficient is odd: the
+    # mod-2 certificate reads it off.  2t^2+t passes the derivative test, but
+    # its levels have even leading coefficients and take Yun's path.
     calls = []
 
     def counting_decomposition(f):
@@ -353,27 +355,124 @@ def test_chain_divides_by_each_gcd_once(monkeypatch):
     assert [c for c in callers if c != "gcd_primitive"] == []
 
 
+def _assert_chain_matches_full_strip(gens, coding, depth):
+    """Every level the chain attempts has the maximality kind and witness of
+    maximality_qt, which strips against every earlier level and runs Yun."""
+    chain = certify_chain(gens, coding, depth)
+    values = critical_orbit(gens, coding, depth)
+    compared = 0
+    for n in range(2, depth + 1):
+        ev = chain.levels[n - 1].maximality
+        if chain.stable_through < n - 1:
+            assert ev.kind == "not_attempted"
+            continue
+        oracle = maximality_qt(gens, values[:n])
+        assert (ev.kind, ev.witness) == (oracle.kind, oracle.witness), (gens.map_strings(), coding.render(), n)
+        compared += 1
+    return compared
+
+
+SINGLE_MAPS = ["t", "-t", "t^2+1", "t^3-2t", "2t+1", "-(t^2+3)", "2t^2+t"]
+
+
+@pytest.mark.parametrize("c", SINGLE_MAPS)
+def test_single_map_strip_matches_full_strip(c):
+    # |1, 1|1 and |1,1 apply one map at every level, so the chain strips each
+    # level against its divisor levels only; the residue must not change.
+    gens = qt_set(c)
+    for coding, depth in ((CONST, 10), (SequenceCoding((1,), (1,)), 8), (SequenceCoding((), (1, 1)), 8)):
+        assert _assert_chain_matches_full_strip(gens, coding, depth) == depth - 1
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [("t", "t^2+1"), ("2t+1", "-(t^2+3)"), ("2t^2+t", "t^3-2t"), ("t", "t^3-2t"), ("t", "-2"), ("t", "t+1")],
+    ids="; ".join,
+)
+@pytest.mark.parametrize("coding", ["1|2", "2|1", "|1,2"])
+def test_two_map_chain_matches_full_strip(texts, coding):
+    # Two maps keep the full strip; the mod-2 certificate may still apply.
+    # A divisor strip would change the witness for t; t^3-2t under 2|1,
+    # t; -2 under 1|2 and t; t+1 under |1,2: there some level n shares a
+    # factor with an earlier level whose index does not divide n.
+    assert _assert_chain_matches_full_strip(qt_set(*texts), SequenceCoding.parse(coding), 7) > 0
+
+
+@pytest.mark.parametrize("constants", [[-2], [-1], [1], [3], [-2, 1]])
+def test_constant_qt_chain_matches_full_strip(constants):
+    gens = GeneratorSet.from_constants([IntPolynomial((c,)) for c in constants], ring=QT)
+    codings = ["|1", "1|1", "|1,1"] + (["1|2", "2|1", "|1,2"] if len(constants) == 2 else [])
+    for coding in codings:
+        _assert_chain_matches_full_strip(gens, SequenceCoding.parse(coding), 9)
+
+
+def test_single_map_chain_work_counts(monkeypatch):
+    # c = t, |1, depth 8: levels 2..8 have 12 proper divisors in all, so the
+    # strip runs 12 gcds (28 against every earlier level), and the mod-2
+    # certificate leaves Yun's decomposition nothing to do (7 gcds before).
+    strip_calls, yun_calls = [], []
+
+    def counting(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(certify, "gcd_primitive", counting(strip_calls, ratpoly.gcd_primitive))
+    monkeypatch.setattr(ratpoly, "gcd_primitive", counting(yun_calls, ratpoly.gcd_primitive))
+    certify_chain(qt_set("t"), CONST, 8)
+    assert (len(strip_calls), len(yun_calls)) == (12, 0)
+
+def _derivative_one_squares(seed, count):
+    """z^2 + c for random z and random c whose derivative reduces to 1 mod 2,
+    so f' = 1 mod 2; the leading coefficient may be even."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        c_coeffs = [rng.randint(-9, 9) for _ in range(d + 1)]
+        c_coeffs[1] = 2 * rng.randint(-4, 4) + 1  # odd linear coefficient
+        for i in range(3, d + 1, 2):
+            c_coeffs[i] = 2 * rng.randint(-4, 4)  # even odd-index coefficients
+        c = IntPolynomial(c_coeffs)
+        if not derivative_is_one_mod2(c):
+            continue
+        dz = rng.randint(max(1, (d + 1) // 2), 3)
+        z_coeffs = [rng.randint(-9, 9) for _ in range(dz)] + [2 * rng.randint(0, 3) + 1]
+        z = IntPolynomial(z_coeffs)
+        yield z * z + c
+
+
 class TestSquarefreeTrickProperties:
     def test_derivative_one_implies_squarefree(self):
         # random z, c with derivative-1 reduction and odd leading term give a
         # square-free z^2 + c
-        rng = random.Random(31)
-        for _ in range(60):
-            d = rng.randint(1, 4)
-            c_coeffs = [rng.randint(-9, 9) for _ in range(d + 1)]
-            c_coeffs[1] = 2 * rng.randint(-4, 4) + 1  # odd linear coefficient
-            for i in range(3, d + 1, 2):
-                c_coeffs[i] = 2 * rng.randint(-4, 4)  # even odd-index coefficients
-            c = IntPolynomial(c_coeffs)
-            if not derivative_is_one_mod2(c):
-                continue
-            dz = rng.randint(max(1, (d + 1) // 2), 3)
-            z_coeffs = [rng.randint(-9, 9) for _ in range(dz)] + [2 * rng.randint(0, 3) + 1]
-            z = IntPolynomial(z_coeffs)
-            f = z * z + c
+        for f in _derivative_one_squares(31, 60):
             if f.leading_coefficient() % 2 == 0:
                 continue
             assert gcd_primitive(f, f.derivative())[0].is_constant()
+
+    def test_mod2_certificate_is_yuns_decomposition(self, monkeypatch):
+        # The chain's decomposer skips Yun exactly when the leading
+        # coefficient is odd, and returns what Yun would have, content sign
+        # included; the generator's values are negated too.
+        calls = []
+
+        def counting_decomposition(f):
+            calls.append(f)
+            return squarefree_decomposition(f)
+
+        monkeypatch.setattr(certify, "squarefree_decomposition", counting_decomposition)
+        shortcuts = 0
+        for f in _derivative_one_squares(53, 300):
+            for value in (f, -f, 3 * f):
+                calls.clear()
+                got = certify._decomposer([value], mod2_squarefree=True)(1)
+                assert got == squarefree_decomposition(value)
+                odd = value.leading_coefficient() % 2 == 1
+                assert calls == ([] if odd else [value])
+                shortcuts += odd
+        assert shortcuts >= 100
 
     def test_tool_levels_are_squarefree(self):
         rng = random.Random(37)

@@ -3,17 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gcd_mod_p_oracle, schoolbook_product, sylvester_resultant
+from conftest import discriminant, gcd_mod_p_oracle, resultant, schoolbook_product, sylvester_resultant
 from quadorbit.algebra import ratpoly
 from quadorbit.algebra import (
     IntPolynomial,
-    discriminant,
     gcd_primitive,
     is_probable_prime,
     is_square,
     is_squarefree,
     parse_poly,
-    resultant,
     square_in_quadratic_extension,
     squarefree_decomposition,
 )

@@ -7,13 +7,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from quadorbit.algebra import (
-    IntPolynomial,
-    discriminant,
-    gcd_primitive,
-    resultant,
-    squarefree_decomposition,
-)
+from conftest import discriminant, resultant
+from quadorbit.algebra import IntPolynomial, gcd_primitive, squarefree_decomposition
 from quadorbit.algebra import factorint
 from quadorbit.certify import MAX_FAILS, MAX_PRIMITIVE, maximality_by_primitive_odd_prime, maximality_qt
 from quadorbit.dynamics import QT, GeneratorSet, SequenceCoding, critical_orbit

@@ -424,6 +424,7 @@ def test_single_map_chain_work_counts(monkeypatch):
     certify_chain(qt_set("t"), CONST, 8)
     assert (len(strip_calls), len(yun_calls)) == (12, 0)
 
+
 def _derivative_one_squares(seed, count):
     """z^2 + c for random z and random c whose derivative reduces to 1 mod 2,
     so f' = 1 mod 2; the leading coefficient may be even."""
@@ -454,8 +455,8 @@ class TestSquarefreeTrickProperties:
 
     def test_mod2_certificate_is_yuns_decomposition(self, monkeypatch):
         # The chain's decomposer skips Yun exactly when the leading
-        # coefficient is odd, and returns what Yun would have, content sign
-        # included; the generator's values are negated too.
+        # coefficient is odd, and returns what Yun would have; -f and 3f
+        # check the sign and size of the content.
         calls = []
 
         def counting_decomposition(f):

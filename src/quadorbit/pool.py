@@ -24,7 +24,7 @@ def pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, usable_cpus())
 
 
-def parallel_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
+def parallel_map(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, computed by up to ``workers`` processes.
 
     ``fn`` and the tasks must pickle (a module-level function, or a
@@ -44,4 +44,4 @@ def parallel_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
     forkable = threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if forkable else "spawn")
     with ProcessPoolExecutor(max_workers=size, mp_context=context) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))

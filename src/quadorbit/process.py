@@ -5,7 +5,8 @@ fixed point lifts to 0 or 2 with probability 1/2 each (an exact martingale
 step); at a non-maximal level it lifts to 2 (``double``) or to 1 (``hold``).
 ``survival`` gives P(X_n > 0) exactly or as a certified dyadic enclosure; with
 every level maximal it is the fixed-point proportion of the full group,
-f(1) = 1/2 and f(n) = f(n-1) - f(n-1)^2/2.
+f(1) = 1/2 and f(n) = f(n-1) - f(n-1)^2/2.  ``simulate_process`` samples it
+chunk by chunk in the calling process and stops each path at its first 0.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import comb
 from typing import TYPE_CHECKING
-
-from . import pool
 
 if TYPE_CHECKING:
     from .dynamics import GeneratorSet
@@ -124,72 +122,9 @@ def fpp_rows(depth: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force wreath products (small depths; used as the oracle in tests).
-
-def wreath_elements(depth: int):
-    """All automorphisms of the depth-n binary tree as nested (swap, left, right)."""
-    if depth == 0:
-        yield ()
-        return
-    subs = list(wreath_elements(depth - 1))
-    for swap in (0, 1):
-        for left in subs:
-            for right in subs:
-                yield (swap, left, right)
-
-
-def fixed_leaf_count(element, depth: int) -> int:
-    if depth == 0:
-        return 1
-    swap, left, right = element
-    if swap:
-        return 0
-    return fixed_leaf_count(left, depth - 1) + fixed_leaf_count(right, depth - 1)
-
-
-def fpp_brute_force(depth: int) -> Fraction:
-    total = 0
-    fixing = 0
-    for g in wreath_elements(depth):
-        total += 1
-        if fixed_leaf_count(g, depth) > 0:
-            fixing += 1
-    return Fraction(fixing, total)
-
-
-# ---------------------------------------------------------------------------
-# Exact transition model.
-
-def coin_transition(u: int) -> dict[int, Fraction]:
-    """Distribution of the next count from u fixed points at a maximal level.
-
-    Each fixed point lifts to 0 or 2 with probability 1/2, so P(2k) =
-    C(u, k) / 2^u for every u >= 0.  The one odd count the process meets is
-    X_0 = 1, which leading ``hold`` levels keep; u = 0 is absorbing.
-    """
-    if u < 0:
-        raise ValueError("u must be a nonnegative integer")
-    scale = 1 << u
-    return {2 * k: Fraction(comb(u, k), scale) for k in range(u + 1)}
-
-
-def stay_probability_bound(u: int) -> Fraction:
-    """P(stay at u) = C(u, u/2)/2^u, asserted <= 1/2 for even u >= 2."""
-    if u < 2 or u % 2 != 0:
-        raise ValueError("u must be an even integer >= 2")
-    p = Fraction(comb(u, u // 2), 1 << u)
-    if p > Fraction(1, 2):
-        raise AssertionError(f"stay probability {p} exceeds 1/2 at u={u}")
-    return p
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo simulation with worker-count-independent streams.
 
 CHUNK = 2048
-# Above this many trials the chunks run in one worker process per usable
-# CPU, where the pool pays for its start.
-POOL_MIN_TRIALS = 50_000
 # A path counts as constant-tailed when its last CONSTANT_WINDOW values agree.
 CONSTANT_WINDOW = 3
 
@@ -271,50 +206,47 @@ def _chunk_seed(seed: int, chunk_index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _paths(seed: int, chunk_index: int, count: int, mask: list[bool], model: str):
-    """Yield ``count`` fixed-point count paths X_1..X_depth from one chunk's stream."""
+def _run_chunk(seed, mask, model, chunk):
+    """(positive count per level, constant-window count) of one chunk's paths.
+
+    A path stops at its first 0, which is absorbing and draws no bits, so the
+    chunk's stream is read exactly as by full paths.  A path that dies at
+    level d is positive before d, and its window is constant (all 0) when d
+    is at or before the window's first level; a survivor's window is constant
+    when every value in it equals the first.
+    """
+    chunk_index, count = chunk
     getrandbits = random.Random(_chunk_seed(seed, chunk_index)).getrandbits
+    depth = len(mask)
+    first = max(depth - CONSTANT_WINDOW, 0)  # index of the window's first level
+    double = model == MODEL_DOUBLE
+    levels = list(enumerate(mask))
+    deaths = [0] * (depth + 1)  # deaths[i]: paths with X_(i+1) the first 0; deaths[depth]: survivors
+    constant = 0
     for _ in range(count):
         x = 1
-        path = []
-        for maximal in mask:
+        for i, maximal in levels:
             if maximal:
-                x = 2 * getrandbits(x).bit_count() if x else 0
-            elif model == MODEL_DOUBLE:
-                x = 2 * x
+                x = 2 * getrandbits(x).bit_count()
+                if not x:
+                    break
+            elif double:
+                x += x
             # MODEL_HOLD keeps x
-            path.append(x)
-        yield path
-
-
-def simulate_paths(
-    seed: int,
-    depth: int,
-    trials: int,
-    maximal_mask: list[bool] | None = None,
-    nonmaximal_model: str = MODEL_DOUBLE,
-) -> list[list[int]]:
-    """Raw fixed-point count paths, one list X_1..X_depth per trial.
-
-    Invariants of the model: X_1 is 0 or 2 when level 1 is maximal, X_n never
-    exceeds 2^n, and 0 is absorbing.  All trials come from the stream of
-    chunk 0, so up to CHUNK trials they are the paths simulate_process counts.
-    """
-    mask = [True] * depth if maximal_mask is None else list(maximal_mask)
-    return list(_paths(seed, 0, trials, mask, nonmaximal_model))
-
-
-def _run_chunk(seed, mask, model, chunk):
-    chunk_index, count = chunk
-    positive = [0] * len(mask)
-    constant = 0
-    for path in _paths(seed, chunk_index, count, mask, model):
-        for i, value in enumerate(path):
-            if value > 0:
-                positive[i] += 1
-        tail = path[-CONSTANT_WINDOW:]
-        if len(set(tail)) == 1:
-            constant += 1
+            if i == first:
+                steady = x
+            elif i > first and x != steady:
+                steady = 0  # a live value is positive, so 0 marks a window that changed
+        else:
+            i = depth
+            constant += steady != 0
+        deaths[i] += 1
+    constant += sum(deaths[: first + 1])
+    positive = []
+    alive = count
+    for dead in deaths[:depth]:
+        alive -= dead
+        positive.append(alive)
     return positive, constant
 
 
@@ -324,7 +256,7 @@ def simulate_process(
     trials: int,
     maximal_mask: list[bool] | None = None,
     nonmaximal_model: str = MODEL_DOUBLE,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ProcessReport:
     """Monte Carlo paths of the fixed-point count model.
 
@@ -332,16 +264,13 @@ def simulate_process(
     count (every fixed root lifts both children) or hold it, which is an
     explicit modeling knob.  Trials are split into fixed-size chunks with
     per-chunk derived streams, so the report does not depend on the worker
-    count.  Above POOL_MIN_TRIALS the chunks run in one worker process per
-    usable CPU, in batches of several chunks each; ``workers`` fixes the
-    count instead.  Each level through MAX_EXACT_LEVEL carries the model's
-    exact survival P(X_n > 0) from ``survival``, on every mask and model;
-    deeper levels carry none.
+    count.  The chunks run in this process; ``workers`` above 1 hands them to
+    up to that many worker processes instead.  Each level through
+    MAX_EXACT_LEVEL carries the model's exact survival P(X_n > 0) from
+    ``survival``, on every mask and model; deeper levels carry none.
     """
     if trials < 1 or depth < 1:
         raise ValueError("need positive depth and trials")
-    if workers is None:
-        workers = pool.usable_cpus() if trials > POOL_MIN_TRIALS else 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if nonmaximal_model not in (MODEL_DOUBLE, MODEL_HOLD):
@@ -350,14 +279,13 @@ def simulate_process(
     if len(mask) != depth:
         raise ValueError("mask length must equal depth")
     chunks = [(index, min(CHUNK, trials - start)) for index, start in enumerate(range(0, trials, CHUNK))]
-    # About four batches per worker: few enough to amortise each hand-off,
-    # enough to even out the load.
-    results = pool.parallel_map(
-        partial(_run_chunk, seed, mask, nonmaximal_model),
-        chunks,
-        workers,
-        chunksize=-(-len(chunks) // (4 * workers)),
-    )
+    run = partial(_run_chunk, seed, mask, nonmaximal_model)
+    if workers > 1:
+        from . import pool
+
+        results = pool.parallel_map(run, chunks, workers)
+    else:
+        results = map(run, chunks)
     positive = [0] * depth
     constant = 0
     for pos, const in results:
@@ -378,12 +306,6 @@ def simulate_process(
             level.fpp_num, _, level.fpp_exp = survival(mask[:n], nonmaximal_model)
         report.levels.append(level)
     return report
-
-
-def within_three_sigma(positive: int, trials: int, p: Fraction) -> bool:
-    """Exact check |positive/trials - p|^2 <= 9 p (1-p) / trials."""
-    p_hat = Fraction(positive, trials)
-    return (p_hat - p) ** 2 <= 9 * p * (1 - p) / trials
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 ``sample_codings`` did before it decoded the generator's words in blocks.
 The subresultant ``resultant`` and ``discriminant``, with the discriminant
 identity and the degree law they check, live here because no command uses
-them.
+them.  So do the count process's oracles: the brute-force wreath products,
+the exact coin-step law, the full fixed-point count paths of one chunk's
+stream, and the exact three-sigma test.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from quadorbit.algebra.intpoly import IntPolynomial
 from quadorbit.algebra.rationals import padic_valuation
 from quadorbit.dynamics import QT, EisensteinResult, SequenceCoding, composition_polynomial, critical_orbit
-from quadorbit.process import SampleReport, _chunk_seed
+from quadorbit.process import MODEL_DOUBLE, SampleReport, _chunk_seed
 
 
 def gamma_value(gens, coding, a0, n):
@@ -496,3 +498,92 @@ def sample_codings_oracle(weights, seed, length, samples, gens=None, certify_cou
         index_totals=totals,
         certificates=certificates,
     )
+
+
+# The fixed-point count process.
+
+
+def wreath_elements(depth: int):
+    """All automorphisms of the depth-n binary tree as nested (swap, left, right)."""
+    if depth == 0:
+        yield ()
+        return
+    subs = list(wreath_elements(depth - 1))
+    for swap in (0, 1):
+        for left in subs:
+            for right in subs:
+                yield (swap, left, right)
+
+
+def fixed_leaf_count(element, depth: int) -> int:
+    if depth == 0:
+        return 1
+    swap, left, right = element
+    if swap:
+        return 0
+    return fixed_leaf_count(left, depth - 1) + fixed_leaf_count(right, depth - 1)
+
+
+def fpp_brute_force(depth: int) -> Fraction:
+    total = 0
+    fixing = 0
+    for g in wreath_elements(depth):
+        total += 1
+        if fixed_leaf_count(g, depth) > 0:
+            fixing += 1
+    return Fraction(fixing, total)
+
+
+def coin_transition(u: int) -> dict[int, Fraction]:
+    """Distribution of the next count from u fixed points at a maximal level.
+
+    Each fixed point lifts to 0 or 2 with probability 1/2, so P(2k) =
+    C(u, k) / 2^u for every u >= 0.  The one odd count the process meets is
+    X_0 = 1, which leading ``hold`` levels keep; u = 0 is absorbing.
+    """
+    if u < 0:
+        raise ValueError("u must be a nonnegative integer")
+    scale = 1 << u
+    return {2 * k: Fraction(comb(u, k), scale) for k in range(u + 1)}
+
+
+def stay_probability_bound(u: int) -> Fraction:
+    """P(stay at u) = C(u, u/2)/2^u, asserted <= 1/2 for even u >= 2."""
+    if u < 2 or u % 2 != 0:
+        raise ValueError("u must be an even integer >= 2")
+    p = Fraction(comb(u, u // 2), 1 << u)
+    if p > Fraction(1, 2):
+        raise AssertionError(f"stay probability {p} exceeds 1/2 at u={u}")
+    return p
+
+
+def simulate_paths(seed, depth, trials, maximal_mask=None, nonmaximal_model=MODEL_DOUBLE, chunk_index=0):
+    """Raw fixed-point count paths, one list X_1..X_depth per trial.
+
+    Every path runs through all levels, a dead one included, from the stream
+    of chunk ``chunk_index``: ``simulate_process`` counts the paths of its
+    i-th chunk from the first trials of this list at ``chunk_index=i``.
+    Invariants of the model: X_1 is 0 or 2 when level 1 is maximal, X_n never
+    exceeds 2^n, and 0 is absorbing.
+    """
+    mask = [True] * depth if maximal_mask is None else list(maximal_mask)
+    getrandbits = random.Random(_chunk_seed(seed, chunk_index)).getrandbits
+    paths = []
+    for _ in range(trials):
+        x = 1
+        path = []
+        for maximal in mask:
+            if maximal:
+                x = 2 * getrandbits(x).bit_count() if x else 0
+            elif nonmaximal_model == MODEL_DOUBLE:
+                x = 2 * x
+            # MODEL_HOLD keeps x
+            path.append(x)
+        paths.append(path)
+    return paths
+
+
+def within_three_sigma(positive: int, trials: int, p: Fraction) -> bool:
+    """Exact check |positive/trials - p|^2 <= 9 p (1-p) / trials."""
+    p_hat = Fraction(positive, trials)
+    return (p_hat - p) ** 2 <= 9 * p * (1 - p) / trials

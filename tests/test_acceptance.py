@@ -14,7 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import discriminant_identity_check, gamma_value, gamma_values
+from conftest import (
+    coin_transition,
+    discriminant_identity_check,
+    fpp_brute_force,
+    gamma_value,
+    gamma_values,
+    stay_probability_bound,
+    within_three_sigma,
+)
 from quadorbit.algebra import (
     IntPolynomial,
     gcd_primitive,
@@ -54,16 +62,7 @@ from quadorbit.dynamics import (
     semigroup_orbit,
 )
 from quadorbit.primescan import density_profile, prime_divides_orbit, primes_up_to
-from quadorbit.process import (
-    coin_transition,
-    fpp_brute_force,
-    fpp_dyadic,
-    fpp_enclosure,
-    fpp_full_binary,
-    simulate_process,
-    stay_probability_bound,
-    within_three_sigma,
-)
+from quadorbit.process import fpp_dyadic, fpp_enclosure, fpp_full_binary, simulate_process
 from quadorbit.reporting import canonical_json
 
 CONST = SequenceCoding.constant(1)

@@ -129,11 +129,11 @@ def test_simulate_schema_and_determinism(capsys, monkeypatch):
 
 
 def test_simulate_bytes_do_not_depend_on_the_cpus(capsys, monkeypatch):
-    # Above POOL_MIN_TRIALS two usable CPUs run the chunks in a real pool.
-    one, two = run_simulate_on_one_and_two_cpus(capsys, monkeypatch, process.POOL_MIN_TRIALS + 1)
+    # 25 chunks, the last one short.
+    one, two = run_simulate_on_one_and_two_cpus(capsys, monkeypatch, 50_001)
     assert one == two
     assert one[0] == 0
-    assert json.loads(one[1])["result"]["trials"] == process.POOL_MIN_TRIALS + 1
+    assert json.loads(one[1])["result"]["trials"] == 50_001
 
 
 def test_simulate_prints_exact_survival_on_mixed_masks(capsys):

@@ -36,7 +36,7 @@ def modules(*names):
 
 ORBITS = ("dynamics", "algebra", "algebra.intpoly", "algebra.parse")
 CERTIFICATES = (*ORBITS, "certify", "algebra.factorint", "algebra.ratpoly", "algebra.rationals")
-PROCESS = ("process", "pool")
+PROCESS = ("process",)
 SCAN = (*ORBITS, "primescan", "pool")
 
 CASES = {

@@ -35,7 +35,7 @@ def two_cpus(monkeypatch):
 
 def test_results_in_task_order(two_cpus):
     tasks = list(range(-20, 20))
-    assert parallel_map(abs, tasks, 2, chunksize=3) == [abs(t) for t in tasks]
+    assert parallel_map(abs, tasks, 2) == [abs(t) for t in tasks]
 
 
 def test_spawns_workers_while_another_thread_runs(two_cpus, monkeypatch):

@@ -6,32 +6,34 @@ from fractions import Fraction
 import pytest
 
 import quadorbit.process as process
-from quadorbit import pool
+from quadorbit import cli, pool
 from quadorbit.process import (
     CHUNK,
+    CONSTANT_WINDOW,
     MAX_EXACT_LEVEL,
-    POOL_MIN_TRIALS,
     SAMPLE_BLOCK,
     ProcessLevel,
-    coin_transition,
-    fixed_leaf_count,
-    fpp_brute_force,
     fpp_dyadic,
     fpp_enclosure,
     fpp_full_binary,
     fpp_rows,
     parse_mask,
     sample_codings,
-    simulate_paths,
     simulate_process,
-    stay_probability_bound,
     survival,
-    within_three_sigma,
-    wreath_elements,
 )
 from quadorbit.reporting import canonical_json
 
-from conftest import sample_codings_oracle
+from conftest import (
+    coin_transition,
+    fixed_leaf_count,
+    fpp_brute_force,
+    sample_codings_oracle,
+    simulate_paths,
+    stay_probability_bound,
+    within_three_sigma,
+    wreath_elements,
+)
 
 
 class TestFpp:
@@ -210,6 +212,25 @@ class TestCoinModel:
             assert stay_probability_bound(u) < Fraction(1, 2)
 
 
+CHUNK_EDGES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+def every_mask_at_the_chunk_edges():
+    """Every mask of depths 1-6 (1 and 2 are shorter than CONSTANT_WINDOW)
+    under both models, each with its own seed.  The trial counts take turns
+    at the chunk edges, so each model at each depth from 2 up meets all four;
+    the last reads the streams of a second and a third chunk."""
+    cases = [
+        (model, format(bits, f"0{depth}b"))
+        for model in ("double", "hold")
+        for depth in range(1, 7)
+        for bits in range(1 << depth)
+    ]
+    for case, (model, text) in enumerate(cases):
+        trials = CHUNK_EDGES[case % 4]
+        yield pytest.param(case, trials, parse_mask(text, len(text)), model, id=f"{model}-{text}-{trials}")
+
+
 class TestSimulation:
     def test_within_three_sigma_of_exact_fpp(self):
         report = simulate_process(seed=20250810, depth=12, trials=100_000)
@@ -251,16 +272,14 @@ class TestSimulation:
         eight = simulate_process(seed=77, depth=10, trials=30_000, workers=8)
         assert canonical_json(one.to_dict()) == canonical_json(eight.to_dict())
 
-    def test_no_pool_at_or_below_the_threshold(self, monkeypatch):
+    def test_simulate_command_starts_no_pool(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("a ProcessPoolExecutor was constructed")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        report = simulate_process(seed=5, depth=2, trials=POOL_MIN_TRIALS)
-        assert report.trials == POOL_MIN_TRIALS
-        with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
-            simulate_process(seed=5, depth=2, trials=POOL_MIN_TRIALS + 1)
+        assert cli.main(["simulate", "--depth", "12", "--trials", "100000", "--seed", "0"]) == 0
+        assert '"trials":100000' in capsys.readouterr().out
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_are_refused(self, workers):
@@ -306,15 +325,23 @@ class TestSimulation:
             (13, 500, None, "double"),
             (3, CHUNK, [True, False, True, True, False, True], "hold"),
             (8, 1000, [True, False, False, True, True], "double"),
+            *every_mask_at_the_chunk_edges(),
         ],
     )
     def test_paths_match_process_counts(self, seed, trials, mask, model):
-        # Up to one chunk of trials both read the stream of chunk 0.
+        # The chunk counter stops each path at its first zero; the oracle
+        # builds every path in full from the same chunk streams.
         depth = 6 if mask is None else len(mask)
-        paths = simulate_paths(seed, depth, trials, maximal_mask=mask, nonmaximal_model=model)
+        paths = [
+            path
+            for index, start in enumerate(range(0, trials, CHUNK))
+            for path in simulate_paths(seed, depth, min(CHUNK, trials - start), mask, model, chunk_index=index)
+        ]
         report = simulate_process(seed, depth, trials, maximal_mask=mask, nonmaximal_model=model)
         from_paths = [sum(1 for path in paths if path[n] > 0) for n in range(depth)]
         assert from_paths == [level.positive for level in report.levels]
+        constant = sum(1 for path in paths if len(set(path[-CONSTANT_WINDOW:])) == 1)
+        assert constant == report.constant_window_count
 
 
 class TestSampling:

@@ -4,8 +4,9 @@
 benchmark command, and a benchmark run counts a command whose output differs
 as a failed operation.  This runs the unseeded commands the same way, a fresh
 ``python -m quadorbit.cli`` against ``src/``, so a byte change shows up here
-first.  The seeded ``sample`` command runs in-process through ``cli.main`` at
-every 16th recorded seed.  It only reads ``perfbench/``.
+first.  The seeded ``sample`` and ``simulate`` commands run in-process
+through ``cli.main`` at every 16th recorded seed.  It only reads
+``perfbench/``.
 """
 
 import importlib.util
@@ -70,16 +71,25 @@ def test_command_matches_reference(cmd, checks):
     assert checks.report_digest(out.stdout) == entry["sha256"]
 
 
-SAMPLE_SEEDS = range(0, 512, 16)
+SEEDS = range(0, 512, 16)
 
 
 def test_sample_seeds_are_recorded(checks):
-    assert SAMPLE_SEEDS == range(0, checks.load_reference()["seeds"], 16)
+    assert SEEDS == range(0, checks.load_reference()["seeds"], 16)
 
 
-@pytest.mark.parametrize("seed", SAMPLE_SEEDS)
-def test_seeded_sample_matches_reference(seed, checks, capsys):
-    (cmd,) = [cmd for cmd in workloads.workload_commands("session", seed) if cmd.key == "session.sample"]
+def run_seeded(key, seed, checks, capsys):
+    (cmd,) = [cmd for cmd in workloads.workload_commands("session", seed) if cmd.key == key]
     entry = checks.load_reference()["commands"][cmd.key]
     assert cli.main(list(cmd.argv)) == entry["exit"]
     assert checks.report_digest(capsys.readouterr().out) == entry["sha256_by_seed"][str(seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_sample_matches_reference(seed, checks, capsys):
+    run_seeded("session.sample", seed, checks, capsys)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_simulate_matches_reference(seed, checks, capsys):
+    run_seeded("session.simulate", seed, checks, capsys)

@@ -7,11 +7,18 @@ skipped by definition, and with integer maps they occur only while an inner
 value is an integer inside the escape bound: past it, or with a
 denominator, the value never returns.  So the sequence is split once over
 Q: an exact head of every nonzero level met inside the bound, and per
-escaping phase a tail that holds no zero.  A prime is decided by the least
-head level it divides, then by Brent's cycle detection on each tail in F_p
-in O(1) memory.  A density profile sieves fixed ranges of primes and
-decides each prime this way, the ranges in worker processes when the scan
-is large.
+escaping phase a tail that holds no zero.  Before a prime's tails are
+walked, the preimage tree of 0 mod p is descended along the first D =
+ZERO_TREE_DEPTH maps by modular square roots: if p divides a level
+n >= k, then theta_1 o ... o theta_k has a root mod p, so a prime whose
+tree dies at depth k <= D is decided by the exact levels below k.  By
+Chebotarev the share of primes whose tree survives to depth D tends to the
+fixed-point proportion of the level-D Galois group, which
+``process.fpp_rows`` gives when that group is maximal.  Only those primes
+are walked: first the least head level they divide, then Brent's cycle
+detection on each tail in F_p in O(1) memory.  A density profile sieves
+fixed ranges of primes and decides each prime this way, the ranges in
+worker processes when the scan is large.
 """
 
 from __future__ import annotations
@@ -59,6 +66,14 @@ def primes_up_to(limit: int):
 # ---------------------------------------------------------------------------
 # The sequence gamma_n(a0) over Q: an exact head, then tails without zeros.
 
+# Levels of the preimage tree of 0 mod p that prime_divides_orbit descends
+# before it walks a prime's tails.  Only the primes whose tree survives them
+# all are walked.  By Chebotarev their share tends to the fixed-point
+# proportion of the Galois group at this depth, which ``fpp`` gives when
+# that group is maximal.
+ZERO_TREE_DEPTH = 8
+
+
 @dataclass
 class ZeroPattern:
     """The sequence split once, where its exact zeros end.
@@ -68,8 +83,10 @@ class ZeroPattern:
     ``tails`` holds (n, u) for each phase whose inner value u leaves the
     bound or picks up a denominator at level n; no level of that phase from
     n on is exactly 0.  A phase that cycles inside the bound has no tail.
-    The start and the integer prefix and cycle constants are kept, so a
-    scan sets them up once and not once per prime.
+    ``outer`` holds the constants of theta_1..theta_D, outermost first, with
+    D = ZERO_TREE_DEPTH, and ``early`` holds (n, gamma_n(a0)) for every
+    nonzero level n < D.  The start and the integer prefix and cycle
+    constants are kept, so a scan sets them up once and not once per prime.
     """
 
     a0: int | Fraction
@@ -77,6 +94,8 @@ class ZeroPattern:
     cycle: list[int]
     head: list[tuple[int, int | Fraction]]
     tails: list[tuple[int, int | Fraction]]
+    outer: list[int]
+    early: list[tuple[int, int | Fraction]]
 
 
 def _setup(gens: GeneratorSet, coding: SequenceCoding):
@@ -130,7 +149,9 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
         else:
             raise RuntimeError(f"zero pattern unresolved within {bound} cycle blocks")
     head = [(n, value) for n, value in sorted(levels.items()) if value != 0]
-    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, head=head, tails=tails)
+    outer = (prefix + cycle * ZERO_TREE_DEPTH)[:ZERO_TREE_DEPTH]
+    early = [(n, value) for n in range(ZERO_TREE_DEPTH) if (value := _apply_chain_exact(outer[:n], a0)) != 0]
+    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, head=head, tails=tails, outer=outer, early=early)
 
 
 # ---------------------------------------------------------------------------
@@ -142,34 +163,74 @@ class PrimeOrbitResult:
     first_index: int | None = None
 
 
-def prime_divides_orbit(
-    p: int,
-    gens: GeneratorSet,
-    coding: SequenceCoding,
-    a0: Fraction | int,
-    pattern: ZeroPattern | None = None,
-    max_states: int = 1_000_000,
-) -> PrimeOrbitResult:
-    """Does p divide gamma_n(a0) for some n >= 0 with gamma_n(a0) != 0 exactly?
+_NO = PrimeOrbitResult("no")
+_EXCLUDED = PrimeOrbitResult("excluded")
+_OVER_CAP = PrimeOrbitResult("over_cap")
 
-    Yes answers carry the least such n.  The least head level whose exact
-    value p divides comes first; then Brent's cycle detection walks each
-    tail mod p while its level stays below the best hit so far.  No tail
-    level is exactly 0, so the walk needs no mask, and once a state repeats
-    every later level repeats an earlier one.  Primes dividing the
-    denominator of a0 are excluded with their own status.  ``max_states``
-    bounds each tail's Brent power, counted in cycle blocks from the tail's
-    start; a tail that would exceed it makes the answer "over_cap".  When a
-    ``pattern`` is given, its start and constants are used and ``gens`` and
-    ``coding`` are not read; it must be resolved from the same inputs, and a
-    pattern for another start raises ValueError.
+
+def _zero_tree_depth(p: int, outer: list[int]) -> int | None:
+    """The least k with Z_k empty, or None when the last level is not empty.
+
+    Z_0 = {0} and Z_k = {w : w^2 + c_k in Z_(k-1)} mod p, where c_k is
+    ``outer[k - 1]``: Z_k holds the roots of theta_1 o ... o theta_k mod p.
+    Each y = z - c_k gets one Tonelli-Shanks square root, whose first power
+    also gives Euler's test; the last level only needs one square.
     """
-    if pattern is None:
-        pattern = zero_pattern(gens, coding, a0)
-    elif pattern.a0 is not a0 and pattern.a0 != a0:
-        raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
-    if pattern.a0.denominator % p == 0:
-        return PrimeOrbitResult("excluded")
+    if p == 2:
+        return None  # every residue mod 2 is a square
+    q, s = p - 1, 0  # p - 1 = q * 2^s with q odd
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    gen = None  # z^q for a nonresidue z, found when first needed
+    roots = [0]
+    for k, c in enumerate(outer, start=1):
+        level = []
+        for w in roots:
+            y = (w - c) % p
+            if not y:
+                level.append(0)
+                continue
+            # r = y^((q+1)/2) and t = y^q, so r^2 = t*y.  t has order 2^i,
+            # and i < s exactly when y is a square.
+            x = pow(y, q >> 1, p)
+            r = x * y % p
+            t = x * r % p
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            if i == s:
+                continue
+            if k == len(outer):
+                return None
+            if i and gen is None:
+                z = 2
+                while pow(z, p >> 1, p) == 1:
+                    z += 1
+                gen = pow(z, q, p)
+            m, g = s, gen
+            while i:  # each step lowers the order of t and keeps r^2 = t*y
+                b = pow(g, 1 << (m - i - 1), p)
+                m, g = i, b * b % p
+                t, r = t * g % p, r * b % p
+                i, t2 = 0, t
+                while t2 != 1:
+                    t2, i = t2 * t2 % p, i + 1
+            level += (r, p - r)
+        if not level:
+            return k
+        roots = level
+    return None
+
+
+def _walk_tails(p: int, pattern: ZeroPattern, max_states: int) -> PrimeOrbitResult:
+    """The answer from the head and a walk of each tail mod p.
+
+    The least head level whose exact value p divides comes first; then
+    Brent's cycle detection walks each tail mod p while its level stays
+    below the best hit so far.  No tail level is exactly 0, so the walk
+    needs no mask, and once a state repeats every later level repeats an
+    earlier one.
+    """
     first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
     # Maps are listed innermost first.
     pre = [c % p for c in reversed(pattern.prefix)]
@@ -194,8 +255,47 @@ def prime_divides_orbit(
             if power == lam:
                 tort, power, lam = u, 2 * power, 0
                 if power > max_states:
-                    return PrimeOrbitResult("over_cap")
-    return PrimeOrbitResult("no") if first is None else PrimeOrbitResult("yes", first)
+                    return _OVER_CAP
+    return _NO if first is None else PrimeOrbitResult("yes", first)
+
+
+def prime_divides_orbit(
+    p: int,
+    gens: GeneratorSet,
+    coding: SequenceCoding,
+    a0: Fraction | int,
+    pattern: ZeroPattern | None = None,
+    max_states: int = 1_000_000,
+) -> PrimeOrbitResult:
+    """Does p divide gamma_n(a0) for some n >= 0 with gamma_n(a0) != 0 exactly?
+
+    Yes answers carry the least such n.  Primes dividing the denominator of
+    a0 are excluded with their own status.  Without tails the least head
+    level whose exact value p divides is the answer.  Otherwise the preimage
+    tree of 0 mod p is descended along the first ZERO_TREE_DEPTH maps: if
+    p divides gamma_n(a0) with n >= k, then theta_1 o ... o theta_k has a
+    root mod p, so when its level Z_k is empty the least early level below
+    k that p divides is the answer.  A prime whose tree survives has its
+    head read and its tails walked (``_walk_tails``).  ``max_states`` bounds
+    each tail's Brent power, counted in cycle blocks from the tail's start;
+    a tail that would exceed it makes the answer "over_cap".  When a
+    ``pattern`` is given, its start and constants are used and ``gens`` and
+    ``coding`` are not read; it must be resolved from the same inputs, and a
+    pattern for another start raises ValueError.
+    """
+    if pattern is None:
+        pattern = zero_pattern(gens, coding, a0)
+    elif pattern.a0 is not a0 and pattern.a0 != a0:
+        raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
+    if pattern.a0.denominator % p == 0:
+        return _EXCLUDED
+    if not pattern.tails:
+        first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
+    elif (depth := _zero_tree_depth(p, pattern.outer)) is None:
+        return _walk_tails(p, pattern, max_states)
+    else:
+        first = next((n for n, value in pattern.early if n < depth and value.numerator % p == 0), None)
+    return _NO if first is None else PrimeOrbitResult("yes", first)
 
 
 # ---------------------------------------------------------------------------

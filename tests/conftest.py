@@ -10,7 +10,9 @@ Eisenstein oracle reads the coefficients of the library's
 ``composition_polynomial``, which ``test_dynamics.py`` checks against direct
 evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 ``sample_codings`` did before it decoded the generator's words in blocks.
-The subresultant ``resultant`` and ``discriminant``, with the discriminant
+``level_walk_membership`` walks the levels mod p one at a time with a
+seen-set, without the preimage-tree refutation or Brent's cycle detection of
+``prime_divides_orbit``.  The subresultant ``resultant`` and ``discriminant``, with the discriminant
 identity and the degree law they check, live here because no command uses
 them.  So do the count process's oracles: the brute-force wreath products,
 the exact coin-step law, the full fixed-point count paths of one chunk's
@@ -74,6 +76,62 @@ def brute_force_membership(gens, coding, a0, p):
         zeros = {x for x in range(1 - radius, radius) if x * x + c in zeros}
         if mod_p[x0] == 0 and a0 not in zeros:
             return "yes", n
+    return "no", None
+
+
+def level_walk_membership(gens, coding, a0, p):
+    """(status, first_index) as prime_divides_orbit defines them, by a plain walk.
+
+    The levels are visited in order, one at a time.  Level n < a (a prefix
+    maps) is evaluated exactly.  Level n = a + q*b + r (b cycle maps,
+    0 <= r < b) is the prefix maps applied to the inner value u_q of phase
+    r: u_0 is the first r cycle maps applied to a0, and u_(q+1) is u_q
+    pushed through the whole cycle.  Each phase keeps u_q mod p, and u_q
+    exactly while it is an integer inside the escape radius max|c| + 2;
+    outside it, or with a denominator, no later value of the phase is 0.
+    A phase stops when its state repeats, since every later level then
+    repeats an earlier one; the answer is "no" once every phase has stopped.
+    """
+    a0 = Fraction(a0)
+    if a0.denominator % p == 0:
+        return "excluded", None
+    cs = [int(c) for c in gens.constants]
+    prefix = [cs[i - 1] for i in coding.prefix]
+    cycle = [cs[i - 1] for i in coding.cycle]
+    radius = max(abs(c) for c in cs) + 2
+
+    def push(maps, exact, residue):
+        for c in reversed(maps):  # innermost map last
+            residue = (residue * residue + c) % p
+            if exact is not None:
+                exact = exact * exact + c
+                if exact.denominator > 1 or abs(exact) >= radius:
+                    exact = None
+        return exact, residue
+
+    def state(value):
+        exact = value if value.denominator == 1 and abs(value) < radius else None
+        return exact, value.numerator * pow(value.denominator, -1, p) % p
+
+    for n in range(len(prefix)):
+        value = gamma_value(gens, coding, a0, n)
+        if value != 0 and value.numerator % p == 0:
+            return "yes", n
+    phases = [push(cycle[:r], *state(a0)) for r in range(len(cycle))]
+    seen = [set() for _ in cycle]
+    n = len(prefix)
+    while any(phase is not None for phase in phases):
+        r = (n - len(prefix)) % len(cycle)
+        if phases[r] is not None:
+            if phases[r] in seen[r]:
+                phases[r] = None
+            else:
+                seen[r].add(phases[r])
+                exact, residue = push(prefix, *phases[r])
+                if residue == 0 and exact != 0:
+                    return "yes", n
+                phases[r] = push(cycle, *phases[r])
+        n += 1
     return "no", None
 
 

@@ -332,7 +332,7 @@ def test_fpp_depth_rejects_csv(capsys):
 
 @pytest.mark.parametrize("fpp_depth", [[], ["--fpp-depth", "3"]], ids=["scan", "fpp_depth"])
 def test_primes_over_cap_exits_inconclusive(capsys, monkeypatch, fpp_depth):
-    # p = 1987 needs more than 4 walker states (see TestProfiles.test_walker_budget).
+    # p = 101 needs more than 4 walker states (see TestProfiles.test_walker_budget).
     monkeypatch.setattr(primescan, "density_profile", functools.partial(density_profile, max_states=4))
     code, out = run_cli(capsys, "primes", "--c", "1", "--coding", "|1", "--cutoffs", "1000,2000", *fpp_depth)
     assert json.loads(out)["result"]

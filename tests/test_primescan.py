@@ -4,15 +4,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_membership, gamma_value, gamma_values, zero_levels
-from quadorbit import pool
+from conftest import (
+    brute_force_membership,
+    gamma_value,
+    gamma_values,
+    level_walk_membership,
+    within_three_sigma,
+    zero_levels,
+)
+from quadorbit import pool, primescan
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
 from quadorbit.process import fpp_rows
 from quadorbit.primescan import (
     POOL_MIN_CUTOFF,
     SCAN_TASK_WIDTH,
+    ZERO_TREE_DEPTH,
     PrimeOrbitResult,
     _scan_ranges,
+    _zero_tree_depth,
     density_profile,
     fpp_comparison,
     prime_divides_orbit,
@@ -179,6 +188,57 @@ def test_walker_matches_brute_force(inputs, p):
     assert (result.status, result.first_index) == brute_force_membership(gens, coding, a0, p)
 
 
+ORACLE_PRIMES = list(primes_up_to(3000))
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=scan_inputs(), primes=st.lists(st.sampled_from(ORACLE_PRIMES), min_size=1, max_size=20))
+def test_walker_matches_level_walk(inputs, primes):
+    gens, coding, a0 = inputs
+    pattern = zero_pattern(gens, coding, a0)
+    for p in primes:
+        result = prime_divides_orbit(p, gens, coding, a0, pattern)
+        assert (result.status, result.first_index) == level_walk_membership(gens, coding, a0, p), p
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    outer=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+    p=st.sampled_from([p for p in ORACLE_PRIMES if p < 200]),
+)
+def test_zero_tree_matches_brute_force(outer, p):
+    # values[x] is (theta_1 o ... o theta_k)(x) mod p over every residue x,
+    # composed one inner map at a time; Z_k is empty when no value is 0.
+    values = list(range(p))
+    expected = None
+    for k, c in enumerate(outer, start=1):
+        values = [values[(x * x + c) % p] for x in range(p)]
+        if 0 not in values:
+            expected = k
+            break
+    assert _zero_tree_depth(p, outer) == expected
+
+
+def test_tree_leaves_few_flagship_primes_to_walk(monkeypatch):
+    # The flagship scan, x^2+1 from 0 to 10^5: every prime has a tail, and
+    # only those whose tree of 0 survives ZERO_TREE_DEPTH levels are walked.
+    # The share that survives each depth is the chance that theta_1 o ... o
+    # theta_n has a root mod p, which tends to the fixed-point proportion.
+    walked = []
+    walk = primescan._walk_tails
+    monkeypatch.setattr(primescan, "_walk_tails", lambda p, *rest: walked.append(p) or walk(p, *rest))
+    primes = list(primes_up_to(10**5))
+    pattern = zero_pattern(X2P1, CONST, 0)
+    members = sum(prime_divides_orbit(p, X2P1, CONST, 0, pattern).status == "yes" for p in primes)
+    assert members == 99
+    assert (ZERO_TREE_DEPTH, len(walked)) == (8, 1609)
+    depths = [_zero_tree_depth(p, pattern.outer) for p in primes]
+    assert depths.count(None) == len(walked)
+    for row in fpp_rows(ZERO_TREE_DEPTH):
+        survived = sum(k is None or k > row["n"] for k in depths)
+        assert within_three_sigma(survived, len(primes), Fraction(row["fpp_num"], row["fpp_den"])), row
+
+
 @settings(deadline=None, max_examples=200)
 @given(inputs=scan_inputs())
 def test_zero_pattern_matches_exact_zeros(inputs):
@@ -279,14 +339,19 @@ class TestProfiles:
             density_profile(gens, CONST, 0, [100])
 
     def test_walker_budget(self):
-        # p = 1987 never divides the orbit of 0 under x^2+1.  The walk starts
-        # at the tail, level 3 with inner value 5, whose rho mod p has 41
-        # states (36 before the cycle of 5), more than a Brent power of 4
-        # cycle blocks can cover.
+        # p = 1987 never divides the orbit of 0 under x^2+1.  It is 3 mod 4,
+        # so -1 has no square root mod p and the preimage tree of 0 decides
+        # it without a walk, whatever the budget.  p = 101 never divides the
+        # orbit either, but its tree keeps roots through depth 10, past
+        # ZERO_TREE_DEPTH, so its tail is walked: level 3 with inner value 5,
+        # whose rho mod p has 16 states (7 before a cycle of 9), more than a
+        # Brent power of 4 cycle blocks can cover.
         assert prime_divides_orbit(1987, X2P1, CONST, 0) == PrimeOrbitResult("no")
-        assert prime_divides_orbit(1987, X2P1, CONST, 0, max_states=4) == PrimeOrbitResult("over_cap")
+        assert prime_divides_orbit(1987, X2P1, CONST, 0, max_states=4) == PrimeOrbitResult("no")
+        assert prime_divides_orbit(101, X2P1, CONST, 0) == PrimeOrbitResult("no")
+        assert prime_divides_orbit(101, X2P1, CONST, 0, max_states=4) == PrimeOrbitResult("over_cap")
         report = density_profile(X2P1, CONST, 0, [2000], max_states=4)
-        assert 1987 in report.over_cap
+        assert 101 in report.over_cap and 1987 not in report.over_cap
         assert report.over_cap == sorted(report.over_cap)
 
 

@@ -70,7 +70,9 @@ def primes_up_to(limit: int):
 # before it walks a prime's tails.  Only the primes whose tree survives them
 # all are walked.  By Chebotarev their share tends to the fixed-point
 # proportion of the Galois group at this depth, which ``fpp`` gives when
-# that group is maximal.
+# that group is maximal.  Deeper trees cost more per prime and save more
+# walks; 8 tied the best depths to 10^5 and beat 4 and 6 to 3*10^5 and
+# 10^6 (BENCH_23.json).
 ZERO_TREE_DEPTH = 8
 
 
@@ -173,8 +175,9 @@ def _zero_tree_depth(p: int, outer: list[int]) -> int | None:
 
     Z_0 = {0} and Z_k = {w : w^2 + c_k in Z_(k-1)} mod p, where c_k is
     ``outer[k - 1]``: Z_k holds the roots of theta_1 o ... o theta_k mod p.
-    Each y = z - c_k gets one Tonelli-Shanks square root, whose first power
-    also gives Euler's test; the last level only needs one square.
+    Each y = w - c_k with w in Z_(k-1) gets one Tonelli-Shanks square root,
+    whose first power also gives Euler's test; the last level only needs
+    one square.
     """
     if p == 2:
         return None  # every residue mod 2 is a square

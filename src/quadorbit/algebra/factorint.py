@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable
+
+from .. import _record
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 TRIAL_BOUND = 10**6
@@ -46,12 +47,12 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass
+@_record
 class Factorization:
     """sign * prod(p^e) * cofactor == the input; complete iff cofactor == 1."""
 
     sign: int
-    factors: list[tuple[int, int]] = field(default_factory=list)
+    factors: list[tuple[int, int]] = []
     cofactor: int = 1
 
     @property

@@ -11,9 +11,10 @@ large-representation sequences directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+
+from . import _record
 
 STAR_EVEN = "star_even"  # degree d even: a_d odd, a_1 odd, a_i even for odd 3 <= i <= d-1
 ODD_DERIVATIVE = "odd_derivative"  # d odd: a_1 odd, a_i even for odd 3 <= i <= d
@@ -23,7 +24,7 @@ MONIC_DERIVATIVE = "monic_derivative"  # d even, monic: a_1 odd, a_i even for od
 _PROPERTIES = (STAR_EVEN, ODD_DERIVATIVE, ODD_LEADING, MONIC_DERIVATIVE)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class CoefficientBox:
     """Polynomials of degree <= d with coefficients bounded by B in absolute value.
 
@@ -202,7 +203,7 @@ def exact_set_fraction(d: int, s: int, B: int, variant: str) -> Fraction:
     return Fraction(joint, comb(total, s))
 
 
-@dataclass
+@_record
 class CensusRow:
     B: int
     fraction: Fraction
@@ -213,12 +214,12 @@ class CensusRow:
         return abs(self.fraction - self.bound)
 
 
-@dataclass
+@_record
 class CensusReport:
     d: int
     s: int
     variant: str
-    rows: list[CensusRow] = field(default_factory=list)
+    rows: list[CensusRow] = []
 
     def to_dict(self) -> dict:
         return {

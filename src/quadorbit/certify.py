@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
-from . import QQ, QT
+from . import QQ, QT, _record
 from .algebra.factorint import RHO_ITERATIONS, factor_integer
 from .algebra.intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
 from .algebra.rationals import is_square_int, is_square_rational
@@ -53,7 +52,7 @@ MAX_FAILS = "criterion_fails"
 MAX_NOT_ATTEMPTED = "not_attempted"
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class StabilityEvidence:
     kind: str
     witness: str = ""
@@ -67,7 +66,7 @@ class StabilityEvidence:
         return {"kind": self.kind, "witness": self.witness, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class MaximalityEvidence:
     kind: str
     witness: str = ""
@@ -89,7 +88,7 @@ class MaximalityEvidence:
         }
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class LevelCertificate:
     level: int
     orbit_value: str
@@ -105,15 +104,15 @@ class LevelCertificate:
         }
 
 
-@dataclass
+@_record
 class CertificateChain:
     generators: list[str]
     coding: str
     ring: str
     depth: int
-    levels: list[LevelCertificate] = field(default_factory=list)
+    levels: list[LevelCertificate] = []
     stable_through: int = 0
-    maximal_levels: list[int] = field(default_factory=list)
+    maximal_levels: list[int] = []
     tool_guarantee: bool = False
 
     @property
@@ -321,7 +320,7 @@ def _maximality_qt(gens: GeneratorSet, values: list, decompose, strip_levels) ->
     return MaximalityEvidence(MAX_FAILS)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class ToolIndices:
     j: int
     k: int

@@ -13,12 +13,11 @@ by accident; see also the CLI documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from . import QQ, QT
+from . import QQ, QT, _record
 from .algebra.intpoly import IntPolynomial, render_poly
 from .algebra.parse import parse_poly
 
@@ -33,7 +32,7 @@ def as_number(value) -> int | Fraction | IntPolynomial:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class GeneratorSet:
     """A finite set of quadratic maps.
 
@@ -146,7 +145,7 @@ class GeneratorSet:
         return "{" + ", ".join(self.map_strings()) + "}"
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class SequenceCoding:
     """Eventually periodic sequence of 1-based generator indices: prefix then cycle."""
 
@@ -252,7 +251,7 @@ def escape_criterion(gens: GeneratorSet) -> bool:
     return all(abs(ci * ci + cj) > bound for ci in cs for cj in cs)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class OrbitCaps:
     """Bounds on the walk over Z[t]; over Q the walk is finite and takes none."""
 
@@ -338,13 +337,13 @@ def _normalize_point(gens: GeneratorSet, point):
 # ---------------------------------------------------------------------------
 # Semigroup orbits, finite orbit points and the finite-orbit obstruction.
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class FiniteOrbitAnswer:
     kind: str  # "yes" | "no" | "unknown"
     witness: object = None
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class OrbitStatus:
     """The orbit of a point as one closed walk (``_closed_walk``) shows it.
 
@@ -451,7 +450,7 @@ def orbit_contains_finite_orbit_point(
     return semigroup_orbit(gens, point, caps).finite_orbit_answer()
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Classification:
     kind: str  # "exceptional" | "not_obstructed"
     name: str = ""
@@ -479,7 +478,7 @@ def classify_finite_orbit_obstruction(gens: GeneratorSet) -> Classification:
 # ---------------------------------------------------------------------------
 # Eisenstein stability.
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class EisensteinResult:
     ok: bool
     case: str = ""  # "direct" | "shifted" | ""

@@ -18,18 +18,19 @@ fixed-point proportion of the level-D Galois group, which
 are walked: first the least head level they divide, then Brent's cycle
 detection on each tail in F_p in O(1) memory.  A density profile sieves
 fixed ranges of primes and decides each prime this way, the ranges in
-worker processes when the scan is large.
+worker processes when the scan is large.  A sequence without tails is
+counted instead: its members in a range divide the gcd of the head product
+and the range's prime product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 
-from . import QQ, pool
+from . import QQ, _record, pool
 from .dynamics import GeneratorSet, SequenceCoding, as_number, escape_bound
 
 
@@ -76,7 +77,7 @@ def primes_up_to(limit: int):
 ZERO_TREE_DEPTH = 8
 
 
-@dataclass
+@_record
 class ZeroPattern:
     """The sequence split once, where its exact zeros end.
 
@@ -159,7 +160,7 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
 # ---------------------------------------------------------------------------
 # Per-prime membership.
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class PrimeOrbitResult:
     status: str  # "yes" | "no" | "excluded" | "over_cap"
     first_index: int | None = None
@@ -304,7 +305,7 @@ def prime_divides_orbit(
 # ---------------------------------------------------------------------------
 # Density profiles.
 
-@dataclass
+@_record
 class ScanRow:
     cutoff: int
     in_p: int
@@ -321,14 +322,14 @@ class ScanRow:
         return f"{text[:-places]}.{text[-places:]}"
 
 
-@dataclass
+@_record
 class PrimeScanReport:
     generators: list[str]
     coding: str
     a0: str
-    rows: list[ScanRow] = field(default_factory=list)
-    excluded: list[int] = field(default_factory=list)
-    over_cap: list[int] = field(default_factory=list)
+    rows: list[ScanRow] = []
+    excluded: list[int] = []
+    over_cap: list[int] = []
 
     def to_dict(self) -> dict:
         return {
@@ -361,7 +362,8 @@ class PrimeScanReport:
 # Primes up to the largest cutoff are decided in ranges cut at every multiple
 # of SCAN_TASK_WIDTH and at every cutoff, each sieved on its own, so the
 # ranges and the merged report do not depend on the worker count.  Worker
-# processes start only above POOL_MIN_CUTOFF, where they pay for their start.
+# processes start only above POOL_MIN_CUTOFF, where they pay for their start,
+# and only for a sequence with tails, whose primes are decided one by one.
 SCAN_TASK_WIDTH = 5_000
 POOL_MIN_CUTOFF = 20_000
 
@@ -376,6 +378,15 @@ def _scan_ranges(cutoffs: list[int]) -> list[tuple[int, int]]:
 
 def _scan_range(gens, coding, pattern: ZeroPattern, max_states: int, bounds: tuple[int, int]):
     """(primes, members, excluded, over_cap) of the primes in [lo, hi]."""
+    if not pattern.tails:
+        # Every nonzero level is in the head, so p is a member exactly when it
+        # divides the product of the head values.  A fractional a0 would give
+        # phase 0 a tail at level len(prefix), so a0 is an integer and no
+        # prime is excluded; only a tail walk can exceed max_states, so none
+        # is over the cap.
+        primes = list(primes_in_range(*bounds))
+        g = gcd(prod(value.numerator for _, value in pattern.head), prod(primes))
+        return len(primes), sum(g % p == 0 for p in primes), [], []
     count = members = 0
     excluded, over_cap = [], []
     for p in primes_in_range(*bounds):
@@ -400,8 +411,9 @@ def density_profile(
 ) -> PrimeScanReport:
     """Scan all primes up to the largest cutoff and tabulate membership counts.
 
-    Above POOL_MIN_CUTOFF the ranges are decided by one worker process per
-    usable CPU; the report is the same for every CPU count.
+    Above POOL_MIN_CUTOFF the ranges of a sequence with tails are decided by
+    one worker process per usable CPU; the report is the same for every CPU
+    count.  Without tails each range is one gcd, and no pool starts.
     """
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
@@ -411,7 +423,7 @@ def density_profile(
     results = pool.parallel_map(
         partial(_scan_range, gens, coding, pattern, max_states),
         ranges,
-        pool.usable_cpus() if cutoffs[-1] > POOL_MIN_CUTOFF else 1,
+        pool.usable_cpus() if pattern.tails and cutoffs[-1] > POOL_MIN_CUTOFF else 1,
     )
     totals = {}  # range end -> (in_p, pi_x) up to it
     pi_x = in_p = 0

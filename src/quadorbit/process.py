@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING
+
+from . import _record
 
 if TYPE_CHECKING:
     from .dynamics import GeneratorSet
@@ -129,7 +130,7 @@ CHUNK = 2048
 CONSTANT_WINDOW = 3
 
 
-@dataclass
+@_record
 class ProcessLevel:
     n: int
     positive: int
@@ -175,14 +176,14 @@ class ProcessLevel:
         }
 
 
-@dataclass
+@_record
 class ProcessReport:
     seed: int
     depth: int
     trials: int
     maximal_mask: list[bool]
     nonmaximal_model: str
-    levels: list[ProcessLevel] = field(default_factory=list)
+    levels: list[ProcessLevel] = []
     constant_window_count: int = 0
 
     def to_dict(self) -> dict:
@@ -311,7 +312,7 @@ def simulate_process(
 # ---------------------------------------------------------------------------
 # Random coding samples (product measure on index sequences).
 
-@dataclass
+@_record
 class SampleReport:
     seed: int
     length: int
@@ -319,7 +320,7 @@ class SampleReport:
     weights: list[str]
     first_index_counts: dict[int, int]
     index_totals: dict[int, int]
-    certificates: list[dict] = field(default_factory=list)
+    certificates: list[dict] = []
 
     def to_dict(self) -> dict:
         return {

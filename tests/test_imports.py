@@ -4,7 +4,9 @@ Every command runs in a fresh interpreter, which compiles and executes each
 module it imports, so a module that a command never calls still costs it
 start-up time.  These tests count modules instead of timing them: each
 command runs in a subprocess, and the set of ``quadorbit.*`` modules in
-``sys.modules`` afterwards must equal the expected set exactly.
+``sys.modules`` afterwards must equal the expected set exactly.  Neither
+``dataclasses`` nor ``inspect`` may be loaded: importing ``dataclasses``
+costs about 10 ms, most of it in ``inspect`` and the modules it pulls in.
 """
 
 import json
@@ -17,8 +19,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one command with its report captured, then prints the loaded package modules.
-RUNNER = """
+# Standard modules no command may load.
+SLOW_STDLIB = ("dataclasses", "inspect")
+
+# Runs one command with its report captured, then prints the loaded package
+# modules and any of SLOW_STDLIB.
+RUNNER = f"SLOW_STDLIB = {SLOW_STDLIB!r}\n" + """
 import contextlib, io, json, sys
 from quadorbit import cli
 if sys.argv[1:]:
@@ -26,7 +32,7 @@ if sys.argv[1:]:
         code = cli.main(sys.argv[1:])
     if code != 0:
         sys.exit(f"exit code {code}")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "quadorbit")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "quadorbit" or m in SLOW_STDLIB)))
 """
 
 
@@ -85,4 +91,6 @@ def test_command_loads_only_what_it_runs(argv, expected):
     out = subprocess.run(
         [sys.executable, "-c", RUNNER, *argv], capture_output=True, text=True, env=env, check=True, timeout=60
     )
+    slow = set(json.loads(out.stdout)) & set(SLOW_STDLIB)
+    assert not slow, f"{sorted(slow)} loaded"
     assert set(json.loads(out.stdout)) == expected

@@ -427,6 +427,31 @@ class TestParallelProfiles:
         with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
             density_profile(X2P1, CONST, 0, [POOL_MIN_CUTOFF + 1])
 
+    @pytest.mark.parametrize("cutoffs", [[1000, POOL_MIN_CUTOFF], [5003, 30_000]])
+    @pytest.mark.parametrize(
+        "gens, coding",
+        [
+            (GeneratorSet.from_constants([-1, 3]), SequenceCoding((2,), (1,))),
+            # head values 20011 and 4 * 5003: primes past SCAN_TASK_WIDTH and POOL_MIN_CUTOFF
+            (GeneratorSet.from_constants([-1, 20011]), SequenceCoding((2,), (1,))),
+            # every level is 0 exactly, so the head is empty
+            (GeneratorSet.from_constants([0]), CONST),
+        ],
+        ids=["periodic", "large_head_prime", "empty_head"],
+    )
+    def test_sequences_without_tails_are_counted_in_process(self, monkeypatch, gens, coding, cutoffs):
+        assert not zero_pattern(gens, coding, 0).tails
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProcessPoolExecutor was constructed")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        report = density_profile(gens, coding, 0, cutoffs)
+        rows, excluded, over_cap = reference_profile(gens, coding, Fraction(0), cutoffs)
+        assert [(row.cutoff, row.in_p, row.pi_x) for row in report.rows] == rows
+        assert report.excluded == excluded == [] and report.over_cap == over_cap == []
+
 
 def test_fpp_comparison_shape():
     result = fpp_comparison(density_profile(X2P1, CONST, 0, [1000]), fpp_rows(5))

@@ -17,14 +17,15 @@ fixed-point proportion of the level-D Galois group, which
 ``process.fpp_rows`` gives when that group is maximal.  Only those primes
 are walked: first the least head level they divide, then Brent's cycle
 detection on each tail in F_p in O(1) memory.  A density profile sieves
-fixed ranges of primes and decides each prime this way, the ranges in
-worker processes when the scan is large.  A sequence without tails is
-counted instead: its members in a range divide the gcd of the head product
-and the range's prime product.
+the primes once and decides each one this way in fixed chunks, the chunks
+in forked worker processes when the scan is large.  A sequence without
+tails is counted instead: its members in a chunk divide the gcd of the head
+product and the chunk's prime product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import compress
@@ -46,22 +47,27 @@ def _base_primes(root: int) -> list[int]:
     return [i for i in range(2, root + 1) if sieve[i]]
 
 
-def primes_in_range(lo: int, hi: int):
-    """Yield primes in [lo, hi], sieved in one bytearray (scan ranges are short)."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return
-    marks = bytearray([1]) * (hi - lo + 1)
-    for p in _base_primes(isqrt(hi)):
-        # Multiples of p from p^2 on; p itself and smaller primes stay marked.
-        start = max(p * p, -(-lo // p) * p) - lo
-        marks[start::p] = b"\x00" * len(marks[start::p])
-    yield from compress(range(lo, hi + 1), marks)
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], sieved in one bytearray of the odd numbers."""
+    primes = [2] if lo <= 2 <= hi else []
+    first = max(lo, 3) | 1  # the least odd number >= lo, from 3 on
+    if hi < first:
+        return primes
+    marks = bytearray([1]) * ((hi - first) // 2 + 1)  # marks[i] stands for first + 2i
+    for p in _base_primes(isqrt(hi))[1:]:
+        # Odd multiples of p from p^2 on; p itself and smaller primes stay marked.
+        start = max(p * p, -(-first // p) * p)
+        if not start & 1:
+            start += p  # the next multiple is odd
+        i = (start - first) // 2
+        marks[i::p] = bytes(len(range(i, len(marks), p)))
+    primes += compress(range(first, hi + 1, 2), marks)
+    return primes
 
 
-def primes_up_to(limit: int):
-    """Yield all primes <= limit."""
-    yield from primes_in_range(2, limit)
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit."""
+    return primes_in_range(2, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +365,38 @@ class PrimeScanReport:
         return out
 
 
-# Primes up to the largest cutoff are decided in ranges cut at every multiple
-# of SCAN_TASK_WIDTH and at every cutoff, each sieved on its own, so the
-# ranges and the merged report do not depend on the worker count.  Worker
-# processes start only above POOL_MIN_CUTOFF, where they pay for their start,
-# and only for a sequence with tails, whose primes are decided one by one.
+# Primes up to the largest cutoff are sieved once and decided in chunks cut
+# at every multiple of SCAN_TASK_WIDTH and at every cutoff, so the chunks and
+# the merged report do not depend on the worker count.  Worker processes
+# start only above POOL_MIN_CUTOFF, where they pay for their start, and only
+# for a sequence with tails, whose primes are decided one by one.
 SCAN_TASK_WIDTH = 5_000
 POOL_MIN_CUTOFF = 20_000
 
 
-def _scan_ranges(cutoffs: list[int]) -> list[tuple[int, int]]:
-    """Ranges [lo, hi] that cover 2..cutoffs[-1] in order."""
+def _scan_chunks(primes: list[int], cutoffs: list[int]) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) that cover ``primes`` in order, each ending
+    at a cutoff or a multiple of SCAN_TASK_WIDTH."""
     ends = {c for c in cutoffs if c >= 2}
     ends.update(range(SCAN_TASK_WIDTH, cutoffs[-1], SCAN_TASK_WIDTH))
-    ends = sorted(ends)
-    return list(zip([2] + [hi + 1 for hi in ends], ends))
+    stops = [bisect_right(primes, end) for end in sorted(ends)]
+    return list(zip([0] + stops, stops))
 
 
-def _scan_range(gens, coding, pattern: ZeroPattern, max_states: int, bounds: tuple[int, int]):
-    """(primes, members, excluded, over_cap) of the primes in [lo, hi]."""
+def _scan_chunk(gens, coding, pattern: ZeroPattern, max_states: int, primes: list[int], bounds: tuple[int, int]):
+    """(members, excluded, over_cap) of ``primes[start:stop]``."""
+    chunk = primes[slice(*bounds)]
     if not pattern.tails:
         # Every nonzero level is in the head, so p is a member exactly when it
         # divides the product of the head values.  A fractional a0 would give
         # phase 0 a tail at level len(prefix), so a0 is an integer and no
         # prime is excluded; only a tail walk can exceed max_states, so none
         # is over the cap.
-        primes = list(primes_in_range(*bounds))
-        g = gcd(prod(value.numerator for _, value in pattern.head), prod(primes))
-        return len(primes), sum(g % p == 0 for p in primes), [], []
-    count = members = 0
+        g = gcd(prod(value.numerator for _, value in pattern.head), prod(chunk))
+        return (sum(g % p == 0 for p in chunk) if g > 1 else 0), [], []
+    members = 0
     excluded, over_cap = [], []
-    for p in primes_in_range(*bounds):
-        count += 1
+    for p in chunk:
         # Passing the pattern's own a0 lets the start check be an identity test.
         status = prime_divides_orbit(p, gens, coding, pattern.a0, pattern, max_states).status
         if status == "yes":
@@ -399,7 +405,7 @@ def _scan_range(gens, coding, pattern: ZeroPattern, max_states: int, bounds: tup
             excluded.append(p)
         elif status == "over_cap":
             over_cap.append(p)
-    return count, members, excluded, over_cap
+    return members, excluded, over_cap
 
 
 def density_profile(
@@ -411,31 +417,32 @@ def density_profile(
 ) -> PrimeScanReport:
     """Scan all primes up to the largest cutoff and tabulate membership counts.
 
-    Above POOL_MIN_CUTOFF the ranges of a sequence with tails are decided by
-    one worker process per usable CPU; the report is the same for every CPU
-    count.  Without tails each range is one gcd, and no pool starts.
+    The primes are sieved once.  Above POOL_MIN_CUTOFF the chunks of a
+    sequence with tails are decided by one forked worker per usable CPU,
+    which inherit the prime list; the report is the same for every CPU
+    count.  Without tails each chunk is one gcd, in this process.
     """
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be strictly increasing")
     pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(pattern.a0))
-    ranges = _scan_ranges(cutoffs)
+    primes = primes_up_to(cutoffs[-1])
+    chunks = _scan_chunks(primes, cutoffs)
     results = pool.parallel_map(
-        partial(_scan_range, gens, coding, pattern, max_states),
-        ranges,
+        partial(_scan_chunk, gens, coding, pattern, max_states, primes),
+        chunks,
         pool.usable_cpus() if pattern.tails and cutoffs[-1] > POOL_MIN_CUTOFF else 1,
     )
-    totals = {}  # range end -> (in_p, pi_x) up to it
-    pi_x = in_p = 0
-    for (_, hi), (count, members, excluded, over_cap) in zip(ranges, results):
-        pi_x += count
+    totals = {0: 0}  # n -> members among the first n primes, at each chunk end
+    in_p = 0
+    for (_, stop), (members, excluded, over_cap) in zip(chunks, results):
         in_p += members
         report.excluded += excluded
         report.over_cap += over_cap
-        totals[hi] = (in_p, pi_x)
+        totals[stop] = in_p
     for cutoff in cutoffs:
-        in_p, pi_x = totals.get(cutoff, (0, 0))
-        report.rows.append(ScanRow(cutoff=cutoff, in_p=in_p, pi_x=pi_x))
+        pi_x = bisect_right(primes, cutoff)
+        report.rows.append(ScanRow(cutoff=cutoff, in_p=totals[pi_x], pi_x=pi_x))
     return report
 
 

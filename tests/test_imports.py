@@ -7,6 +7,8 @@ command runs in a subprocess, and the set of ``quadorbit.*`` modules in
 ``sys.modules`` afterwards must equal the expected set exactly.  Neither
 ``dataclasses`` nor ``inspect`` may be loaded: importing ``dataclasses``
 costs about 10 ms, most of it in ``inspect`` and the modules it pulls in.
+Nor may ``concurrent.futures`` or ``multiprocessing``, which took about
+25 ms to import: a pooled scan forks its workers without them.
 """
 
 import json
@@ -20,7 +22,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Standard modules no command may load.
-SLOW_STDLIB = ("dataclasses", "inspect")
+SLOW_STDLIB = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
 
 # Runs one command with its report captured, then prints the loaded package
 # modules and any of SLOW_STDLIB.
@@ -74,6 +76,8 @@ CASES = {
         ["primes", "--c", "1", "--coding", "|1", "--a0", "0", "--cutoffs", "1000,10000", "--format", "csv"],
         modules(*SCAN),
     ),
+    # Above POOL_MIN_CUTOFF: with two usable CPUs the scan forks a worker.
+    "primes_pooled": (["primes", "--c", "1", "--coding", "|1", "--cutoffs", "30000"], modules(*SCAN)),
     "primes_fpp_depth": (
         ["primes", "--c", "1", "--coding", "|1", "--cutoffs", "1000", "--fpp-depth", "20"],
         modules(*SCAN, "process"),

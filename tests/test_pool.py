@@ -1,12 +1,11 @@
-"""The process pool: task order, in-process fallbacks, the size clamp, and
-what importing the CLI leaves out."""
+"""The worker processes: task order, errors, reaping, in-process fallbacks,
+the size clamp, and what importing the CLI leaves out."""
 
-import concurrent.futures
-import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -19,12 +18,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture
 def no_process_pool(monkeypatch):
-    """Make constructing a ProcessPoolExecutor fail the test."""
+    """Make starting a worker process fail the test."""
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a ProcessPoolExecutor was constructed")
+    def refuse():
+        raise AssertionError("a worker process was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(pool.os, "fork", refuse)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of worker processes each later call starts, in a list."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        started.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(pool.os, "fork", counted)
+    return started
 
 
 @pytest.fixture
@@ -33,16 +46,82 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
 
 
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 def test_results_in_task_order(two_cpus):
     tasks = list(range(-20, 20))
     assert parallel_map(abs, tasks, 2) == [abs(t) for t in tasks]
 
 
-def test_spawns_workers_while_another_thread_runs(two_cpus, monkeypatch):
-    # Forking a process that runs threads is unsafe, so the pool spawns.
-    contexts = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: contexts.append(method) or get_context(method))
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_results_in_task_order_for_each_worker_count(monkeypatch, forks, cpus):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+    tasks = list(range(-20, 20))
+    assert parallel_map(abs, tasks, 3) == [abs(t) for t in tasks]
+    assert len(forks) == cpus - 1 and no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("tasks", [1, 2, 3, 5, 7])
+def test_every_share_comes_back(monkeypatch, forks, cpus, tasks):
+    # Worker k computes tasks k, k + n, ...; shares of unequal length merge in order.
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+    results = parallel_map(lambda t: (t, os.getpid()), range(tasks), cpus)
+    assert [t for t, _ in results] == list(range(tasks))
+    assert len(forks) == min(cpus, tasks) - 1
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == min(cpus, tasks)
+    assert no_child_left()
+
+
+def fail_on_three(t):
+    if t == 3:
+        raise ValueError(f"task {t} failed")
+    return t
+
+
+def test_worker_error_is_raised_and_every_worker_reaped(two_cpus, forks):
+    # Task 3 falls to the worker, not to this process (tasks 0, 2, 4).
+    with pytest.raises(ValueError, match="task 3 failed"):
+        parallel_map(fail_on_three, range(5), 2)
+    assert forks and no_child_left()
+    assert parallel_map(fail_on_three, [0, 1, 2], 2) == [0, 1, 2]
+    assert no_child_left()
+
+
+def test_own_error_is_raised_and_every_worker_killed(monkeypatch, forks):
+    # With three processes, task 3 falls to this one (tasks 0, 3), while a
+    # worker sleeps on task 1 until it is killed.
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
+    with pytest.raises(ValueError, match="task 3 failed"):
+        parallel_map(lambda t: time.sleep(60) if t == 1 else fail_on_three(t), range(5), 3)
+    assert len(forks) == 2 and no_child_left()
+
+
+def test_worker_that_dies_is_an_error(two_cpus, forks):
+    def die(t):
+        if t == 1:
+            os._exit(7)
+        return t
+
+    with pytest.raises(RuntimeError, match="status 7 and no result"):
+        parallel_map(die, range(4), 2)
+    assert no_child_left()
+
+
+def test_result_that_marshal_refuses_is_an_error(two_cpus):
+    with pytest.raises(ValueError, match="unmarshallable"):
+        parallel_map(lambda t: object() if t else t, range(4), 2)
+    assert no_child_left()
+
+
+def test_forks_only_while_one_thread_runs(two_cpus, forks):
+    # Forking a process that runs threads can deadlock the child, so with
+    # another thread running the tasks run in this process.
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
@@ -52,10 +131,14 @@ def test_spawns_workers_while_another_thread_runs(two_cpus, monkeypatch):
         stop.set()
         thread.join(60)
     assert not thread.is_alive()
-    assert contexts == ["spawn"]
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert parallel_map(abs, [-3, -2, -1], 2) == [3, 2, 1]
-        assert contexts == ["spawn", "fork"]
+    assert forks == []
+    assert parallel_map(abs, [-3, -2, -1], 2) == [3, 2, 1]
+    assert len(forks) == 1 and no_child_left()
+
+
+def test_runs_in_process_without_fork(two_cpus, monkeypatch):
+    monkeypatch.delattr(pool.os, "fork")
+    assert parallel_map(abs, [-3, -2, -1], 2) == [3, 2, 1]
 
 
 @pytest.mark.parametrize("workers, tasks", [(1, 10), (0, 10), (-3, 10), (4, 1), (4, 0)])
@@ -98,3 +181,4 @@ def test_cli_import_leaves_out_unused_modules():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+

@@ -1,4 +1,3 @@
-import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from quadorbit.primescan import (
     SCAN_TASK_WIDTH,
     ZERO_TREE_DEPTH,
     PrimeOrbitResult,
-    _scan_ranges,
+    _scan_chunks,
     _zero_tree_depth,
     density_profile,
     fpp_comparison,
@@ -52,6 +51,9 @@ class TestSieve:
         for lo in range(0, 60):
             for hi in range(lo - 1, 201):
                 assert list(primes_in_range(lo, hi)) == [p for p in primes if lo <= p <= hi]
+        # A range far from 0, whose base primes all lie below it.
+        far = [n for n in range(10**6 - 50, 10**6 + 400) if all(n % d for d in range(2, 1001))]
+        assert list(primes_in_range(10**6 - 50, 10**6 + 399)) == far
 
 
 class TestZeroPattern:
@@ -410,21 +412,25 @@ class TestParallelProfiles:
 
     @pytest.mark.parametrize("cutoffs", [[1], [2], [5, 5000], [4999, 5001, 17_000], [25_000]])
     def test_ranges_cover_each_prime_once(self, cutoffs):
-        ranges = _scan_ranges(cutoffs)
-        covered = [n for lo, hi in ranges for n in range(lo, hi + 1)]
-        assert covered == list(range(2, cutoffs[-1] + 1))
-        assert all(hi - lo < SCAN_TASK_WIDTH for lo, hi in ranges)
-        assert {c for c in cutoffs if c >= 2} <= {hi for _, hi in ranges}
+        # The chunks are index ranges of the one sieved prime list.
+        primes = primes_up_to(cutoffs[-1])
+        chunks = _scan_chunks(primes, cutoffs)
+        covered = [primes[i] for start, stop in chunks for i in range(start, stop)]
+        assert covered == primes
+        assert all(primes[stop - 1] - primes[start] < SCAN_TASK_WIDTH for start, stop in chunks if stop > start)
+        # A chunk ends at every cutoff: at the count of primes up to it.
+        stops = {stop for _, stop in chunks}
+        assert all(sum(p <= c for p in primes) in stops for c in cutoffs if c >= 2)
 
     def test_no_pool_at_or_below_the_threshold(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ProcessPoolExecutor was constructed")
+        def refuse():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pool.os, "fork", refuse)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         report = density_profile(X2P1, CONST, 0, [1000, POOL_MIN_CUTOFF])
         assert report.rows[-1].pi_x == 2262
-        with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+        with pytest.raises(AssertionError, match="forked"):
             density_profile(X2P1, CONST, 0, [POOL_MIN_CUTOFF + 1])
 
     @pytest.mark.parametrize("cutoffs", [[1000, POOL_MIN_CUTOFF], [5003, 30_000]])
@@ -442,10 +448,10 @@ class TestParallelProfiles:
     def test_sequences_without_tails_are_counted_in_process(self, monkeypatch, gens, coding, cutoffs):
         assert not zero_pattern(gens, coding, 0).tails
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ProcessPoolExecutor was constructed")
+        def refuse():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pool.os, "fork", refuse)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         report = density_profile(gens, coding, 0, cutoffs)
         rows, excluded, over_cap = reference_profile(gens, coding, Fraction(0), cutoffs)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import random
 import tracemalloc
 from fractions import Fraction
@@ -273,10 +272,10 @@ class TestSimulation:
         assert canonical_json(one.to_dict()) == canonical_json(eight.to_dict())
 
     def test_simulate_command_starts_no_pool(self, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ProcessPoolExecutor was constructed")
+        def refuse():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pool.os, "fork", refuse)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         assert cli.main(["simulate", "--depth", "12", "--trials", "100000", "--seed", "0"]) == 0
         assert '"trials":100000' in capsys.readouterr().out

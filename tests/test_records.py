@@ -1,6 +1,6 @@
 """The package's plain data classes: construction, equality, hashing, freezing, pickling.
 
-These classes carry reports and pickled scan tasks, so callers rely on what
+These classes carry reports and a scan's inputs, so callers rely on what
 ``@dataclass`` gave them: positional and keyword construction with defaults,
 a fresh list per instance for list fields, field-wise equality within one
 class, field hashes on the frozen classes and none on the others.
@@ -8,7 +8,6 @@ class, field hashes on the frozen classes and none on the others.
 
 import pickle
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -16,7 +15,15 @@ from quadorbit.algebra.factorint import Factorization
 from quadorbit.census import CensusReport, CensusRow, CoefficientBox
 from quadorbit.certify import CertificateChain, StabilityEvidence
 from quadorbit.dynamics import FiniteOrbitAnswer, GeneratorSet, OrbitCaps, OrbitStatus, SequenceCoding
-from quadorbit.primescan import PrimeOrbitResult, PrimeScanReport, ScanRow, ZeroPattern, _scan_range, zero_pattern
+from quadorbit.primescan import (
+    PrimeOrbitResult,
+    PrimeScanReport,
+    ScanRow,
+    ZeroPattern,
+    prime_divides_orbit,
+    primes_up_to,
+    zero_pattern,
+)
 from quadorbit.process import ProcessLevel, ProcessReport, SampleReport
 
 TWO_MAPS = GeneratorSet.from_constants([1, 3])
@@ -147,13 +154,12 @@ def test_repr_names_the_class_and_fields():
 
 
 @pytest.mark.parametrize("a0", [-1, Fraction(1, 6)])
-def test_scan_task_survives_a_pickle_round_trip(a0):
-    # The primes pool sends exactly this partial to its worker processes.
+def test_scan_records_survive_a_pickle_round_trip(a0):
+    # A scan's inputs pickle, so a caller may send them to another process.
     pattern = zero_pattern(TWO_MAPS, CODING, a0)
-    task = partial(_scan_range, TWO_MAPS, CODING, pattern, 1_000_000)
-    copy = pickle.loads(pickle.dumps(task))
-    assert copy.args == task.args
-    assert isinstance(copy.args[2], ZeroPattern) and copy.args[2] is not pattern
-    assert hash(copy.args[0]) == hash(TWO_MAPS) and hash(copy.args[1]) == hash(CODING)
-    for bounds in [(2, 5000), (5001, 10_000)]:
-        assert copy(bounds) == task(bounds)
+    gens, coding, copy = pickle.loads(pickle.dumps((TWO_MAPS, CODING, pattern)))
+    assert (gens, coding) == (TWO_MAPS, CODING) and gens is not TWO_MAPS and coding is not CODING
+    assert hash(gens) == hash(TWO_MAPS) and hash(coding) == hash(CODING)
+    assert isinstance(copy, ZeroPattern) and copy == pattern and copy is not pattern
+    for p in primes_up_to(2000):
+        assert prime_divides_orbit(p, gens, coding, copy.a0, copy) == prime_divides_orbit(p, TWO_MAPS, CODING, a0)

@@ -8,7 +8,7 @@ command runs in a subprocess, and the set of ``quadorbit.*`` modules in
 ``dataclasses`` nor ``inspect`` may be loaded: importing ``dataclasses``
 costs about 10 ms, most of it in ``inspect`` and the modules it pulls in.
 Nor may ``concurrent.futures`` or ``multiprocessing``, which took about
-25 ms to import: a pooled scan forks its workers without them.
+19 ms to import: a pooled scan forks its workers without them.
 """
 
 import json

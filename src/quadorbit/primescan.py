@@ -17,14 +17,16 @@ fixed-point proportion of the level-D Galois group, which
 ``process.fpp_rows`` gives when that group is maximal.  Only those primes
 are walked: first the least head level they divide, then Brent's cycle
 detection on each tail in F_p in O(1) memory.  A density profile sieves
-the primes once and decides each one this way in fixed chunks, the chunks
-in forked worker processes when the scan is large.  A sequence without
-tails is counted instead: its members in a chunk divide the gcd of the head
-product and the chunk's prime product.
+the primes once and decides each one this way in chunks of a fixed number
+of primes, in forked worker processes when the scan is large; a chunk
+returns its member primes.  A sequence without tails is counted instead:
+its members in a chunk divide the gcd of the head product and the chunk's
+prime product.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
@@ -38,34 +40,23 @@ from .dynamics import GeneratorSet, SequenceCoding, as_number, escape_bound
 # ---------------------------------------------------------------------------
 # Prime generation (sieve of Eratosthenes).
 
-def _base_primes(root: int) -> list[int]:
-    sieve = bytearray([1]) * (root + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(root) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(2, root + 1) if sieve[i]]
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi], sieved in one bytearray of the odd numbers."""
-    primes = [2] if lo <= 2 <= hi else []
-    first = max(lo, 3) | 1  # the least odd number >= lo, from 3 on
-    if hi < first:
-        return primes
-    marks = bytearray([1]) * ((hi - first) // 2 + 1)  # marks[i] stands for first + 2i
-    for p in _base_primes(isqrt(hi))[1:]:
-        # Odd multiples of p from p^2 on; p itself and smaller primes stay marked.
-        start = max(p * p, -(-first // p) * p)
-        if not start & 1:
-            start += p  # the next multiple is odd
-        i = (start - first) // 2
-        marks[i::p] = bytes(len(range(i, len(marks), p)))
-    primes += compress(range(first, hi + 1, 2), marks)
+def primes_in_range(lo: int, hi: int) -> array:
+    """The primes in [lo, hi], sieved in one bytearray of the odd numbers up to hi."""
+    primes = array("Q", [2] if lo <= 2 <= hi else [])
+    marks = bytearray([1]) * ((hi + 1) // 2)  # marks[i] stands for 2i + 1
+    for i in range(1, (isqrt(max(hi, 0)) + 1) // 2):
+        if marks[i]:
+            # Odd multiples of p = 2i + 1 from p^2 on; smaller ones have a smaller factor.
+            p = 2 * i + 1
+            start = p * p // 2
+            marks[start::p] = bytes(len(range(start, len(marks), p)))
+    first = max(lo, 3) // 2  # the least odd number >= max(lo, 3) is 2 * first + 1
+    del marks[:first]  # 1 and the odd numbers below lo
+    primes.extend(compress(range(2 * first + 1, hi + 1, 2), marks))
     return primes
 
 
-def primes_up_to(limit: int) -> list[int]:
+def primes_up_to(limit: int) -> array:
     """All primes <= limit."""
     return primes_in_range(2, limit)
 
@@ -280,15 +271,14 @@ def prime_divides_orbit(
     """Does p divide gamma_n(a0) for some n >= 0 with gamma_n(a0) != 0 exactly?
 
     Yes answers carry the least such n.  Primes dividing the denominator of
-    a0 are excluded with their own status.  Without tails the least head
-    level whose exact value p divides is the answer.  Otherwise the preimage
-    tree of 0 mod p is descended along the first ZERO_TREE_DEPTH maps: if
-    p divides gamma_n(a0) with n >= k, then theta_1 o ... o theta_k has a
-    root mod p, so when its level Z_k is empty the least early level below
-    k that p divides is the answer.  A prime whose tree survives has its
-    head read and its tails walked (``_walk_tails``).  ``max_states`` bounds
-    each tail's Brent power, counted in cycle blocks from the tail's start;
-    a tail that would exceed it makes the answer "over_cap".  When a
+    a0 are excluded with their own status.  Otherwise the preimage tree of 0
+    mod p is descended along the first ZERO_TREE_DEPTH maps: if p divides
+    gamma_n(a0) with n >= k, then theta_1 o ... o theta_k has a root mod p,
+    so when its level Z_k is empty the least early level below k that p
+    divides is the answer.  A prime whose tree survives has its head read
+    and its tails walked (``_walk_tails``).  ``max_states`` bounds each
+    tail's Brent power, counted in cycle blocks from the tail's start; a
+    tail that would exceed it makes the answer "over_cap".  When a
     ``pattern`` is given, its start and constants are used and ``gens`` and
     ``coding`` are not read; it must be resolved from the same inputs, and a
     pattern for another start raises ValueError.
@@ -299,12 +289,9 @@ def prime_divides_orbit(
         raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
     if pattern.a0.denominator % p == 0:
         return _EXCLUDED
-    if not pattern.tails:
-        first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
-    elif (depth := _zero_tree_depth(p, pattern.outer)) is None:
+    if (depth := _zero_tree_depth(p, pattern.outer)) is None:
         return _walk_tails(p, pattern, max_states)
-    else:
-        first = next((n for n, value in pattern.early if n < depth and value.numerator % p == 0), None)
+    first = next((n for n, value in pattern.early if n < depth and value.numerator % p == 0), None)
     return _NO if first is None else PrimeOrbitResult("yes", first)
 
 
@@ -365,27 +352,19 @@ class PrimeScanReport:
         return out
 
 
-# Primes up to the largest cutoff are sieved once and decided in chunks cut
-# at every multiple of SCAN_TASK_WIDTH and at every cutoff, so the chunks and
-# the merged report do not depend on the worker count.  Worker processes
-# start only above POOL_MIN_CUTOFF, where they pay for their start, and only
-# for a sequence with tails, whose primes are decided one by one.
-SCAN_TASK_WIDTH = 5_000
+# Primes up to the largest cutoff are sieved once and decided in chunks of
+# SCAN_CHUNK consecutive primes, one pool task each; neither the chunk size
+# nor the worker count changes the report.  A tail-free chunk's product costs
+# about the square of its size.  Worker processes start only above
+# POOL_MIN_CUTOFF, where they pay for their start, and only for a sequence
+# with tails, whose primes are decided one by one.
+SCAN_CHUNK = 256
 POOL_MIN_CUTOFF = 20_000
 
 
-def _scan_chunks(primes: list[int], cutoffs: list[int]) -> list[tuple[int, int]]:
-    """Index ranges [start, stop) that cover ``primes`` in order, each ending
-    at a cutoff or a multiple of SCAN_TASK_WIDTH."""
-    ends = {c for c in cutoffs if c >= 2}
-    ends.update(range(SCAN_TASK_WIDTH, cutoffs[-1], SCAN_TASK_WIDTH))
-    stops = [bisect_right(primes, end) for end in sorted(ends)]
-    return list(zip([0] + stops, stops))
-
-
-def _scan_chunk(gens, coding, pattern: ZeroPattern, max_states: int, primes: list[int], bounds: tuple[int, int]):
-    """(members, excluded, over_cap) of ``primes[start:stop]``."""
-    chunk = primes[slice(*bounds)]
+def _scan_chunk(gens, coding, pattern: ZeroPattern, max_states: int, primes: array, start: int):
+    """(members, excluded, over_cap) among the SCAN_CHUNK primes from ``primes[start]`` on, as ascending lists."""
+    chunk = primes[start : start + SCAN_CHUNK]
     if not pattern.tails:
         # Every nonzero level is in the head, so p is a member exactly when it
         # divides the product of the head values.  A fractional a0 would give
@@ -393,14 +372,13 @@ def _scan_chunk(gens, coding, pattern: ZeroPattern, max_states: int, primes: lis
         # prime is excluded; only a tail walk can exceed max_states, so none
         # is over the cap.
         g = gcd(prod(value.numerator for _, value in pattern.head), prod(chunk))
-        return (sum(g % p == 0 for p in chunk) if g > 1 else 0), [], []
-    members = 0
-    excluded, over_cap = [], []
+        return ([p for p in chunk if g % p == 0] if g > 1 else []), [], []
+    members, excluded, over_cap = [], [], []
     for p in chunk:
         # Passing the pattern's own a0 lets the start check be an identity test.
         status = prime_divides_orbit(p, gens, coding, pattern.a0, pattern, max_states).status
         if status == "yes":
-            members += 1
+            members.append(p)
         elif status == "excluded":
             excluded.append(p)
         elif status == "over_cap":
@@ -419,30 +397,26 @@ def density_profile(
 
     The primes are sieved once.  Above POOL_MIN_CUTOFF the chunks of a
     sequence with tails are decided by one forked worker per usable CPU,
-    which inherit the prime list; the report is the same for every CPU
+    which inherit the prime array; the report is the same for every CPU
     count.  Without tails each chunk is one gcd, in this process.
     """
-    if list(cutoffs) != sorted(set(cutoffs)):
-        raise ValueError("cutoffs must be strictly increasing")
+    if not cutoffs or list(cutoffs) != sorted(set(cutoffs)):
+        raise ValueError("cutoffs must be nonempty and strictly increasing")
     pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(pattern.a0))
     primes = primes_up_to(cutoffs[-1])
-    chunks = _scan_chunks(primes, cutoffs)
     results = pool.parallel_map(
         partial(_scan_chunk, gens, coding, pattern, max_states, primes),
-        chunks,
+        range(0, len(primes), SCAN_CHUNK),
         pool.usable_cpus() if pattern.tails and cutoffs[-1] > POOL_MIN_CUTOFF else 1,
     )
-    totals = {0: 0}  # n -> members among the first n primes, at each chunk end
-    in_p = 0
-    for (_, stop), (members, excluded, over_cap) in zip(chunks, results):
-        in_p += members
+    members = []
+    for chunk_members, excluded, over_cap in results:
+        members += chunk_members
         report.excluded += excluded
         report.over_cap += over_cap
-        totals[stop] = in_p
     for cutoff in cutoffs:
-        pi_x = bisect_right(primes, cutoff)
-        report.rows.append(ScanRow(cutoff=cutoff, in_p=totals[pi_x], pi_x=pi_x))
+        report.rows.append(ScanRow(cutoff=cutoff, in_p=bisect_right(members, cutoff), pi_x=bisect_right(primes, cutoff)))
     return report
 
 

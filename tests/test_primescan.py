@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,8 @@ from quadorbit.dynamics import GeneratorSet, SequenceCoding
 from quadorbit.process import fpp_rows
 from quadorbit.primescan import (
     POOL_MIN_CUTOFF,
-    SCAN_TASK_WIDTH,
     ZERO_TREE_DEPTH,
     PrimeOrbitResult,
-    _scan_chunks,
     _zero_tree_depth,
     density_profile,
     fpp_comparison,
@@ -356,6 +355,24 @@ class TestProfiles:
         assert 101 in report.over_cap and 1987 not in report.over_cap
         assert report.over_cap == sorted(report.over_cap)
 
+    def test_tail_free_scan_holds_about_a_byte_per_number(self):
+        # The sieve's marks take half a byte per number and the prime array 8
+        # bytes per prime, about 0.63 bytes per number up to 10^6; the primes
+        # as a list of ints would take about 36 bytes each.
+        gens, coding = GeneratorSet.from_constants([-1, 3]), SequenceCoding((2,), (1,))
+        tracemalloc.start()
+        try:
+            report = density_profile(gens, coding, 0, [10**6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rows[0].pi_x == 78_498
+        assert peak < 1.5 * 10**6
+
+    def test_empty_cutoffs_are_refused(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            density_profile(X2P1, CONST, 0, [])
+
 
 def reference_profile(gens, coding, a0, cutoffs, max_states=1_000_000):
     """(rows, excluded, over_cap) from one sieve pass deciding each prime in turn."""
@@ -378,22 +395,22 @@ def reference_profile(gens, coding, a0, cutoffs, max_states=1_000_000):
     return rows, excluded, over_cap
 
 
+# (gens, coding, a0, cutoffs, max_states) of pooled scans.
+POOLED_SCANS = [
+    # the flagship
+    pytest.param(X2P1, CONST, 0, [10_000, 50_000], 1_000_000, id="flagship"),
+    # excluded primes; cutoffs below 2 and on consecutive numbers
+    pytest.param(X2P1, CONST, Fraction(1, 6), [1, 3, 12_345, 25_000, 25_001], 1_000_000, id="excluded"),
+    # over_cap primes throughout
+    pytest.param(X2P1, CONST, 0, [999, 21_000], 4, id="over_cap"),
+    pytest.param(GeneratorSet.from_constants([1, 3]), SequenceCoding((1,), (1, 2)), -1, [30_000], 1_000_000, id="two_map"),
+]
+
+
 class TestParallelProfiles:
     """Reports are the same for one and two usable CPUs and equal a single sieve pass."""
 
-    @pytest.mark.parametrize(
-        "gens, coding, a0, cutoffs, max_states",
-        [
-            # the flagship, cutoffs on range boundaries
-            (X2P1, CONST, 0, [10_000, 50_000], 1_000_000),
-            # excluded primes; cutoffs below 2, inside a range and on a boundary
-            (X2P1, CONST, Fraction(1, 6), [1, 3, 12_345, 25_000, 25_001], 1_000_000),
-            # over_cap primes in every range
-            (X2P1, CONST, 0, [999, 21_000], 4),
-            (GeneratorSet.from_constants([1, 3]), SequenceCoding((1,), (1, 2)), -1, [30_000], 1_000_000),
-        ],
-        ids=["flagship", "excluded", "over_cap", "two_map"],
-    )
+    @pytest.mark.parametrize("gens, coding, a0, cutoffs, max_states", POOLED_SCANS)
     def test_cpus_do_not_change_the_report(self, monkeypatch, gens, coding, a0, cutoffs, max_states):
         assert cutoffs[-1] > POOL_MIN_CUTOFF
         monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
@@ -410,17 +427,27 @@ class TestParallelProfiles:
         if max_states == 4:
             assert two.over_cap and two.over_cap == sorted(two.over_cap)
 
-    @pytest.mark.parametrize("cutoffs", [[1], [2], [5, 5000], [4999, 5001, 17_000], [25_000]])
-    def test_ranges_cover_each_prime_once(self, cutoffs):
-        # The chunks are index ranges of the one sieved prime list.
-        primes = primes_up_to(cutoffs[-1])
-        chunks = _scan_chunks(primes, cutoffs)
-        covered = [primes[i] for start, stop in chunks for i in range(start, stop)]
-        assert covered == primes
-        assert all(primes[stop - 1] - primes[start] < SCAN_TASK_WIDTH for start, stop in chunks if stop > start)
-        # A chunk ends at every cutoff: at the count of primes up to it.
-        stops = {stop for _, stop in chunks}
-        assert all(sum(p <= c for p in primes) in stops for c in cutoffs if c >= 2)
+    @pytest.mark.parametrize(
+        "gens, coding, a0, cutoffs, max_states",
+        [
+            *POOLED_SCANS,
+            # no tails: one gcd per chunk, head primes 5003 and 20011 past the first chunk
+            pytest.param(
+                GeneratorSet.from_constants([-1, 20011]), SequenceCoding((2,), (1,)), 0, [5003, 30_000], 1_000_000,
+                id="tail_free",
+            ),
+        ],
+    )
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, gens, coding, a0, cutoffs, max_states):
+        # Chunks of one prime, of 7 primes (which end at no cutoff), and one chunk of every prime.
+        expected = reference_profile(gens, coding, Fraction(a0), cutoffs, max_states)
+        for size in (1, 7, len(primes_up_to(cutoffs[-1])) + 1):
+            monkeypatch.setattr(primescan, "SCAN_CHUNK", size)
+            for cpus in (1, 2):
+                monkeypatch.setattr(pool, "usable_cpus", lambda cpus=cpus: cpus)
+                report = density_profile(gens, coding, a0, cutoffs, max_states)
+                rows = [(row.cutoff, row.in_p, row.pi_x) for row in report.rows]
+                assert (rows, report.excluded, report.over_cap) == expected, (size, cpus)
 
     def test_no_pool_at_or_below_the_threshold(self, monkeypatch):
         def refuse():
@@ -438,7 +465,7 @@ class TestParallelProfiles:
         "gens, coding",
         [
             (GeneratorSet.from_constants([-1, 3]), SequenceCoding((2,), (1,))),
-            # head values 20011 and 4 * 5003: primes past SCAN_TASK_WIDTH and POOL_MIN_CUTOFF
+            # head values 20011 and 4 * 5003: primes past the first chunk, and 20011 past POOL_MIN_CUTOFF
             (GeneratorSet.from_constants([-1, 20011]), SequenceCoding((2,), (1,))),
             # every level is 0 exactly, so the head is empty
             (GeneratorSet.from_constants([0]), CONST),

@@ -439,7 +439,7 @@ class TestParallelProfiles:
         ],
     )
     def test_chunk_size_does_not_change_the_report(self, monkeypatch, gens, coding, a0, cutoffs, max_states):
-        # Chunks of one prime, of 7 primes (which end at no cutoff), and one chunk of every prime.
+        # Chunks of one prime, of 7 primes, and one chunk of every prime.
         expected = reference_profile(gens, coding, Fraction(a0), cutoffs, max_states)
         for size in (1, 7, len(primes_up_to(cutoffs[-1])) + 1):
             monkeypatch.setattr(primescan, "SCAN_CHUNK", size)

@@ -8,20 +8,23 @@ value is an integer inside the escape bound: past it, or with a
 denominator, the value never returns.  So the sequence is split once over
 Q: an exact head of every nonzero level met inside the bound, and per
 escaping phase a tail that holds no zero.  Before a prime's tails are
-walked, the preimage tree of 0 mod p is descended along the first D =
-ZERO_TREE_DEPTH maps by modular square roots: if p divides a level
-n >= k, then theta_1 o ... o theta_k has a root mod p, so a prime whose
-tree dies at depth k <= D is decided by the exact levels below k.  By
-Chebotarev the share of primes whose tree survives to depth D tends to the
-fixed-point proportion of the level-D Galois group, which
+walked, the preimage tree of 0 mod p is descended along the first D maps,
+D = ZERO_TREE_DEPTH or the prefix length a when that is longer, by modular
+square roots.  Its level Z_k holds the roots of theta_1 o ... o theta_k mod
+p, so p divides a level n >= k only if Z_k is not empty, and p divides
+gamma_n(a0) exactly when a0 mod p lies in Z_n: a prime whose tree dies at
+depth k <= D is decided by the levels below k, less the few that are exactly
+0.  By Chebotarev the share of primes whose tree survives to depth D tends
+to the fixed-point proportion of the level-D Galois group, which
 ``process.fpp_rows`` gives when that group is maximal.  Only those primes
 are walked: first the least head level they divide, then Brent's cycle
-detection on each tail in F_p in O(1) memory.  A density profile sieves
-the primes once and decides each one this way in chunks of a fixed number
-of primes, in forked worker processes when the scan is large; a chunk
-returns its member primes.  A sequence without tails is counted instead:
-its members in a chunk divide the gcd of the head product and the chunk's
-prime product.
+detection on each tail in F_p in O(1) memory, where an inner value's level
+is 0 mod p exactly when the value lies in the tree's Z_a.  A density
+profile sieves the primes once and decides each one this way in chunks of
+a fixed number of primes, in forked worker processes when the scan is
+large; a chunk returns its member primes.  A sequence without tails is
+counted instead: its members are the primes that divide the product of
+its head values.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 from . import QQ, _record, pool
 from .dynamics import GeneratorSet, SequenceCoding, as_number, escape_bound
@@ -65,12 +68,12 @@ def primes_up_to(limit: int) -> array:
 # The sequence gamma_n(a0) over Q: an exact head, then tails without zeros.
 
 # Levels of the preimage tree of 0 mod p that prime_divides_orbit descends
-# before it walks a prime's tails.  Only the primes whose tree survives them
-# all are walked.  By Chebotarev their share tends to the fixed-point
-# proportion of the Galois group at this depth, which ``fpp`` gives when
-# that group is maximal.  Deeper trees cost more per prime and save more
-# walks; 8 tied the best depths to 10^5 and beat 4 and 6 to 3*10^5 and
-# 10^6 (BENCH_23.json).
+# before it walks a prime's tails, or the prefix length when that is longer.
+# Only the primes whose tree survives them all are walked.  By Chebotarev
+# their share tends to the fixed-point proportion of the Galois group at
+# this depth, which ``fpp`` gives when that group is maximal.  Deeper trees
+# cost more per prime and save more walks; 8 tied the best depths to 10^5
+# and beat 4 and 6 to 3*10^5 and 10^6 (BENCH_23.json).
 ZERO_TREE_DEPTH = 8
 
 
@@ -84,9 +87,10 @@ class ZeroPattern:
     bound or picks up a denominator at level n; no level of that phase from
     n on is exactly 0.  A phase that cycles inside the bound has no tail.
     ``outer`` holds the constants of theta_1..theta_D, outermost first, with
-    D = ZERO_TREE_DEPTH, and ``early`` holds (n, gamma_n(a0)) for every
-    nonzero level n < D.  The start and the integer prefix and cycle
-    constants are kept, so a scan sets them up once and not once per prime.
+    D the larger of ZERO_TREE_DEPTH and the prefix length, and ``zeros`` the
+    levels n < D where gamma_n(a0) is exactly 0.  The start and the integer
+    prefix and cycle constants are kept, so a scan sets them up once and not
+    once per prime.
     """
 
     a0: int | Fraction
@@ -95,7 +99,7 @@ class ZeroPattern:
     head: list[tuple[int, int | Fraction]]
     tails: list[tuple[int, int | Fraction]]
     outer: list[int]
-    early: list[tuple[int, int | Fraction]]
+    zeros: list[int]
 
 
 def _setup(gens: GeneratorSet, coding: SequenceCoding):
@@ -115,6 +119,16 @@ def _apply_chain_exact(constants: list[int], value: int | Fraction) -> int | Fra
     return value
 
 
+def _is_exact_zero(constants: list[int], value: int | Fraction, escape: int) -> bool:
+    # A value outside the escape bound, or with a denominator, keeps that
+    # under every map and so never reaches 0; one inside it stays small.
+    for c in reversed(constants):
+        if value.denominator > 1 or abs(value) > escape:
+            return False
+        value = value * value + c
+    return value == 0
+
+
 def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction) -> ZeroPattern:
     """Walk the sequence exactly up to the end of its exact zeros.
 
@@ -123,7 +137,8 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
     through one full cycle block.  Integer inner values either stay within
     the escape bound (hence repeat within about twice that many blocks) or
     grow forever; fractional ones keep a nontrivial denominator forever, and
-    neither of the last two ever gives a zero level.
+    neither of the last two ever gives a zero level.  The exact zeros below
+    the tree depth are found the same way, so no level value there is kept.
     """
     prefix, cycle = _setup(gens, coding)
     a0 = as_number(a0)
@@ -149,9 +164,10 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
         else:
             raise RuntimeError(f"zero pattern unresolved within {bound} cycle blocks")
     head = [(n, value) for n, value in sorted(levels.items()) if value != 0]
-    outer = (prefix + cycle * ZERO_TREE_DEPTH)[:ZERO_TREE_DEPTH]
-    early = [(n, value) for n in range(ZERO_TREE_DEPTH) if (value := _apply_chain_exact(outer[:n], a0)) != 0]
-    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, head=head, tails=tails, outer=outer, early=early)
+    depth = max(ZERO_TREE_DEPTH, a_len)
+    outer = (prefix + cycle * depth)[:depth]
+    zeros = [n for n in range(depth) if _is_exact_zero(outer[:n], a0, escape)]
+    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, head=head, tails=tails, outer=outer, zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +184,30 @@ _EXCLUDED = PrimeOrbitResult("excluded")
 _OVER_CAP = PrimeOrbitResult("over_cap")
 
 
-def _zero_tree_depth(p: int, outer: list[int]) -> int | None:
-    """The least k with Z_k empty, or None when the last level is not empty.
+def _zero_tree(p: int, outer: list[int], a: int) -> list[list[int]]:
+    """The levels Z_0, Z_1, ... of the preimage tree of 0 mod p along ``outer``.
 
-    Z_0 = {0} and Z_k = {w : w^2 + c_k in Z_(k-1)} mod p, where c_k is
+    Z_0 = [0] and Z_k = {w : w^2 + c_k in Z_(k-1)} mod p, where c_k is
     ``outer[k - 1]``: Z_k holds the roots of theta_1 o ... o theta_k mod p.
-    Each y = w - c_k with w in Z_(k-1) gets one Tonelli-Shanks square root,
-    whose first power also gives Euler's test; the last level only needs
-    one square.
+    The list ends with the first empty level when there is one.  Otherwise
+    the tree survives: every level up to Z_a is complete, and a last level
+    past Z_a is only tested for one square and not returned.  Each y = w -
+    c_k with w in Z_(k-1) gets one Tonelli-Shanks square root, whose first
+    power also gives Euler's test.
     """
+    levels = [[0]]
     if p == 2:
-        return None  # every residue mod 2 is a square
+        # w^2 = w mod 2, so each level has the one root w = z - c_k.
+        for c in outer[:a]:
+            levels.append([(levels[-1][0] - c) % 2])
+        return levels
     q, s = p - 1, 0  # p - 1 = q * 2^s with q odd
     while not q & 1:
         q, s = q >> 1, s + 1
     gen = None  # z^q for a nonresidue z, found when first needed
-    roots = [0]
     for k, c in enumerate(outer, start=1):
         level = []
-        for w in roots:
+        for w in levels[-1]:
             y = (w - c) % p
             if not y:
                 level.append(0)
@@ -201,8 +222,8 @@ def _zero_tree_depth(p: int, outer: list[int]) -> int | None:
                 t2, i = t2 * t2 % p, i + 1
             if i == s:
                 continue
-            if k == len(outer):
-                return None
+            if k > a and k == len(outer):
+                return levels
             if i and gen is None:
                 z = 2
                 while pow(z, p >> 1, p) == 1:
@@ -217,46 +238,54 @@ def _zero_tree_depth(p: int, outer: list[int]) -> int | None:
                 while t2 != 1:
                     t2, i = t2 * t2 % p, i + 1
             level += (r, p - r)
+        levels.append(level)
         if not level:
-            return k
-        roots = level
-    return None
+            break
+    return levels
 
 
-def _walk_tails(p: int, pattern: ZeroPattern, max_states: int) -> PrimeOrbitResult:
+def _walk_tails(p: int, pattern: ZeroPattern, roots: list[int], max_states: int) -> PrimeOrbitResult:
     """The answer from the head and a walk of each tail mod p.
 
-    The least head level whose exact value p divides comes first; then
-    Brent's cycle detection walks each tail mod p while its level stays
-    below the best hit so far.  No tail level is exactly 0, so the walk
-    needs no mask, and once a state repeats every later level repeats an
-    earlier one.
+    ``roots`` is Z_a, the roots of the prefix composition mod p, so the
+    level of an inner value u is 0 mod p exactly when u is in it.  The least
+    head level whose exact value p divides comes first; then Brent's cycle
+    detection walks each tail mod p while its level stays below the best hit
+    so far.  Each round is one loop over at most ``power`` cycle blocks, cut
+    short at that hit, with one membership test and one tortoise compare a
+    block.  No tail level is exactly 0, so the walk needs no mask, and once
+    a state repeats every later level repeats an earlier one.
     """
     first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
-    # Maps are listed innermost first.
-    pre = [c % p for c in reversed(pattern.prefix)]
-    cyc = [c % p for c in reversed(pattern.cycle)]
-    b_len = len(cyc)
+    roots = set(roots)
+    # The cycle block is its innermost map, then the others outward; the
+    # guard spares a one-map cycle the loop's setup at every step.
+    inner, *rest = [c % p for c in reversed(pattern.cycle)]
+    b_len = len(pattern.cycle)
     for n, u in pattern.tails:
         u = u.numerator * pow(u.denominator, -1, p) % p
-        tort, power, lam = u, 1, 0
+        tort, power = u, 1
         while first is None or n < first:
-            v = u
-            for c in pre:
-                v = (v * v + c) % p
-            if v == 0:
-                first = n
-                break
-            for c in cyc:
-                u = (u * u + c) % p
-            n += b_len
-            lam += 1
-            if u == tort:
-                break
-            if power == lam:
-                tort, power, lam = u, 2 * power, 0
-                if power > max_states:
-                    return _OVER_CAP
+            # The blocks of this round, or those whose level is below first.
+            steps = power if first is None else min(power, (first - n - 1) // b_len + 1)
+            for i in range(steps):
+                if u in roots:
+                    first = n + i * b_len
+                    break
+                u = (u * u + inner) % p
+                if rest:
+                    for c in rest:
+                        u = (u * u + c) % p
+                if u == tort:
+                    break
+            else:
+                n += steps * b_len
+                if steps == power:
+                    tort, power = u, 2 * power
+                    if power > max_states:
+                        return _OVER_CAP
+                continue
+            break
     return _NO if first is None else PrimeOrbitResult("yes", first)
 
 
@@ -272,26 +301,31 @@ def prime_divides_orbit(
 
     Yes answers carry the least such n.  Primes dividing the denominator of
     a0 are excluded with their own status.  Otherwise the preimage tree of 0
-    mod p is descended along the first ZERO_TREE_DEPTH maps: if p divides
-    gamma_n(a0) with n >= k, then theta_1 o ... o theta_k has a root mod p,
-    so when its level Z_k is empty the least early level below k that p
-    divides is the answer.  A prime whose tree survives has its head read
-    and its tails walked (``_walk_tails``).  ``max_states`` bounds each
-    tail's Brent power, counted in cycle blocks from the tail's start; a
-    tail that would exceed it makes the answer "over_cap".  When a
-    ``pattern`` is given, its start and constants are used and ``gens`` and
-    ``coding`` are not read; it must be resolved from the same inputs, and a
-    pattern for another start raises ValueError.
+    mod p is descended along the first D maps, D the larger of
+    ZERO_TREE_DEPTH and the prefix length a (``_zero_tree``).  p divides
+    gamma_n(a0) exactly when a0 mod p is in Z_n, so when some level Z_k is
+    empty the answer is the least n < k with a0 in Z_n that is not an exact
+    zero.  A prime whose tree survives has its head read and its tails
+    walked with Z_a (``_walk_tails``).  ``max_states`` bounds each tail's
+    Brent power, counted in cycle blocks from the tail's start; a tail that
+    would exceed it makes the answer "over_cap".  When a ``pattern`` is
+    given, its start and constants are used and ``gens`` and ``coding`` are
+    not read; it must be resolved from the same inputs, and a pattern for
+    another start raises ValueError.
     """
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
     elif pattern.a0 is not a0 and pattern.a0 != a0:
         raise ValueError(f"zero pattern was resolved for a0 = {pattern.a0}, not {a0}")
-    if pattern.a0.denominator % p == 0:
+    a0 = pattern.a0
+    if a0.denominator % p == 0:
         return _EXCLUDED
-    if (depth := _zero_tree_depth(p, pattern.outer)) is None:
-        return _walk_tails(p, pattern, max_states)
-    first = next((n for n, value in pattern.early if n < depth and value.numerator % p == 0), None)
+    a = len(pattern.prefix)
+    levels = _zero_tree(p, pattern.outer, a)
+    if levels[-1]:
+        return _walk_tails(p, pattern, levels[a], max_states)
+    x0 = a0 % p if type(a0) is int else a0.numerator * pow(a0.denominator, -1, p) % p
+    first = next((n for n, level in enumerate(levels) if x0 in level and n not in pattern.zeros), None)
     return _NO if first is None else PrimeOrbitResult("yes", first)
 
 
@@ -352,12 +386,10 @@ class PrimeScanReport:
         return out
 
 
-# Primes up to the largest cutoff are sieved once and decided in chunks of
-# SCAN_CHUNK consecutive primes, one pool task each; neither the chunk size
-# nor the worker count changes the report.  A tail-free chunk's product costs
-# about the square of its size.  Worker processes start only above
-# POOL_MIN_CUTOFF, where they pay for their start, and only for a sequence
-# with tails, whose primes are decided one by one.
+# The primes of a sequence with tails are sieved once and decided in chunks
+# of SCAN_CHUNK consecutive primes, one pool task each; neither the chunk
+# size nor the worker count changes the report.  Worker processes start only
+# above POOL_MIN_CUTOFF, where they pay for their start.
 SCAN_CHUNK = 256
 POOL_MIN_CUTOFF = 20_000
 
@@ -365,14 +397,6 @@ POOL_MIN_CUTOFF = 20_000
 def _scan_chunk(gens, coding, pattern: ZeroPattern, max_states: int, primes: array, start: int):
     """(members, excluded, over_cap) among the SCAN_CHUNK primes from ``primes[start]`` on, as ascending lists."""
     chunk = primes[start : start + SCAN_CHUNK]
-    if not pattern.tails:
-        # Every nonzero level is in the head, so p is a member exactly when it
-        # divides the product of the head values.  A fractional a0 would give
-        # phase 0 a tail at level len(prefix), so a0 is an integer and no
-        # prime is excluded; only a tail walk can exceed max_states, so none
-        # is over the cap.
-        g = gcd(prod(value.numerator for _, value in pattern.head), prod(chunk))
-        return ([p for p in chunk if g % p == 0] if g > 1 else []), [], []
     members, excluded, over_cap = [], [], []
     for p in chunk:
         # Passing the pattern's own a0 lets the start check be an identity test.
@@ -398,23 +422,33 @@ def density_profile(
     The primes are sieved once.  Above POOL_MIN_CUTOFF the chunks of a
     sequence with tails are decided by one forked worker per usable CPU,
     which inherit the prime array; the report is the same for every CPU
-    count.  Without tails each chunk is one gcd, in this process.
+    count.  Without tails each prime is tested against the product of the
+    head values, in this process.
     """
     if not cutoffs or list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be nonempty and strictly increasing")
     pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(pattern.a0))
     primes = primes_up_to(cutoffs[-1])
-    results = pool.parallel_map(
-        partial(_scan_chunk, gens, coding, pattern, max_states, primes),
-        range(0, len(primes), SCAN_CHUNK),
-        pool.usable_cpus() if pattern.tails and cutoffs[-1] > POOL_MIN_CUTOFF else 1,
-    )
-    members = []
-    for chunk_members, excluded, over_cap in results:
-        members += chunk_members
-        report.excluded += excluded
-        report.over_cap += over_cap
+    if pattern.tails:
+        results = pool.parallel_map(
+            partial(_scan_chunk, gens, coding, pattern, max_states, primes),
+            range(0, len(primes), SCAN_CHUNK),
+            pool.usable_cpus() if cutoffs[-1] > POOL_MIN_CUTOFF else 1,
+        )
+        members = []
+        for chunk_members, excluded, over_cap in results:
+            members += chunk_members
+            report.excluded += excluded
+            report.over_cap += over_cap
+    else:
+        # Every nonzero level is in the head, so p is a member exactly when it
+        # divides the product of the head values.  A fractional a0 would give
+        # phase 0 a tail at level len(prefix), so a0 is an integer and no
+        # prime is excluded; only a tail walk can exceed max_states, so none
+        # is over the cap.
+        head = prod(value.numerator for _, value in pattern.head)
+        members = [p for p in primes if not head % p]
     for cutoff in cutoffs:
         report.rows.append(ScanRow(cutoff=cutoff, in_p=bisect_right(members, cutoff), pi_x=bisect_right(primes, cutoff)))
     return report

@@ -12,7 +12,9 @@ evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 ``sample_codings`` did before it decoded the generator's words in blocks.
 ``level_walk_membership`` walks the levels mod p one at a time with a
 seen-set, without the preimage-tree refutation or Brent's cycle detection of
-``prime_divides_orbit``.  The subresultant ``resultant`` and ``discriminant``, with the discriminant
+``prime_divides_orbit``; ``tree_walk_membership`` is that function as it was
+before it kept the tree's levels: the depth at which the tree dies, exact
+levels below it, and a walker that applies the prefix maps at every step.  The subresultant ``resultant`` and ``discriminant``, with the discriminant
 identity and the degree law they check, live here because no command uses
 them.  So do the count process's oracles: the brute-force wreath products,
 the exact coin-step law, the full fixed-point count paths of one chunk's
@@ -132,6 +134,122 @@ def level_walk_membership(gens, coding, a0, p):
                     return "yes", n
                 phases[r] = push(cycle, *phases[r])
         n += 1
+    return "no", None
+
+
+def zero_tree_depth(p, outer):
+    """The least k with Z_k empty, or None when the last level is not empty.
+
+    Z_0 = {0} and Z_k = {w : w^2 + c_k in Z_(k-1)} mod p, where c_k is
+    ``outer[k - 1]``: Z_k holds the roots of theta_1 o ... o theta_k mod p.
+    Each y = w - c_k with w in Z_(k-1) gets one Tonelli-Shanks square root,
+    whose first power also gives Euler's test; the last level only needs
+    one square.  This is the descent ``prime_divides_orbit`` ran before it
+    kept the levels themselves.
+    """
+    if p == 2:
+        return None  # every residue mod 2 is a square
+    q, s = p - 1, 0  # p - 1 = q * 2^s with q odd
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    gen = None  # z^q for a nonresidue z, found when first needed
+    roots = [0]
+    for k, c in enumerate(outer, start=1):
+        level = []
+        for w in roots:
+            y = (w - c) % p
+            if not y:
+                level.append(0)
+                continue
+            # r = y^((q+1)/2) and t = y^q, so r^2 = t*y.  t has order 2^i,
+            # and i < s exactly when y is a square.
+            x = pow(y, q >> 1, p)
+            r = x * y % p
+            t = x * r % p
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            if i == s:
+                continue
+            if k == len(outer):
+                return None
+            if i and gen is None:
+                z = 2
+                while pow(z, p >> 1, p) == 1:
+                    z += 1
+                gen = pow(z, q, p)
+            m, g = s, gen
+            while i:  # each step lowers the order of t and keeps r^2 = t*y
+                b = pow(g, 1 << (m - i - 1), p)
+                m, g = i, b * b % p
+                t, r = t * g % p, r * b % p
+                i, t2 = 0, t
+                while t2 != 1:
+                    t2, i = t2 * t2 % p, i + 1
+            level += (r, p - r)
+        if not level:
+            return k
+        roots = level
+    return None
+
+
+def walk_tails(p, pattern, max_states):
+    """(status, first_index) from the head and a walk of each tail mod p.
+
+    The least head level whose exact value p divides comes first; then
+    Brent's cycle detection walks each tail mod p while its level stays
+    below the best hit so far, applying the prefix maps to every inner
+    value and counting the steps of each round one by one.  This is the
+    walker ``prime_divides_orbit`` ran before it tested inner values
+    against the roots of the prefix composition.
+    """
+    first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
+    # Maps are listed innermost first.
+    pre = [c % p for c in reversed(pattern.prefix)]
+    cyc = [c % p for c in reversed(pattern.cycle)]
+    b_len = len(cyc)
+    for n, u in pattern.tails:
+        u = u.numerator * pow(u.denominator, -1, p) % p
+        tort, power, lam = u, 1, 0
+        while first is None or n < first:
+            v = u
+            for c in pre:
+                v = (v * v + c) % p
+            if v == 0:
+                first = n
+                break
+            for c in cyc:
+                u = (u * u + c) % p
+            n += b_len
+            lam += 1
+            if u == tort:
+                break
+            if power == lam:
+                tort, power, lam = u, 2 * power, 0
+                if power > max_states:
+                    return "over_cap", None
+    return ("no", None) if first is None else ("yes", first)
+
+
+def tree_walk_membership(p, pattern, max_states):
+    """(status, first_index) by ``zero_tree_depth`` and ``walk_tails``.
+
+    A prime whose tree along ``pattern.outer`` dies at depth k is decided by
+    the exact levels below k, evaluated here in full; any other prime is
+    walked.
+    """
+    a0 = pattern.a0
+    if a0.denominator % p == 0:
+        return "excluded", None
+    depth = zero_tree_depth(p, pattern.outer)
+    if depth is None:
+        return walk_tails(p, pattern, max_states)
+    for n in range(depth):
+        value = a0
+        for c in reversed(pattern.outer[:n]):
+            value = value * value + c
+        if value != 0 and value.numerator % p == 0:
+            return "yes", n
     return "no", None
 
 

@@ -9,8 +9,10 @@ from conftest import (
     gamma_value,
     gamma_values,
     level_walk_membership,
+    tree_walk_membership,
     within_three_sigma,
     zero_levels,
+    zero_tree_depth,
 )
 from quadorbit import pool, primescan
 from quadorbit.dynamics import GeneratorSet, SequenceCoding
@@ -19,7 +21,7 @@ from quadorbit.primescan import (
     POOL_MIN_CUTOFF,
     ZERO_TREE_DEPTH,
     PrimeOrbitResult,
-    _zero_tree_depth,
+    _zero_tree,
     density_profile,
     fpp_comparison,
     prime_divides_orbit,
@@ -164,13 +166,13 @@ SMALL_PRIMES = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
 
 
 @st.composite
-def scan_inputs(draw):
+def scan_inputs(draw, max_prefix=2):
     """Distinct constants in [-3, 3], which include the exact-zero maps c = 0,
     -1, -2, a constant, mixed-cycle or prefixed coding, and an integer or
     fractional a0."""
     constants = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
     index = st.integers(1, len(constants))
-    prefix = draw(st.lists(index, max_size=2))
+    prefix = draw(st.lists(index, max_size=max_prefix))
     cycle = draw(st.lists(index, min_size=1, max_size=3))
     a0 = draw(
         st.one_of(
@@ -202,22 +204,58 @@ def test_walker_matches_level_walk(inputs, primes):
         assert (result.status, result.first_index) == level_walk_membership(gens, coding, a0, p), p
 
 
-@settings(deadline=None, max_examples=200)
+# Prefixes up to two maps longer than the tree depth, so that the prefix
+# level lies below, at and past ZERO_TREE_DEPTH.
+TREE_INPUTS = scan_inputs(max_prefix=ZERO_TREE_DEPTH + 2)
+
+
+@settings(deadline=None, max_examples=300)
 @given(
-    outer=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
-    p=st.sampled_from([p for p in ORACLE_PRIMES if p < 200]),
+    inputs=TREE_INPUTS,
+    primes=st.lists(st.sampled_from(ORACLE_PRIMES), min_size=1, max_size=20),
+    max_states=st.sampled_from([1, 2, 5, 1_000_000]),
 )
-def test_zero_tree_matches_brute_force(outer, p):
+def test_walker_matches_the_tree_depth_oracle(inputs, primes, max_states):
+    gens, coding, a0 = inputs
+    pattern = zero_pattern(gens, coding, a0)
+    for p in primes:
+        result = prime_divides_orbit(p, gens, coding, a0, pattern, max_states)
+        assert (result.status, result.first_index) == tree_walk_membership(p, pattern, max_states), p
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=TREE_INPUTS, p=st.sampled_from([p for p in ORACLE_PRIMES if p < 200]))
+def test_zero_tree_matches_brute_force(inputs, p):
     # values[x] is (theta_1 o ... o theta_k)(x) mod p over every residue x,
-    # composed one inner map at a time; Z_k is empty when no value is 0.
+    # composed one inner map at a time, and Z_k holds the x with value 0.
+    gens, coding, a0 = inputs
+    pattern = zero_pattern(gens, coding, a0)
+    a = len(coding.prefix)
     values = list(range(p))
-    expected = None
-    for k, c in enumerate(outer, start=1):
+    expected = [{0}]
+    for c in pattern.outer:
         values = [values[(x * x + c) % p] for x in range(p)]
-        if 0 not in values:
-            expected = k
+        expected.append({x for x in range(p) if values[x] == 0})
+        if not expected[-1]:
             break
-    assert _zero_tree_depth(p, outer) == expected
+    dies = not expected[-1]
+    assert zero_tree_depth(p, pattern.outer) == (len(expected) - 1 if dies else None)
+    # Every level returned is complete, down to the empty one or to Z_a.
+    levels = _zero_tree(p, pattern.outer, a)
+    assert [set(level) for level in levels] == expected[: len(levels)]
+    assert all(len(level) == len(set(level)) for level in levels)
+    if dies:
+        assert len(levels) == len(expected)
+    else:
+        assert levels[-1] and len(levels) > a
+    # A dying tree decides the prime: the least level n below the empty one
+    # with a0 in Z_n that is not exactly 0.
+    if dies and a0.denominator % p:
+        x0 = a0.numerator * pow(a0.denominator, -1, p) % p
+        zeros = zero_levels([int(c) for c in gens.constants], coding, a0, len(expected))
+        first = next((n for n, level in enumerate(expected) if x0 in level and n not in zeros), None)
+        expected_result = PrimeOrbitResult("no") if first is None else PrimeOrbitResult("yes", first)
+        assert prime_divides_orbit(p, gens, coding, a0, pattern) == expected_result
 
 
 def test_tree_leaves_few_flagship_primes_to_walk(monkeypatch):
@@ -233,7 +271,7 @@ def test_tree_leaves_few_flagship_primes_to_walk(monkeypatch):
     members = sum(prime_divides_orbit(p, X2P1, CONST, 0, pattern).status == "yes" for p in primes)
     assert members == 99
     assert (ZERO_TREE_DEPTH, len(walked)) == (8, 1609)
-    depths = [_zero_tree_depth(p, pattern.outer) for p in primes]
+    depths = [zero_tree_depth(p, pattern.outer) for p in primes]
     assert depths.count(None) == len(walked)
     for row in fpp_rows(ZERO_TREE_DEPTH):
         survived = sum(k is None or k > row["n"] for k in depths)

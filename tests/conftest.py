@@ -14,7 +14,8 @@ evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 seen-set, without the preimage-tree refutation or Brent's cycle detection of
 ``prime_divides_orbit``; ``tree_walk_membership`` is that function as it was
 before it kept the tree's levels: the depth at which the tree dies, exact
-levels below it, and a walker that applies the prefix maps at every step.  The subresultant ``resultant`` and ``discriminant``, with the discriminant
+levels below it, and a walker that applies the prefix maps at every step.
+The subresultant ``resultant`` and ``discriminant``, with the discriminant
 identity and the degree law they check, live here because no command uses
 them.  So do the count process's oracles: the brute-force wreath products,
 the exact coin-step law, the full fixed-point count paths of one chunk's

@@ -190,10 +190,10 @@ def _zero_tree(p: int, outer: list[int], a: int) -> list[list[int]]:
     Z_0 = [0] and Z_k = {w : w^2 + c_k in Z_(k-1)} mod p, where c_k is
     ``outer[k - 1]``: Z_k holds the roots of theta_1 o ... o theta_k mod p.
     The list ends with the first empty level when there is one.  Otherwise
-    the tree survives: every level up to Z_a is complete, and a last level
-    past Z_a is only tested for one square and not returned.  Each y = w -
-    c_k with w in Z_(k-1) gets one Tonelli-Shanks square root, whose first
-    power also gives Euler's test.
+    the tree survives, and every level returned is complete, Z_a included;
+    a last level past Z_a is only tested for one square and not returned.
+    Each y = w - c_k with w in Z_(k-1) gets one Tonelli-Shanks square root,
+    whose first power also gives Euler's test.
     """
     levels = [[0]]
     if p == 2:

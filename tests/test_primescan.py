@@ -223,34 +223,59 @@ def test_walker_matches_the_tree_depth_oracle(inputs, primes, max_states):
         assert (result.status, result.first_index) == tree_walk_membership(p, pattern, max_states), p
 
 
-@settings(deadline=None, max_examples=200)
-@given(inputs=TREE_INPUTS, p=st.sampled_from([p for p in ORACLE_PRIMES if p < 200]))
-def test_zero_tree_matches_brute_force(inputs, p):
-    # values[x] is (theta_1 o ... o theta_k)(x) mod p over every residue x,
-    # composed one inner map at a time, and Z_k holds the x with value 0.
-    gens, coding, a0 = inputs
-    pattern = zero_pattern(gens, coding, a0)
-    a = len(coding.prefix)
+TREE_PRIMES = [p for p in ORACLE_PRIMES if p < 200]
+
+
+def check_zero_tree(p, outer, a):
+    """Check ``_zero_tree(p, outer, a)`` and the ``zero_tree_depth`` oracle
+    against brute-force root sets, and return those sets Z_0, Z_1, ...,
+    down to the first empty one or along all of ``outer``.
+
+    values[x] is (theta_1 o ... o theta_k)(x) mod p over every residue x,
+    composed one inner map at a time, and Z_k holds the x with value 0.
+    """
     values = list(range(p))
     expected = [{0}]
-    for c in pattern.outer:
+    for c in outer:
         values = [values[(x * x + c) % p] for x in range(p)]
         expected.append({x for x in range(p) if values[x] == 0})
         if not expected[-1]:
             break
     dies = not expected[-1]
-    assert zero_tree_depth(p, pattern.outer) == (len(expected) - 1 if dies else None)
+    assert zero_tree_depth(p, outer) == (len(expected) - 1 if dies else None)
     # Every level returned is complete, down to the empty one or to Z_a.
-    levels = _zero_tree(p, pattern.outer, a)
+    levels = _zero_tree(p, outer, a)
     assert [set(level) for level in levels] == expected[: len(levels)]
     assert all(len(level) == len(set(level)) for level in levels)
     if dies:
         assert len(levels) == len(expected)
     else:
         assert levels[-1] and len(levels) > a
+    return expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    outer=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+    p=st.sampled_from(TREE_PRIMES),
+)
+def test_zero_tree_matches_brute_force(outer, p):
+    # Any list of outer constants, with the kept level a anywhere from 0 to
+    # the last, where the tree is descended in full instead of stopping at
+    # the last level's first square.
+    for a in range(len(outer) + 1):
+        check_zero_tree(p, outer, a)
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=TREE_INPUTS, p=st.sampled_from(TREE_PRIMES))
+def test_zero_tree_of_a_coding_matches_brute_force(inputs, p):
+    gens, coding, a0 = inputs
+    pattern = zero_pattern(gens, coding, a0)
+    expected = check_zero_tree(p, pattern.outer, len(coding.prefix))
     # A dying tree decides the prime: the least level n below the empty one
     # with a0 in Z_n that is not exactly 0.
-    if dies and a0.denominator % p:
+    if not expected[-1] and a0.denominator % p:
         x0 = a0.numerator * pow(a0.denominator, -1, p) % p
         zeros = zero_levels([int(c) for c in gens.constants], coding, a0, len(expected))
         first = next((n for n, level in enumerate(expected) if x0 in level and n not in zeros), None)

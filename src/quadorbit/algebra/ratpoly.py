@@ -42,14 +42,22 @@ from .rationals import is_square_rational
 #   2^65 gives a product below 2^128: the quotients floor(x*m/2^88) < 2^40
 #   land in the low 40 bits of their slots after the shift, and x - q*p is
 #   in [0, 2p).
-# A division therefore reduces after every 2^11 steps, and each reduction
-# first checks that no slot has reached 2^65.
+# A division runs in windows of at most `chunk` = min(max(deg b, 64), 2^11)
+# elimination steps; one shorter than that is a single window, the whole
+# remainder.  A window lifts out only the slots its steps touch
+# (k - deg b .. k for each step k) and is reduced before it is merged back,
+# so each slot enters a window below 2p and takes at most 2^11 additions
+# there, while the slots outside the window take none.  Every reduction
+# first checks that no slot has reached 2^65.  A window costs
+# O(chunk + deg b) per step, so a long division costs
+# O((deg a - deg b) * deg b), not O((deg a - deg b) * deg a).
 
 _PRIME_FLOOR = 1 << 25
 _SLOT = 128
 _SLOT_BYTES = _SLOT // 8
 _BARRETT_SHIFT = 88
 _STEPS_PER_REDUCTION = 1 << 11
+_MIN_WINDOW_STEPS = 64
 _SLOT_CEILING_BITS = 65
 
 
@@ -89,16 +97,23 @@ def _gcd_image(f: tuple[int, ...], g: tuple[int, ...], p: int) -> list[int]:
         a, da, b, db = b, db, a, da
     while db > 0:
         inv = pow((b >> (_SLOT * db)) % p, -1, p)
+        low = (1 << (_SLOT * db)) - 1
+        chunk = min(max(db, _MIN_WINDOW_STEPS), _STEPS_PER_REDUCTION)
+        # Steps k = top..bottom, at most `chunk` of them, touch only slots
+        # bottom-db..top, and r holds no slot above top: each window shifts
+        # those out, clears slots top..bottom mod p, and puts back the db
+        # slots below them, reduced; the cleared slots are dropped.  A
+        # division shorter than `chunk` is one window, the whole remainder.
         r = a
-        # Each step clears slot k mod p; the cleared top slots are dropped
-        # together once the division is done.
-        for k in range(da, db - 1, -1):
-            t = ((r >> (_SLOT * k)) & top_mask) % p
-            if t:
-                r += ((p - t) * inv % p * b) << (_SLOT * (k - db))
-            if (da - k + 1) % _STEPS_PER_REDUCTION == 0:
-                r = reduce(r)
-        r = reduce(r & ((1 << (_SLOT * db)) - 1))
+        for top in range(da, db - 1, -chunk):
+            bottom = max(top - chunk + 1, db)
+            shift = _SLOT * (bottom - db)
+            w = r >> shift
+            for k in range(top - bottom + db, db - 1, -1):
+                t = ((w >> (_SLOT * k)) & top_mask) % p
+                if t:
+                    w += ((p - t) * inv % p * b) << (_SLOT * (k - db))
+            r = (r & ((1 << shift) - 1)) | (reduce(w & low) << shift)
         dr = db - 1
         while dr >= 0 and (r >> (_SLOT * dr)) % p == 0:
             r &= (1 << (_SLOT * dr)) - 1

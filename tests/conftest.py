@@ -15,6 +15,9 @@ seen-set, without the preimage-tree refutation or Brent's cycle detection of
 ``prime_divides_orbit``; ``tree_walk_membership`` is that function as it was
 before it kept the tree's levels: the depth at which the tree dies, exact
 levels below it, and a walker that applies the prefix maps at every step.
+``wheel_factor_oracle`` is ``factor_integer`` as it was before its trial
+division skipped whole blocks of primes, one ``n % f`` per wheel candidate;
+``reassemble`` multiplies a factorization back out, which no command needs.
 The subresultant ``resultant`` and ``discriminant``, with the discriminant
 identity and the degree law they check, live here because no command uses
 them.  So do the count process's oracles: the brute-force wreath products,
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
+from quadorbit.algebra import factorint
 from quadorbit.algebra.intpoly import IntPolynomial
 from quadorbit.algebra.rationals import padic_valuation
 from quadorbit.dynamics import QT, EisensteinResult, SequenceCoding, composition_polynomial, critical_orbit
@@ -297,6 +301,69 @@ def primitive_odd_prime_oracle(values):
             return p
         p += 1
     return None
+
+
+def wheel_factor_oracle(n, rho_iterations=factorint.RHO_ITERATIONS, stop=None):
+    """``factor_integer`` as it was before trial division skipped blocks:
+    every wheel candidate f = 5, 7, 11, 13, ... up to TRIAL_BOUND and sqrt(n)
+    is tested with its own ``n % f``.  It shares the library's Miller-Rabin
+    test and rho attempt, so a differential test compares the trial division
+    alone."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    found = {}
+
+    def take(p):
+        nonlocal n
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if not e:
+            return False
+        found[p] = found.get(p, 0) + e
+        return stop is not None and stop(p, e)
+
+    def result(cofactor):
+        return factorint.Factorization(sign=sign, factors=sorted(found.items()), cofactor=cofactor)
+
+    if take(2) or take(3):
+        return result(n)
+    f, step = 5, 2
+    while f <= factorint.TRIAL_BOUND and f * f <= n:
+        if n % f == 0 and take(f):
+            return result(n)
+        f += step
+        step = 6 - step
+    bound = factorint.TRIAL_BOUND
+    if n > 1 and (n < bound * bound or factorint.is_probable_prime(n)) and take(n):
+        return result(n)
+    rng = random.Random(0x5EED ^ n)
+    stack = [n] if n > 1 else []
+    cofactor = 1
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if factorint.is_probable_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        d = factorint._pollard_brent(m, rho_iterations, rng)
+        if d is None:
+            cofactor *= m
+            continue
+        stack += [d, m // d]
+    return result(cofactor)
+
+
+def reassemble(fac):
+    """The integer a ``Factorization`` stands for: sign * prod(p^e) * cofactor."""
+    out = fac.sign * fac.cofactor
+    for p, e in fac.factors:
+        out *= p**e
+    return out
 
 
 def finite_orbit_oracle(constants, window=60, den=1, within=None):

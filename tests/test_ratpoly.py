@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -216,12 +217,43 @@ def image_gcd_inputs(draw):
     return f, g, p
 
 
+@st.composite
+def long_division_inputs(draw):
+    """(f, g, p) with deg f - deg g >= 64, so the first division runs in
+    windows when its quotient has at least max(deg g, 64) terms: deg g lies
+    on either side of deg f - deg g, and one draw in four has a quotient of
+    more than 2^11 terms.  Half of the pairs share a random factor."""
+    p = draw(st.sampled_from(IMAGE_PRIMES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.integers(0, 3)):
+        db, steps = draw(st.integers(1, 160)), draw(st.integers(65, 200))
+    else:
+        db, steps = draw(st.integers(1, 8)), draw(st.integers(2**11 + 1, 2**11 + 80))
+
+    def poly(degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+    f, g = poly(db + steps - 1), poly(db)
+    if draw(st.booleans()):
+        h = poly(draw(st.integers(1, 11)))
+        f = [c % p for c in schoolbook_product(f, h)]
+        g = [c % p for c in schoolbook_product(g, h)]
+    return f, g, p
+
+
 class TestPackedImageGcd:
     @settings(deadline=None, max_examples=300)
     @given(image_gcd_inputs())
     def test_matches_list_euclid(self, inputs):
         f, g, p = inputs
         assert ratpoly._gcd_image(tuple(f), tuple(g), p) == gcd_mod_p_oracle(f, g, p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(long_division_inputs())
+    def test_windowed_divisions_match_list_euclid(self, inputs):
+        f, g, p = inputs
+        assert ratpoly._gcd_image(tuple(f), tuple(g), p) == gcd_mod_p_oracle(f, g, p)
+        assert ratpoly._gcd_image(tuple(g), tuple(f), p) == gcd_mod_p_oracle(f, g, p)
 
     @pytest.mark.parametrize(
         "steps,divisor_terms",

@@ -18,7 +18,6 @@ _EXPORTS = {
     "parse_poly": "parse",
     "is_square_int": "rationals",
     "is_square_rational": "rationals",
-    "padic_valuation": "rationals",
     "gcd_primitive": "ratpoly",
     "is_square": "ratpoly",
     "is_square_qt": "ratpoly",

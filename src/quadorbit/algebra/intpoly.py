@@ -44,13 +44,6 @@ class IntPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
-    @classmethod
-    def term(cls, c: int, exp: int) -> "IntPolynomial":
-        """c times the variable to the given power."""
-        if exp < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * exp + (c,))
-
     @property
     def degree(self) -> int:
         """Degree; -1 is the sentinel for the zero polynomial."""

@@ -17,25 +17,3 @@ def is_square_rational(q: Fraction | int) -> bool:
     """True iff q is the square of a rational."""
     q = Fraction(q)
     return is_square_int(q.numerator) and is_square_int(q.denominator)
-
-
-def padic_valuation(q: Fraction | int, p: int) -> int:
-    """Exponent of the prime p in q; negative when p divides the denominator.
-
-    Rejects q = 0 (the valuation would be infinite).
-    """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of zero is infinite")
-    v = 0
-    num = abs(q.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import _record
 
@@ -41,9 +41,13 @@ class CoefficientBox:
             raise ValueError("need d >= 1 and B >= 1")
 
     @property
+    def slots(self) -> int:
+        """The boxed coefficients: a_0..a_(d-1) when monic, else a_0..a_d."""
+        return self.d if self.monic else self.d + 1
+
+    @property
     def size(self) -> int:
-        width = 2 * self.B + 1
-        return width**self.d if self.monic else width ** (self.d + 1)
+        return (2 * self.B + 1) ** self.slots
 
 
 def odd_count(B: int) -> int:
@@ -82,15 +86,19 @@ def _constraints(prop: str, d: int) -> dict[int, str]:
     raise ValueError(f"unknown property {prop!r}; expected one of {_PROPERTIES}")
 
 
+def _density(prop: str, d: int) -> Fraction:
+    """Limiting density of the property: 1/2 per constrained coefficient."""
+    return Fraction(1, 2) ** len(_constraints(prop, d))
+
+
 def _property_matches(coeffs: tuple[int, ...], prop: str, d: int) -> bool:
-    cons = _constraints(prop, d)
-    for exp, parity in cons.items():
-        c = coeffs[exp]
-        if parity == "odd" and c % 2 == 0:
-            return False
-        if parity == "even" and c % 2 == 1:
-            return False
-    return True
+    return all(coeffs[exp] % 2 == (parity == "odd") for exp, parity in _constraints(prop, d).items())
+
+
+def _table_count(box: CoefficientBox, cons: dict[int, str]) -> int:
+    """Box members that meet the parity table: #odd/#even/(2B+1) multiplied over the slots."""
+    choices = {"odd": odd_count(box.B), "even": even_count(box.B), None: 2 * box.B + 1}
+    return prod(choices[cons.get(exp)] for exp in range(box.slots))
 
 
 def count_property(box: CoefficientBox, prop: str, cross_check: bool = False) -> int:
@@ -104,22 +112,11 @@ def count_property(box: CoefficientBox, prop: str, cross_check: bool = False) ->
         raise ValueError("the monic property needs a monic box")
     if prop != MONIC_DERIVATIVE and box.monic:
         raise ValueError("non-monic properties need a full box")
-    cons = _constraints(prop, box.d)
-    width = 2 * box.B + 1
-    exponents = range(box.d) if box.monic else range(box.d + 1)
-    closed = 1
-    for exp in exponents:
-        kind = cons.get(exp)
-        if kind == "odd":
-            closed *= odd_count(box.B)
-        elif kind == "even":
-            closed *= even_count(box.B)
-        else:
-            closed *= width
+    closed = _table_count(box, _constraints(prop, box.d))
     if cross_check:
         values = range(-box.B, box.B + 1)
         total = 0
-        for combo in itertools.product(values, repeat=len(exponents)):
+        for combo in itertools.product(values, repeat=box.slots):
             coeffs = combo + (1,) if box.monic else combo
             if _property_matches(coeffs, prop, box.d):
                 total += 1
@@ -132,33 +129,50 @@ def count_property(box: CoefficientBox, prop: str, cross_check: bool = False) ->
 
 
 def r_d(d: int) -> Fraction:
-    """Limiting density of the qualifying parity property for degree bound d."""
+    """Limiting density of the qualifying parity property for degree bound d:
+    the star property for even d, the derivative property for odd d."""
     if d < 1:
         raise ValueError("need d >= 1")
-    if d % 2 == 0:
-        return Fraction(1, 2) ** (d // 2 + 1)
-    return Fraction(1, 2) ** ((d + 1) // 2)
+    return _density(ODD_DERIVATIVE if d % 2 else STAR_EVEN, d)
+
+
+# Variant -> (the parity of d it needs, the properties of which an s-set
+# must hold a member each).
+_VARIANTS = {
+    "even": (0, (STAR_EVEN,)),
+    "odd": (1, (ODD_DERIVATIVE, ODD_LEADING)),
+    "monic": (0, (MONIC_DERIVATIVE,)),
+}
+
+
+def _required(d: int, variant: str) -> tuple[str, ...]:
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    parity, props = _VARIANTS[variant]
+    if d % 2 != parity:
+        raise ValueError(f"{variant} variant needs {('even', 'odd')[parity]} d")
+    return props
 
 
 def bound_formula(d: int, s: int, variant: str) -> Fraction:
-    """Closed-form lower bound for the limiting fraction of qualifying s-sets."""
+    """Closed-form lower bound for the limiting fraction of qualifying s-sets.
+
+    From the limiting densities of the variant's properties: 1 - (1 - r)^s
+    for one, and the paper's 1 - (1 - r1)^s - (1 - r2)^s + (1 - r1 - r2)^s
+    for two, which takes them as disjoint.  The two odd properties are
+    disjoint for d >= 3, but at d = 1 both say "a_1 odd", so there the exact
+    fractions tend to 1 - 2^(-s) while this bound is 1 - 2^(1-s): at s = 2
+    the deviation tends to 1/4 as B grows, instead of to 0.
+    """
     if s < 1:
         raise ValueError("need s >= 1")
-    r = r_d(d)
-    if variant == "even":
-        if d % 2 != 0:
-            raise ValueError("even variant needs even d")
+    if d < 1:
+        raise ValueError("need d >= 1")
+    r, *rest = (_density(prop, d) for prop in _required(d, variant))
+    if not rest:
         return 1 - (1 - r) ** s
-    if variant == "odd":
-        if d % 2 != 1:
-            raise ValueError("odd variant needs odd d")
-        half = Fraction(1, 2)
-        return 1 - (1 - r) ** s - half**s + (1 - r - half) ** s
-    if variant == "monic":
-        if d % 2 != 0:
-            raise ValueError("monic variant needs even d")
-        return 1 - (1 - Fraction(1, 2) ** (d // 2)) ** s
-    raise ValueError(f"unknown variant {variant!r}")
+    (r2,) = rest
+    return 1 - (1 - r) ** s - (1 - r2) ** s + (1 - r - r2) ** s
 
 
 def presence_fraction(d: int, s: int, B: int, prop: str) -> Fraction:
@@ -173,32 +187,28 @@ def presence_fraction(d: int, s: int, B: int, prop: str) -> Fraction:
 
 
 def exact_set_fraction(d: int, s: int, B: int, variant: str) -> Fraction:
-    """Exact fraction of s-element subsets matching the variant's requirement.
+    """Exact fraction of s-element subsets holding a member with each of the
+    variant's properties.
 
-    Even/monic variant: at least one member with the qualifying property.
-    Odd variant: at least one member with each of the two odd-degree
-    properties, by four-term inclusion-exclusion; the two properties are
-    disjoint for d >= 3 (they force opposite parities of the leading
-    coefficient) and coincide at d = 1, and the joint count is exact either way.
+    One property: ``presence_fraction``.  Two: four-term inclusion-exclusion,
+    where the members with both meet the two parity tables merged, and there
+    are none when the tables conflict.  The two odd-degree properties
+    conflict for d >= 3 (they force opposite parities of the leading
+    coefficient) and coincide at d = 1.
     """
     if s < 1:
         raise ValueError("need s >= 1")
-    if variant == "even":
-        return presence_fraction(d, s, B, STAR_EVEN)
-    if variant == "monic":
-        return presence_fraction(d, s, B, MONIC_DERIVATIVE)
-    if variant != "odd":
-        raise ValueError(f"unknown variant {variant!r}")
-    if d % 2 != 1:
-        raise ValueError("odd variant needs odd d")
+    props = _required(d, variant)
+    if len(props) == 1:
+        return presence_fraction(d, s, B, props[0])
     box = CoefficientBox(d, B)
     total = box.size
     if s > total:
         raise ValueError("s exceeds the box size")
-    k1 = count_property(box, ODD_DERIVATIVE)
-    k2 = count_property(box, ODD_LEADING)
-    k_both = k1 if d == 1 else 0
-    neither = total - k1 - k2 + k_both
+    a, b = (_constraints(prop, d) for prop in props)
+    conflict = any(a[exp] != b[exp] for exp in a.keys() & b.keys())
+    k1, k2 = _table_count(box, a), _table_count(box, b)
+    neither = total - k1 - k2 + (0 if conflict else _table_count(box, a | b))
     joint = comb(total, s) - comb(total - k1, s) - comb(total - k2, s) + comb(neither, s)
     return Fraction(joint, comb(total, s))
 
@@ -241,35 +251,19 @@ class CensusReport:
         }
 
     def csv_rows(self) -> list[list[str]]:
-        header = [
-            "d",
-            "s",
-            "B",
-            "fraction_num",
-            "fraction_den",
-            "bound_num",
-            "bound_den",
-            "deviation",
+        header = ["d", "s", "B", "fraction_num", "fraction_den", "bound_num", "bound_den", "deviation"]
+        return [header] + [
+            [str(self.d), str(self.s)] + [str(row[key]) for key in header[2:]] for row in self.to_dict()["rows"]
         ]
-        out = [header]
-        for row in self.rows:
-            out.append(
-                [
-                    str(self.d),
-                    str(self.s),
-                    str(row.B),
-                    str(row.fraction.numerator),
-                    str(row.fraction.denominator),
-                    str(row.bound.numerator),
-                    str(row.bound.denominator),
-                    f"{row.deviation.numerator}/{row.deviation.denominator}",
-                ]
-            )
-        return out
 
 
 def convergence_experiment(d: int, s: int, b_values: list[int], variant: str) -> CensusReport:
-    """Exact fractions against the limiting bound for an increasing list of B."""
+    """Exact fractions against the limiting bound for an increasing list of B.
+
+    The deviation shrinks as B grows, except for the odd variant at d = 1,
+    where the bound leaves a gap (``bound_formula``): at s = 2 and B = 1, 2,
+    4, 8, 16 it is 5/12, 3/20, 7/36, 15/68, 31/132, tending to 1/4.
+    """
     if list(b_values) != sorted(set(b_values)):
         raise ValueError("B values must be strictly increasing")
     bound = bound_formula(d, s, variant)

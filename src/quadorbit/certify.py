@@ -11,7 +11,7 @@ exact oracle in the explicit quadratic extension.
 Both rings decide the valuation criterion the same way: strip from the
 level value every prime (or irreducible factor) it shares with an earlier
 value, by repeated gcds, and test whether the residue is a square.  Over Q
-integer factoring then only names the witness prime, so every level is
+factoring the residue then only names the witness prime, so every level is
 decided whatever the rho iteration cap.
 
 Over Z[t] a chain does less work in two cases, with the same result:
@@ -231,10 +231,11 @@ def maximality_by_primitive_odd_prime(
 
     Decided without factoring: stripping from |value| every prime an earlier
     value shares leaves a residue that is a square iff the criterion fails.
-    Factoring then names the witness, the smallest qualifying prime, and
-    stops at the first trial prime that qualifies.  Past the trial bound each
-    composite gets one rho attempt of ``rho_iterations`` steps; when no
-    qualifying prime is found, the witness is the residue, as over Q(t)."""
+    Factoring the residue then names the witness, the smallest qualifying
+    prime, and stops at the first trial prime that qualifies.  Past the trial
+    bound each composite gets one rho attempt of ``rho_iterations`` steps, on
+    primitive parts only; when no qualifying prime is found, the witness is
+    the residue, as over Q(t)."""
     if len(values) < 2:
         raise ValueError("the valuation criterion needs n >= 2")
     if not (gens.ring == QQ and gens.is_critical and gens.is_integral()):
@@ -242,21 +243,18 @@ def maximality_by_primitive_odd_prime(
     target = values[-1]
     if target == 0:
         raise ValueError("degenerate orbit: the level value is zero")
-    earlier = values[:-1]
     residue = abs(target)
-    for v in earlier:
+    for v in values[:-1]:
         g = math.gcd(residue, v)  # a zero value shares every prime
         while g > 1:
             residue //= g
             g = math.gcd(residue, g)
     if is_square_int(residue):
         return MaximalityEvidence(MAX_FAILS)
-
-    def primitive(p: int, e: int) -> bool:
-        return e % 2 == 1 and all(v % p != 0 for v in earlier)
-
-    fac = factor_integer(target, rho_iterations, stop=primitive)
-    witness = next((p for p, e in fac.factors if primitive(p, e)), residue)
+    # The residue holds exactly the primes no earlier value shares, at their
+    # exponents in the level value, so a qualifying prime is one of odd exponent.
+    fac = factor_integer(residue, rho_iterations, stop=lambda p, e: e % 2 == 1)
+    witness = next((p for p, e in fac.factors if e % 2 == 1), residue)
     return MaximalityEvidence(MAX_PRIMITIVE, witness=str(witness))
 
 

@@ -484,9 +484,6 @@ class EisensteinResult:
     case: str = ""  # "direct" | "shifted" | ""
     constant_mod4: int = 0
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def eisenstein_stability(gens: GeneratorSet, coding: SequenceCoding, n: int) -> EisensteinResult:
     """Irreducibility of the level-n composition f by Eisenstein at 2.

@@ -348,6 +348,17 @@ class ScanRow:
         text = str(digits).rjust(places + 1, "0")
         return f"{text[:-places]}.{text[-places:]}"
 
+    def to_dict(self) -> dict:
+        ratio = self.ratio
+        return {
+            "x": self.cutoff,
+            "in_p_count": self.in_p,
+            "pi_x": self.pi_x,
+            "ratio_num": ratio.numerator,
+            "ratio_den": ratio.denominator,
+            "ratio": self.ratio_decimal(),
+        }
+
 
 @_record
 class PrimeScanReport:
@@ -364,26 +375,16 @@ class PrimeScanReport:
             "generators": self.generators,
             "coding": self.coding,
             "a0": self.a0,
-            "rows": [
-                {
-                    "x": row.cutoff,
-                    "in_p_count": row.in_p,
-                    "pi_x": row.pi_x,
-                    "ratio_num": row.ratio.numerator,
-                    "ratio_den": row.ratio.denominator,
-                    "ratio": row.ratio_decimal(),
-                }
-                for row in self.rows
-            ],
+            "rows": [row.to_dict() for row in self.rows],
             "excluded_primes": self.excluded,
             "over_cap_primes": self.over_cap,
         }
 
     def csv_rows(self) -> list[list[str]]:
-        out = [["x", "in_P_count", "pi_x", "ratio_decimal_12dp"]]
-        for row in self.rows:
-            out.append([str(row.cutoff), str(row.in_p), str(row.pi_x), row.ratio_decimal()])
-        return out
+        fields = ("x", "in_p_count", "pi_x", "ratio")
+        return [["x", "in_P_count", "pi_x", "ratio_decimal_12dp"]] + [
+            [str(row[key]) for key in fields] for row in self.to_dict()["rows"]
+        ]
 
 
 # The primes of a sequence with tails are sieved once and decided in chunks
@@ -458,12 +459,6 @@ def fpp_comparison(profile: PrimeScanReport, fpp: list[dict]) -> dict:
     """Juxtapose the profile's empirical prime ratio at its largest cutoff with
     the fixed-point proportion table ``fpp`` of ``process.fpp_rows``
     (informational; the bound concerns the limit)."""
-    row = profile.rows[-1]
-    return {
-        "format_version": 1,
-        "cutoff": row.cutoff,
-        "ratio_num": row.ratio.numerator,
-        "ratio_den": row.ratio.denominator,
-        "ratio": row.ratio_decimal(),
-        "fpp": fpp,
-    }
+    row = profile.rows[-1].to_dict()
+    ratio = {key: row[key] for key in ("ratio_num", "ratio_den", "ratio")}
+    return {"format_version": 1, "cutoff": row["x"], **ratio, "fpp": fpp}

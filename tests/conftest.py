@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths: compositions are
 evaluated directly with Fractions, resultants via Sylvester determinants,
 counts by brute-force enumeration.  The paper's classification of the
 finite-orbit obstruction is here too, as the theorem the walk must agree with,
-with the valuation lemma; the lemma reads v_p through the library's
-``padic_valuation``, which ``test_rationals.py`` checks on its own.  The
+with the valuation lemma; the lemma reads v_p through ``padic_valuation``,
+which no command needs and ``test_rationals.py`` checks on its own.  The
 Eisenstein oracle reads the coefficients of the library's
 ``composition_polynomial``, which ``test_dynamics.py`` checks against direct
 evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
@@ -34,9 +34,30 @@ from math import comb, isqrt, lcm
 
 from quadorbit.algebra import factorint
 from quadorbit.algebra.intpoly import IntPolynomial
-from quadorbit.algebra.rationals import padic_valuation
 from quadorbit.dynamics import QT, EisensteinResult, SequenceCoding, composition_polynomial, critical_orbit
 from quadorbit.process import MODEL_DOUBLE, SampleReport, _chunk_seed
+
+
+def padic_valuation(q, p):
+    """Exponent of the prime p in q; negative when p divides the denominator.
+
+    Rejects q = 0 (the valuation would be infinite).
+    """
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("valuation of zero is infinite")
+    v = 0
+    num = abs(q.numerator)
+    while num % p == 0:
+        num //= p
+        v += 1
+    den = q.denominator
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def gamma_value(gens, coding, a0, n):
@@ -586,7 +607,7 @@ def _pseudo_rem(a, b):
     e = a.degree - b.degree + 1
     r = a
     while not r.is_zero() and r.degree >= b.degree:
-        shift = IntPolynomial.term(r.leading_coefficient(), r.degree - b.degree)
+        shift = IntPolynomial((0,) * (r.degree - b.degree) + (r.leading_coefficient(),))
         r = r * lb - b * shift
         e -= 1
     if e > 0:

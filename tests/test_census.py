@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from quadorbit.algebra import IntPolynomial
 from quadorbit.census import (
     MONIC_DERIVATIVE,
     ODD_DERIVATIVE,
@@ -19,6 +20,8 @@ from quadorbit.census import (
     presence_fraction,
     r_d,
 )
+from quadorbit.certify import tool_conditions
+from quadorbit.dynamics import QT, GeneratorSet
 
 
 def brute_force_box(d, B, monic=False):
@@ -200,3 +203,41 @@ class TestConvergence:
         rows = report.csv_rows()
         assert rows[0] == ["d", "s", "B", "fraction_num", "fraction_den", "bound_num", "bound_den", "deviation"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("d,variant", [(1, "odd"), (2, "even"), (2, "monic"), (3, "odd"), (4, "even"), (4, "monic")])
+    def test_csv_cells_equal_json_fields(self, d, variant):
+        # Each CSV cell is the JSON field of the same name, d and s from the report.
+        report = convergence_experiment(d, 2, [1, 2, 3], variant)
+        payload = report.to_dict()
+        header, *rows = report.csv_rows()
+        assert len(rows) == len(payload["rows"]) == 3
+        for cells, row in zip(rows, payload["rows"]):
+            fields = {"d": payload["d"], "s": payload["s"], **row}
+            assert cells == [str(fields[key]) for key in header]
+
+    def test_odd_bound_gap_at_degree_one(self):
+        # At d = 1 both odd properties say "a_1 odd", so the exact fractions
+        # tend to 1 - 2^(-s) = 3/4, while the bound, which takes the two as
+        # disjoint, is 1 - 2^(1-s) = 1/2.
+        fraction = exact_set_fraction(1, 2, 200, "odd")
+        assert abs(fraction - Fraction(3, 4)) <= Fraction(1, 100)
+        assert fraction - bound_formula(1, 2, "odd") >= Fraction(1, 5)
+
+
+# The properties of which a counted set holds a member each.
+REQUIRED = {"even": [STAR_EVEN], "odd": [ODD_DERIVATIVE, ODD_LEADING], "monic": [MONIC_DERIVATIVE]}
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("d,variant", [(1, "odd"), (2, "even"), (3, "odd"), (2, "monic"), (4, "monic")])
+def test_counted_sets_meet_tool_conditions(d, variant, s):
+    # Every set that census counts, taken as constants over Z[t], is one
+    # whose maximality certificate's tool conditions hold.
+    box = brute_force_box(d, 1, monic=variant == "monic")
+    counted = 0
+    for subset in itertools.combinations(box, s):
+        if all(any(has_property(c, prop, d) for c in subset) for prop in REQUIRED[variant]):
+            counted += 1
+            gens = GeneratorSet.from_constants([IntPolynomial(c) for c in subset], ring=QT)
+            assert tool_conditions(gens) is not None, subset
+    assert counted == exact_set_fraction(d, s, 1, variant) * comb(len(box), s)

@@ -1,5 +1,6 @@
-"""The README's CLI examples and environment variables match the CLI, and
-the package's exports and the benchmark tracer's targets resolve."""
+"""The README's CLI examples, environment variables and ``primes`` CSV
+columns match the CLI, and the package's exports and the benchmark tracer's
+targets resolve."""
 
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import quadorbit
 import quadorbit.algebra as algebra
 import quadorbit.cli as cli
+from quadorbit.primescan import PrimeScanReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -35,6 +37,12 @@ def test_readme_env_vars_match_cli():
     documented = set(re.findall(r"QUADORBIT_[A-Z_]+", README.read_text()))
     read = set(re.findall(r"QUADORBIT_[A-Z_]+", Path(cli.__file__).read_text()))
     assert documented == read
+
+
+def test_readme_primes_csv_columns():
+    # An empty report still writes the full header.
+    columns = re.search(r"CSV columns: ([^)]*)\)", README.read_text()).group(1).split(", ")
+    assert columns == PrimeScanReport(generators=[], coding="", a0="0").csv_rows()[0]
 
 
 def test_algebra_exports_resolve():

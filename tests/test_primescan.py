@@ -394,6 +394,16 @@ class TestProfiles:
         report = density_profile(X2P1, CONST, 0, [100])
         assert report.csv_rows()[0] == ["x", "in_P_count", "pi_x", "ratio_decimal_12dp"]
 
+    def test_csv_cells_equal_json_fields(self):
+        # Each CSV cell is the JSON row field its column renders; cutoff 1 has no primes.
+        json_field = {"x": "x", "in_P_count": "in_p_count", "pi_x": "pi_x", "ratio_decimal_12dp": "ratio"}
+        report = density_profile(X2P1, CONST, 0, [1, 100, 1000])
+        header, *rows = report.csv_rows()
+        payload_rows = report.to_dict()["rows"]
+        assert len(rows) == len(payload_rows) == 3
+        for cells, row in zip(rows, payload_rows):
+            assert cells == [str(row[json_field[key]]) for key in header]
+
     def test_requires_integer_critical(self):
         from quadorbit.algebra import parse_poly
         from quadorbit.dynamics import QT

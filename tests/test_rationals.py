@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadorbit.algebra import is_square_rational, padic_valuation
+from conftest import padic_valuation
+from quadorbit.algebra import is_square_rational
 
 nonzero_rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=40

@@ -15,6 +15,11 @@ Each subcommand returns (config, result, exit code): a dict result goes into
 the JSON envelope, a list of rows is written as CSV.  ``main`` renders and
 writes every report.  Each subcommand imports, when it runs, only the modules
 it calls, so a command's start-up compiles no other part of the package.
+
+``main(argv)`` returns the exit code, for embedding.  The ``quadorbit``
+command and ``python -m quadorbit.cli`` start through ``run``, which flushes
+stdout and stderr and then ends the process with ``os._exit``, skipping the
+interpreter's teardown of every loaded module.
 """
 
 from __future__ import annotations
@@ -286,5 +291,27 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INCONCLUSIVE
 
 
+def run() -> None:
+    """The command's entry point: ``main``, then an exit without teardown.
+
+    Nothing is left for teardown to do: no command registers an ``atexit``
+    handler or starts a thread, ``--out`` files are closed by ``main``, and
+    ``pool.parallel_map`` reaps its forked workers before it returns.  When a
+    flush fails, or a stream was closed when the process started (it is then
+    ``None``), ``sys.exit`` leaves it to the interpreter's exit as before.  An
+    exception out of ``main`` (``--help``'s ``SystemExit`` among them)
+    propagates unchanged.
+    """
+    import os
+
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

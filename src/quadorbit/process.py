@@ -418,6 +418,12 @@ def sample_codings(
         raise ValueError(f"certify count must be >= 0, got {certify_count}")
     if certify_count > 0 and gens is None:
         raise ValueError("certifying sampled prefixes needs a generator set (--c or --set)")
+    if certify_count > 0 and len(weights) > gens.size:
+        # Refused before drawing: whether an index past the maps lands in a
+        # certified prefix would otherwise depend on the seed.
+        raise ValueError(
+            f"certifying sampled prefixes needs a map per weight: {len(weights)} weights, {gens.size} maps"
+        )
     weights = [Fraction(w) for w in weights]
     if any(w <= 0 for w in weights) or sum(weights) != 1:
         raise ValueError("weights must be positive and sum to 1")

@@ -223,6 +223,26 @@ def test_sample_certify_without_generators_is_an_error(capsys, monkeypatch):
     assert seeded == []
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_sample_certify_with_more_weights_than_maps_is_an_error(capsys, seed):
+    # Refused whatever the seed, not only when index 2 is drawn into a
+    # certified prefix.
+    argv = ["sample", "--weights", "7/8,1/8", "--c", "-2", "--certify", "1", "--length", "2", "--samples", "2"]
+    code = main([*argv, "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: certifying sampled prefixes needs a map per weight: 2 weights, 1 maps\n"
+
+
+def test_sample_certify_with_fewer_weights_than_maps(capsys):
+    argv = ["sample", "--weights", "1", "--c", "-2; 1", "--certify", "2", "--length", "3", "--samples", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    certificates = json.loads(out)["result"]["certificates"]
+    assert [c["coding"] for c in certificates] == ["1,1,1|1", "1,1,1|1"]
+
+
 def test_orbit_point(capsys):
     code, out = run_cli(capsys, "orbit", "--set", "x^2+x; x^2-6x", "--point", "2")
     assert code == 0

@@ -1,6 +1,6 @@
 """The README's CLI examples, environment variables and ``primes`` CSV
-columns match the CLI, and the package's exports and the benchmark tracer's
-targets resolve."""
+columns match the CLI, the package's exports and the benchmark tracer's
+targets resolve, and the command has one entry point."""
 
 import importlib
 import importlib.util
@@ -14,8 +14,9 @@ import quadorbit.algebra as algebra
 import quadorbit.cli as cli
 from quadorbit.primescan import PrimeScanReport
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _cli_block() -> str:
@@ -70,3 +71,10 @@ def test_tracer_targets_resolve(monkeypatch):
     spec.loader.exec_module(tracer)
     absent = [t.span for t in tracer.TARGETS if tracer._resolve(t) is None]
     assert absent == ["algebra.ratpoly.gcd_qt"]
+
+
+def test_command_starts_through_run():
+    # The installed script and ``python -m quadorbit.cli`` share one entry
+    # point.  A string check: tomllib is missing on Python 3.10.
+    assert 'quadorbit = "quadorbit.cli:run"' in (ROOT / "pyproject.toml").read_text().splitlines()
+    assert Path(cli.__file__).read_text().endswith('\nif __name__ == "__main__":\n    run()\n')

@@ -10,17 +10,17 @@ exact oracle in the explicit quadratic extension.
 
 Both rings decide the valuation criterion the same way: strip from the
 level value every prime (or irreducible factor) it shares with an earlier
-value, by repeated gcds, and test whether the residue is a square.  Over Q
-factoring the residue then only names the witness prime, so every level is
-decided whatever the rho iteration cap.
+value, by gcds, and test whether the residue is a square.  A coding that
+applies one map at every level strips level n only against the levels that
+divide n, because the critical orbit of one map is a divisibility sequence
+(``_strip_levels``).  The evidence keeps the residue, and naming the witness
+is a separate step, taken only when the witness is read: over Q it factors
+the residue, so every level is decided whatever the rho iteration cap, and a
+caller that reads only the decisions never factors.
 
-Over Z[t] a chain does less work in two cases, with the same result:
-- a coding that applies one map at every level strips level n only against
-  the levels that divide n, because the critical orbit of one map is a
-  divisibility sequence (``_strip_levels``);
-- when the derivative shortcut applies, a level value with an odd leading
-  coefficient is square-free by its reduction mod 2, and its square-free
-  decomposition is read off without Yun's gcds (``_decomposer``).
+Over Z[t], when the derivative shortcut applies, a level value with an odd
+leading coefficient is square-free by its reduction mod 2, and its
+square-free decomposition is read off without Yun's gcds (``_decomposer``).
 """
 
 from __future__ import annotations
@@ -69,15 +69,30 @@ class StabilityEvidence:
 @_record(frozen=True)
 class MaximalityEvidence:
     kind: str
-    witness: str = ""
+    residue: int | IntPolynomial | None = None
     oracle: bool | None = None
     guaranteed: bool = False
+    rho_iterations: int = RHO_ITERATIONS
 
     @property
     def ok(self) -> bool:
         if self.kind in (MAX_PRIMITIVE, MAX_LEVEL_ONE):
             return True
         return self.kind == MAX_ORACLE and bool(self.oracle)
+
+    @property
+    def witness(self) -> str:
+        """Named from a primitive level's ``residue`` when read.  Over Z[t] it
+        is the residue.  Over Q it is the residue's smallest prime of odd
+        exponent: factoring stops at the first trial prime that qualifies,
+        and past the trial bound each composite gets one rho attempt of
+        ``rho_iterations`` steps; when none is found it is the residue."""
+        if self.residue is None:
+            return ""
+        if isinstance(self.residue, IntPolynomial):
+            return render_poly(self.residue)
+        fac = factor_integer(self.residue, self.rho_iterations, stop=lambda p, e: e % 2 == 1)
+        return str(next((p for p, e in fac.factors if e % 2 == 1), self.residue))
 
     def to_dict(self) -> dict:
         return {
@@ -227,51 +242,20 @@ def maximality_by_primitive_odd_prime(
 ) -> MaximalityEvidence:
     """Valuation criterion over Q at level n = len(values), given the orbit
     values of levels 1..n: some prime divides the level-n value to odd
-    multiplicity and no earlier one at all.
-
-    Decided without factoring: stripping from |value| every prime an earlier
-    value shares leaves a residue that is a square iff the criterion fails.
-    Factoring the residue then names the witness, the smallest qualifying
-    prime, and stops at the first trial prime that qualifies.  Past the trial
-    bound each composite gets one rho attempt of ``rho_iterations`` steps, on
-    primitive parts only; when no qualifying prime is found, the witness is
-    the residue, as over Q(t)."""
-    if len(values) < 2:
-        raise ValueError("the valuation criterion needs n >= 2")
+    multiplicity and no earlier one at all.  Strips against every earlier
+    value; ``rho_iterations`` caps the factoring that names the witness."""
     if not (gens.ring == QQ and gens.is_critical and gens.is_integral()):
         raise ValueError("needs an integer critical set over Q")
-    target = values[-1]
-    if target == 0:
-        raise ValueError("degenerate orbit: the level value is zero")
-    residue = abs(target)
-    for v in values[:-1]:
-        g = math.gcd(residue, v)  # a zero value shares every prime
-        while g > 1:
-            residue //= g
-            g = math.gcd(residue, g)
-    if is_square_int(residue):
-        return MaximalityEvidence(MAX_FAILS)
-    # The residue holds exactly the primes no earlier value shares, at their
-    # exponents in the level value, so a qualifying prime is one of odd exponent.
-    fac = factor_integer(residue, rho_iterations, stop=lambda p, e: e % 2 == 1)
-    witness = next((p for p, e in fac.factors if e % 2 == 1), residue)
-    return MaximalityEvidence(MAX_PRIMITIVE, witness=str(witness))
-
-
-def _odd_multiplicity_part(parts: list[tuple[IntPolynomial, int]]) -> IntPolynomial:
-    """Product of the square-free factors of odd multiplicity (primitive)."""
-    out = IntPolynomial((1,))
-    for factor, mult in parts:
-        if mult % 2 == 1:
-            out = out * factor
-    return out
+    return _valuation_criterion(gens, values, len(values), range(1, len(values)), None, rho_iterations)
 
 
 def maximality_qt(gens: GeneratorSet, values: list) -> MaximalityEvidence:
     """Valuation criterion over Q(t) at level n = len(values), given the orbit
     values of levels 1..n, by square-free decomposition and gcd-stripping
     against every earlier value; no factorization needed."""
-    return _maximality_qt(gens, values, _decomposer(values), range(1, len(values)))
+    if gens.ring != QT or not gens.is_critical:
+        raise ValueError("needs a critical set over Z[t]")
+    return _valuation_criterion(gens, values, len(values), range(1, len(values)), _decomposer(values))
 
 
 def _strip_levels(coding: SequenceCoding, n: int):
@@ -279,16 +263,22 @@ def _strip_levels(coding: SequenceCoding, n: int):
 
     A coding that applies one map f at every level (every index of its
     prefix and cycle the same) needs only the proper divisors d of n.  There
-    gamma_n = f^(n-m)(gamma_m) == f^(n-m)(0) = gamma_(n-m) mod gamma_m, so by
-    Euclid on the indices any factor gamma_n shares with gamma_m divides
-    gamma_gcd(n,m): the critical orbit is a rigid divisibility sequence
-    (Rice, "Primitive prime divisors in polynomial arithmetic dynamics",
-    Integers 2007).  The residue starts square-free, and each strip step
-    divides out a primitive gcd with a positive leading coefficient, so the
-    residue ends as the primitive product of its irreducible factors that
-    divide no earlier value, whichever levels remove them: the same
-    polynomial as the full strip.  A zero earlier value needs a constant f,
-    whose constant levels fail the criterion before any strip.
+    gamma_n = f^(n-m)(gamma_m) == f^(n-m)(0) = gamma_(n-m) mod gamma_m, so a
+    prime p of Z, or an irreducible p of Z[t], that divides gamma_m divides
+    gamma_n iff it divides gamma_(n-m).  By Euclid on the indices any p that
+    gamma_n shares with gamma_m divides gamma_gcd(n,m): the critical orbit is
+    a rigid divisibility sequence (Rice, "Primitive prime divisors in
+    polynomial arithmetic dynamics", Integers 2007).  Each strip step divides
+    out of the residue every power of each p it shares with that level and
+    no other p: over Z by repeated gcds, over Z[t] by one primitive gcd with
+    a positive leading coefficient, as the residue starts square-free.  So
+    the residue ends as the part of the level value made of the p that divide
+    no earlier value, whichever levels remove them: the same integer or
+    polynomial as the full strip.  A zero earlier value makes the critical
+    point periodic, which needs a constant c in Z (gamma_n has degree
+    deg(c) 2^(n-1)), and then c = 0 or c = -1: an orbit through 0 is bounded,
+    so |c| <= 2, and c = -2, 1, 2 never return to 0.  Every nonzero level
+    value is then -1, whose residue is 1 before any strip and under either.
 
     Every other coding strips against all n - 1 earlier levels.
     """
@@ -297,24 +287,39 @@ def _strip_levels(coding: SequenceCoding, n: int):
     return [d for d in range(1, n // 2 + 1) if n % d == 0]
 
 
-def _maximality_qt(gens: GeneratorSet, values: list, decompose, strip_levels) -> MaximalityEvidence:
-    if len(values) < 2:
-        raise ValueError("the valuation criterion needs n >= 2")
-    if gens.ring != QT or not gens.is_critical:
-        raise ValueError("needs a critical set over Z[t]")
-    target = values[-1]
-    if target.is_zero():
-        raise ValueError("degenerate orbit: the level value is zero")
-    residue = _odd_multiplicity_part(decompose(len(values))[1])
+def _residue(gens: GeneratorSet, values: list, n: int, strip_levels, decompose):
+    """The level-n value less every prime (irreducible factor over Z[t]) it
+    shares with the values of ``strip_levels``; a zero value shares all.
+    Over Q it starts as |gamma_n|; over Z[t] as the primitive product of the
+    square-free factors of odd multiplicity (``decompose(n)``), which holds
+    each factor that could qualify once, so one gcd per level strips it."""
+    if gens.ring == QT:
+        residue = math.prod((f for f, mult in decompose(n)[1] if mult % 2), start=IntPolynomial((1,)))
+        for m in strip_levels:
+            if residue.degree < 1:
+                break
+            _, residue, _ = gcd_primitive(residue, values[m - 1])
+        return residue
+    residue = abs(values[n - 1])
     for m in strip_levels:
-        earlier = values[m - 1]
-        if residue.degree < 1:
-            break
-        if earlier.is_zero():
-            return MaximalityEvidence(MAX_FAILS)
-        _, residue, _ = gcd_primitive(residue, earlier)
-    if residue.degree > 0:
-        return MaximalityEvidence(MAX_PRIMITIVE, witness=render_poly(residue))
+        g = math.gcd(residue, values[m - 1])
+        while g > 1:
+            residue //= g
+            g = math.gcd(residue, g)
+    return residue
+
+
+def _valuation_criterion(gens, values, n, strip_levels, decompose, rho_iterations=RHO_ITERATIONS):
+    """Whether some prime (irreducible factor) divides the level-n value to
+    odd multiplicity and no earlier value at all: the ``_residue`` is not a
+    square over Q, and of positive degree over Z[t].  Names no witness."""
+    if n < 2:
+        raise ValueError("the valuation criterion needs n >= 2")
+    if not values[n - 1]:
+        raise ValueError("degenerate orbit: the level value is zero")
+    residue = _residue(gens, values, n, strip_levels, decompose)
+    if residue.degree > 0 if gens.ring == QT else not is_square_int(residue):
+        return MaximalityEvidence(MAX_PRIMITIVE, residue, rho_iterations=rho_iterations)
     return MaximalityEvidence(MAX_FAILS)
 
 
@@ -409,29 +414,24 @@ def certify_chain(
             )
         elif stable_through < n - 1:
             max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
-        elif gens.ring == QT:
-            max_ev = _maximality_qt(gens, values[:n], decompose, _strip_levels(coding, n))
+        elif gens.is_integral():
+            max_ev = _valuation_criterion(gens, values, n, _strip_levels(coding, n), decompose, rho_iterations)
             if n in guaranteed_levels:
                 if max_ev.kind != MAX_PRIMITIVE:
                     raise RuntimeError(
                         f"internal consistency: guaranteed level {n} disagrees "
                         f"with the valuation criterion ({max_ev.kind})"
                     )
-                max_ev = MaximalityEvidence(
-                    MAX_PRIMITIVE, witness=max_ev.witness, guaranteed=True
-                )
+                max_ev = MaximalityEvidence(MAX_PRIMITIVE, max_ev.residue, guaranteed=True)
         else:
             # The valuation criterion lives on integer sets; rational sets
             # still get the exact oracle at n = 2.
-            if gens.is_integral():
-                max_ev = maximality_by_primitive_odd_prime(gens, values[:n], rho_iterations)
-            else:
-                max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
-            if n == 2 and max_ev.kind in (MAX_FAILS, MAX_NOT_ATTEMPTED):
-                try:
-                    max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, values[:n]))
-                except ValueError:
-                    pass
+            max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
+        if gens.ring == QQ and n == 2 and max_ev.kind in (MAX_FAILS, MAX_NOT_ATTEMPTED):
+            try:
+                max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, values[:n]))
+            except ValueError:
+                pass
         if max_ev.ok:
             maximal.append(n)
         levels.append(

@@ -274,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code == 0:
             raise
         return EXIT_ERROR
+    if sys.stdout is None and not args.out:
+        # The process started with stdout closed; the report has nowhere to go.
+        print("error: stdout is closed; write the report to a file with --out", file=sys.stderr)
+        return EXIT_ERROR
     try:
         config, result, code = args.func(args)
         if isinstance(result, list):

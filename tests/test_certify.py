@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -123,8 +124,9 @@ class TestMaximalityQ:
         assert chain.levels[7].maximality.witness == "313"
 
     def test_one_rho_call_per_composite(self, monkeypatch):
-        # Level 6 leaves a 31-digit composite that rho does not split; it gets
-        # one attempt, not a restart loop, and the residue is the witness.
+        # Level 6 leaves a 31-digit composite that rho does not split; naming
+        # the witnesses gives it one attempt, not a restart loop, and the
+        # residue is the witness.
         calls = []
         brent = factorint._pollard_brent
 
@@ -132,9 +134,10 @@ class TestMaximalityQ:
             calls.append(n)
             return brent(n, iterations, rng)
 
-        monkeypatch.setattr(factorint, "_pollard_brent", counting_rho)
         g = GeneratorSet.from_constants([-12, -10])
         chain = certify_chain(g, SequenceCoding((1,), (2, 2)), 6)
+        monkeypatch.setattr(factorint, "_pollard_brent", counting_rho)
+        chain.to_dict()
         assert len(calls) == 1 and len(str(calls[0])) == 31
         assert [lc.maximality.kind for lc in chain.levels[1:]] == [MAX_PRIMITIVE] * 5
 
@@ -157,6 +160,34 @@ class TestMaximalityQ:
                 assert (ev.kind, ev.witness) == ((MAX_PRIMITIVE, str(p)) if p else (MAX_FAILS, "")), (g, coding, n)
                 checked += 1
         assert checked >= 100
+
+    def test_divisor_strip_matches_full_strip(self):
+        # x^2 + c applies one map at every level, so each level is stripped
+        # against its divisor levels only; the residue must not change.
+        compared = 0
+        for c in range(-40, 41):
+            g = GeneratorSet.from_constants([c])
+            values = critical_orbit(g, CONST, 11)
+            for n in range(2, 12):
+                if values[n - 1] == 0:
+                    continue
+                divisors = certify._strip_levels(CONST, n)
+                assert certify._residue(g, values, n, divisors, None) == certify._residue(
+                    g, values, n, range(1, n), None
+                ), (c, n)
+                compared += 1
+        assert compared == 795
+
+    def test_sample_certify_names_no_witness(self, monkeypatch, capsys):
+        # sample reads only the decisions of its chains, so nothing factors.
+        def no_factoring(*args, **kwargs):
+            raise AssertionError("a witness was named")
+
+        monkeypatch.setattr(certify, "factor_integer", no_factoring)
+        argv = ["sample", "--c", "-3; 2", "--weights", "1/2,1/2", "--length", "9", "--samples", "20"]
+        assert main([*argv, "--certify", "20", "--seed", "1"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "e3680131e8bf2b20597ebae8b42480a80bb0a254bbef85a6a17311a2849d65bc"
 
 
 def test_schema_kinds_are_the_constants():
@@ -356,8 +387,12 @@ def test_chain_divides_by_each_gcd_once(monkeypatch):
 
 
 def _assert_chain_matches_full_strip(gens, coding, depth):
-    """Every level the chain attempts has the maximality kind and witness of
-    maximality_qt, which strips against every earlier level and runs Yun."""
+    """Every level the chain attempts has the maximality kind and residue of
+    the full strip against every earlier level (maximality_qt, which also
+    runs Yun, or maximality_by_primitive_odd_prime).  Over Q the exact
+    oracle may decide level 2 where the criterion fails.  Comparing residues
+    names no witness."""
+    full_strip = maximality_qt if gens.ring == QT else maximality_by_primitive_odd_prime
     chain = certify_chain(gens, coding, depth)
     values = critical_orbit(gens, coding, depth)
     compared = 0
@@ -366,8 +401,11 @@ def _assert_chain_matches_full_strip(gens, coding, depth):
         if chain.stable_through < n - 1:
             assert ev.kind == "not_attempted"
             continue
-        oracle = maximality_qt(gens, values[:n])
-        assert (ev.kind, ev.witness) == (oracle.kind, oracle.witness), (gens.map_strings(), coding.render(), n)
+        oracle = full_strip(gens, values[:n])
+        if ev.kind == MAX_ORACLE:
+            assert (n, oracle.kind) == (2, MAX_FAILS)
+        else:
+            assert (ev.kind, ev.residue) == (oracle.kind, oracle.residue), (gens.map_strings(), coding.render(), n)
         compared += 1
     return compared
 
@@ -382,6 +420,14 @@ def test_single_map_strip_matches_full_strip(c):
     gens = qt_set(c)
     for coding, depth in ((CONST, 10), (SequenceCoding((1,), (1,)), 8), (SequenceCoding((), (1, 1)), 8)):
         assert _assert_chain_matches_full_strip(gens, coding, depth) == depth - 1
+
+
+def test_q_single_map_strip_matches_full_strip():
+    # The 28 single maps of the 572-chain grid: c in [-15, 15] without 0, -1
+    # and -2; the chains of c = -4 and -9 fail at level 1 and attempt none.
+    grid = sorted(set(range(-15, 16)) - {0, -1, -2})
+    compared = [_assert_chain_matches_full_strip(GeneratorSet.from_constants([c]), CONST, 8) for c in grid]
+    assert (len(grid), compared.count(0), sum(compared)) == (28, 2, 26 * 7)
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,14 @@ def test_closed_stdout_with_out_file(tmp_path):
     assert path.read_bytes().startswith(b'{"command":"fpp"')
 
 
+def test_closed_stdout_without_out_file():
+    # With fd 1 closed and no --out the report has nowhere to go: an error
+    # message and exit 1, not a traceback.
+    out = run_command("orbit", "--c", "-2", "--depth", "3", stdout=None, preexec_fn=lambda: os.close(1))
+    assert out.returncode == 1
+    assert out.stderr == b"error: stdout is closed; write the report to a file with --out\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_flush_is_reported_by_the_interpreter():
     # The report stays in stdout's buffer until run flushes it; the flush

@@ -300,20 +300,26 @@ def run() -> None:
 
     Nothing is left for teardown to do: no command registers an ``atexit``
     handler or starts a thread, ``--out`` files are closed by ``main``, and
-    ``pool.parallel_map`` reaps its forked workers before it returns.  When a
-    flush fails, or a stream was closed when the process started (it is then
-    ``None``), ``sys.exit`` leaves it to the interpreter's exit as before.  An
-    exception out of ``main`` (``--help``'s ``SystemExit`` among them)
-    propagates unchanged.
+    ``pool.parallel_map`` reaps its forked workers before it returns.  A
+    stream closed when the process started is ``None`` and is skipped.  A
+    failed flush is an error, exit 1; stdout's is printed to stderr as
+    ``error: ...``.  An exception out of ``main`` (``--help``'s
+    ``SystemExit`` among them) propagates unchanged.
     """
     import os
 
-    code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (AttributeError, OSError, ValueError):
-        sys.exit(code)
+    code, message = main(), ""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.write(message)
+            stream.flush()
+        except (OSError, ValueError) as exc:
+            # stderr reports a failed stdout, unless main already reported
+            # an error (a failed write leaves the text to flush again).
+            if code != EXIT_ERROR:
+                code, message = EXIT_ERROR, f"error: {exc}\n"
     os._exit(code)
 
 

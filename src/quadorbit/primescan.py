@@ -6,25 +6,24 @@ follows the forward orbit of the full cycle block.  Exact zero levels are
 skipped by definition, and with integer maps they occur only while an inner
 value is an integer inside the escape bound: past it, or with a
 denominator, the value never returns.  So the sequence is split once over
-Q: an exact head of every nonzero level met inside the bound, and per
-escaping phase a tail that holds no zero.  Before a prime's tails are
-walked, the preimage tree of 0 mod p is descended along the first D maps,
-D = ZERO_TREE_DEPTH or the prefix length a when that is longer, by modular
-square roots.  Its level Z_k holds the roots of theta_1 o ... o theta_k mod
-p, so p divides a level n >= k only if Z_k is not empty, and p divides
-gamma_n(a0) exactly when a0 mod p lies in Z_n: a prime whose tree dies at
-depth k <= D is decided by the levels below k, less the few that are exactly
-0.  By Chebotarev the share of primes whose tree survives to depth D tends
-to the fixed-point proportion of the level-D Galois group, which
-``process.fpp_rows`` gives when that group is maximal.  Only those primes
-are walked: first the least head level they divide, then Brent's cycle
+Q: per escaping phase a tail that holds no zero, and a depth D such that
+every later level is a tail level or repeats one below D.  The preimage
+tree of 0 mod p is descended along the first D maps by modular square
+roots.  Its level Z_k holds the roots of theta_1 o ... o theta_k mod p, so
+p divides a level n >= k only if Z_k is not empty, and p divides
+gamma_n(a0) exactly when a0 mod p lies in Z_n: the least n < D with a0 in
+Z_n that is not an exact zero answers every level below D, and decides a
+prime whose tree dies.  By Chebotarev the share of primes whose tree
+survives to depth D tends to the fixed-point proportion of the level-D
+Galois group, which ``process.fpp_rows`` gives when that group is maximal.
+Only those primes are walked, below that least level: Brent's cycle
 detection on each tail in F_p in O(1) memory, where an inner value's level
 is 0 mod p exactly when the value lies in the tree's Z_a.  A density
 profile sieves the primes once and decides each one this way in chunks of
 a fixed number of primes, in forked worker processes when the scan is
 large; a chunk returns its member primes.  A sequence without tails is
 counted instead: its members are the primes that divide the product of
-its head values.
+its nonzero levels below D.
 """
 
 from __future__ import annotations
@@ -65,15 +64,16 @@ def primes_up_to(limit: int) -> array:
 
 
 # ---------------------------------------------------------------------------
-# The sequence gamma_n(a0) over Q: an exact head, then tails without zeros.
+# The sequence gamma_n(a0) over Q: zero-free tails and the exact zeros below them.
 
 # Levels of the preimage tree of 0 mod p that prime_divides_orbit descends
-# before it walks a prime's tails, or the prefix length when that is longer.
-# Only the primes whose tree survives them all are walked.  By Chebotarev
-# their share tends to the fixed-point proportion of the Galois group at
-# this depth, which ``fpp`` gives when that group is maximal.  Deeper trees
-# cost more per prime and save more walks; 8 tied the best depths to 10^5
-# and beat 4 and 6 to 3*10^5 and 10^6 (BENCH_23.json).
+# before it walks a prime's tails, or more when the prefix or a phase inside
+# the escape bound reaches deeper (``zero_pattern``).  Only the primes whose
+# tree survives them all are walked.  By Chebotarev their share tends to the
+# fixed-point proportion of the Galois group at this depth, which ``fpp``
+# gives when that group is maximal.  Deeper trees cost more per prime and
+# save more walks; 8 tied the best depths to 10^5 and beat 4 and 6 to
+# 3*10^5 and 10^6 (BENCH_23.json).
 ZERO_TREE_DEPTH = 8
 
 
@@ -81,22 +81,19 @@ ZERO_TREE_DEPTH = 8
 class ZeroPattern:
     """The sequence split once, where its exact zeros end.
 
-    ``head`` holds (n, gamma_n(a0)) for every nonzero level met while the
-    inner value of its phase stays inside the escape bound, in order of n.
     ``tails`` holds (n, u) for each phase whose inner value u leaves the
-    bound or picks up a denominator at level n; no level of that phase from
-    n on is exactly 0.  A phase that cycles inside the bound has no tail.
-    ``outer`` holds the constants of theta_1..theta_D, outermost first, with
-    D the larger of ZERO_TREE_DEPTH and the prefix length, and ``zeros`` the
-    levels n < D where gamma_n(a0) is exactly 0.  The start and the integer
-    prefix and cycle constants are kept, so a scan sets them up once and not
-    once per prime.
+    escape bound or picks up a denominator at level n; no level of that
+    phase from n on is exactly 0.  A phase that cycles inside the bound has
+    no tail.  ``outer`` holds the constants of theta_1..theta_D, outermost
+    first, for the depth D of ``zero_pattern``, and ``zeros`` the levels
+    n <= D where gamma_n(a0) is exactly 0; no other level value is kept.
+    The start and the integer prefix and cycle constants are kept, so a scan
+    sets them up once and not once per prime.
     """
 
     a0: int | Fraction
     prefix: list[int]
     cycle: list[int]
-    head: list[tuple[int, int | Fraction]]
     tails: list[tuple[int, int | Fraction]]
     outer: list[int]
     zeros: list[int]
@@ -130,15 +127,24 @@ def _is_exact_zero(constants: list[int], value: int | Fraction, escape: int) -> 
 
 
 def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction) -> ZeroPattern:
-    """Walk the sequence exactly up to the end of its exact zeros.
+    """Walk each phase's inner values exactly until they escape or repeat.
 
     Level a + q*b + r (a prefix maps, b cycle maps, 0 <= r < b) is the prefix
     applied to the inner value u_q of phase r, and u_{q+1} is u_q pushed
     through one full cycle block.  Integer inner values either stay within
     the escape bound (hence repeat within about twice that many blocks) or
     grow forever; fractional ones keep a nontrivial denominator forever, and
-    neither of the last two ever gives a zero level.  The exact zeros below
-    the tree depth are found the same way, so no level value there is kept.
+    neither of the last two ever gives a zero level.
+
+    D is the largest of ZERO_TREE_DEPTH, a, and one more than the last level
+    whose inner value is met inside the bound.  Every level n >= D is a tail
+    level or repeats the exact value of a level below D.  Proof: n >= a lies
+    in a phase r.  If n is not a tail level, the walk of phase r, which
+    meets its levels in order until one escapes or repeats, stopped at a
+    repeat at or below n, as n is past every met level.  From there the
+    inner values run periodically through met ones, so gamma_n(a0) =
+    gamma_m(a0) for a met level m < D, under the same prefix.  The exact
+    zeros up to D are found the same way, so no level value is kept.
     """
     prefix, cycle = _setup(gens, coding)
     a0 = as_number(a0)
@@ -147,7 +153,7 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
     # inner value repeats before this many cycle blocks.
     bound = 2 * escape + 6
     a_len, b_len = len(prefix), len(cycle)
-    levels = {n: _apply_chain_exact(prefix[:n], a0) for n in range(a_len + 1)}
+    depth = max(ZERO_TREE_DEPTH, a_len)
     tails = []
     for r in range(b_len):
         v = _apply_chain_exact(cycle[:r], a0)
@@ -159,15 +165,13 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
             if v in seen:
                 break
             seen.add(v)
-            levels[n] = _apply_chain_exact(prefix, v)
+            depth = max(depth, n + 1)
             v = _apply_chain_exact(cycle, v)  # one full cycle block
         else:
             raise RuntimeError(f"zero pattern unresolved within {bound} cycle blocks")
-    head = [(n, value) for n, value in sorted(levels.items()) if value != 0]
-    depth = max(ZERO_TREE_DEPTH, a_len)
     outer = (prefix + cycle * depth)[:depth]
-    zeros = [n for n in range(depth) if _is_exact_zero(outer[:n], a0, escape)]
-    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, head=head, tails=tails, outer=outer, zeros=zeros)
+    zeros = [n for n in range(depth + 1) if _is_exact_zero(outer[:n], a0, escape)]
+    return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, tails=tails, outer=outer, zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +195,14 @@ def _zero_tree(p: int, outer: list[int], a: int) -> list[list[int]]:
     ``outer[k - 1]``: Z_k holds the roots of theta_1 o ... o theta_k mod p.
     The list ends with the first empty level when there is one.  Otherwise
     the tree survives, and every level returned is complete, Z_a included;
-    a last level past Z_a is only tested for one square and not returned.
-    Each y = w - c_k with w in Z_(k-1) gets one Tonelli-Shanks square root,
-    whose first power also gives Euler's test.
+    for odd p a last level past Z_a is only tested for one square and not
+    returned.  Each y = w - c_k with w in Z_(k-1) gets one Tonelli-Shanks
+    square root, whose first power also gives Euler's test.
     """
     levels = [[0]]
     if p == 2:
         # w^2 = w mod 2, so each level has the one root w = z - c_k.
-        for c in outer[:a]:
+        for c in outer:
             levels.append([(levels[-1][0] - c) % 2])
         return levels
     q, s = p - 1, 0  # p - 1 = q * 2^s with q odd
@@ -244,19 +248,18 @@ def _zero_tree(p: int, outer: list[int], a: int) -> list[list[int]]:
     return levels
 
 
-def _walk_tails(p: int, pattern: ZeroPattern, roots: list[int], max_states: int) -> PrimeOrbitResult:
-    """The answer from the head and a walk of each tail mod p.
+def _walk_tails(p: int, pattern: ZeroPattern, roots: list[int], first: int | None, max_states: int) -> PrimeOrbitResult:
+    """The answer from a walk of each tail mod p below level ``first``.
 
-    ``roots`` is Z_a, the roots of the prefix composition mod p, so the
-    level of an inner value u is 0 mod p exactly when u is in it.  The least
-    head level whose exact value p divides comes first; then Brent's cycle
-    detection walks each tail mod p while its level stays below the best hit
-    so far.  Each round is one loop over at most ``power`` cycle blocks, cut
-    short at that hit, with one membership test and one tortoise compare a
-    block.  No tail level is exactly 0, so the walk needs no mask, and once
-    a state repeats every later level repeats an earlier one.
+    ``first`` is the least level below the tree depth that p divides, less
+    the exact zeros, or None.  ``roots`` is Z_a, so the level of an inner
+    value u is 0 mod p exactly when u is in it.  Brent's cycle detection
+    walks each tail while its level stays below the best hit so far, in
+    rounds of one loop over at most ``power`` cycle blocks, cut short at
+    that hit, with one membership test and one tortoise compare a block.
+    No tail level is exactly 0, so the walk needs no mask, and once a state
+    repeats every later level repeats an earlier one.
     """
-    first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
     roots = set(roots)
     # The cycle block is its innermost map, then the others outward; the
     # guard spares a one-map cycle the loop's setup at every step.
@@ -301,17 +304,14 @@ def prime_divides_orbit(
 
     Yes answers carry the least such n.  Primes dividing the denominator of
     a0 are excluded with their own status.  Otherwise the preimage tree of 0
-    mod p is descended along the first D maps, D the larger of
-    ZERO_TREE_DEPTH and the prefix length a (``_zero_tree``).  p divides
-    gamma_n(a0) exactly when a0 mod p is in Z_n, so when some level Z_k is
-    empty the answer is the least n < k with a0 in Z_n that is not an exact
-    zero.  A prime whose tree survives has its head read and its tails
-    walked with Z_a (``_walk_tails``).  ``max_states`` bounds each tail's
-    Brent power, counted in cycle blocks from the tail's start; a tail that
-    would exceed it makes the answer "over_cap".  When a ``pattern`` is
-    given, its start and constants are used and ``gens`` and ``coding`` are
-    not read; it must be resolved from the same inputs, and a pattern for
-    another start raises ValueError.
+    mod p along the pattern's first D maps (``_zero_tree``) gives the least
+    n < D with a0 mod p in Z_n that is not an exact zero; when the tree
+    survives, the tails are walked below it with Z_a (``_walk_tails``).
+    ``max_states`` bounds each tail's Brent power, counted in cycle blocks
+    from the tail's start; a tail that would exceed it makes the answer
+    "over_cap".  When a ``pattern`` is given, its start and constants are
+    used and ``gens`` and ``coding`` are not read; it must be resolved from
+    the same inputs, and a pattern for another start raises ValueError.
     """
     if pattern is None:
         pattern = zero_pattern(gens, coding, a0)
@@ -322,10 +322,10 @@ def prime_divides_orbit(
         return _EXCLUDED
     a = len(pattern.prefix)
     levels = _zero_tree(p, pattern.outer, a)
-    if levels[-1]:
-        return _walk_tails(p, pattern, levels[a], max_states)
     x0 = a0 % p if type(a0) is int else a0.numerator * pow(a0.denominator, -1, p) % p
     first = next((n for n, level in enumerate(levels) if x0 in level and n not in pattern.zeros), None)
+    if levels[-1]:
+        return _walk_tails(p, pattern, levels[a], first, max_states)
     return _NO if first is None else PrimeOrbitResult("yes", first)
 
 
@@ -342,11 +342,10 @@ class ScanRow:
     def ratio(self) -> Fraction:
         return Fraction(self.in_p, self.pi_x) if self.pi_x else Fraction(0)
 
-    def ratio_decimal(self, places: int = 12) -> str:
-        scaled = self.ratio * 10**places
-        digits = (scaled.numerator + scaled.denominator // 2) // scaled.denominator
-        text = str(digits).rjust(places + 1, "0")
-        return f"{text[:-places]}.{text[-places:]}"
+    def ratio_decimal(self) -> str:
+        scaled = self.ratio * 10**12
+        whole, frac = divmod((scaled.numerator + scaled.denominator // 2) // scaled.denominator, 10**12)
+        return f"{whole}.{frac:012d}"
 
     def to_dict(self) -> dict:
         ratio = self.ratio
@@ -424,7 +423,7 @@ def density_profile(
     sequence with tails are decided by one forked worker per usable CPU,
     which inherit the prime array; the report is the same for every CPU
     count.  Without tails each prime is tested against the product of the
-    head values, in this process.
+    nonzero levels below the tree depth, in this process.
     """
     if not cutoffs or list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError("cutoffs must be nonempty and strictly increasing")
@@ -443,13 +442,14 @@ def density_profile(
             report.excluded += excluded
             report.over_cap += over_cap
     else:
-        # Every nonzero level is in the head, so p is a member exactly when it
-        # divides the product of the head values.  A fractional a0 would give
-        # phase 0 a tail at level len(prefix), so a0 is an integer and no
-        # prime is excluded; only a tail walk can exceed max_states, so none
-        # is over the cap.
-        head = prod(value.numerator for _, value in pattern.head)
-        members = [p for p in primes if not head % p]
+        # Every level repeats one below the tree depth, so p is a member
+        # exactly when it divides the product of the distinct nonzero values
+        # there.  A fractional a0 would give phase 0 a tail at level
+        # len(prefix), so a0 is an integer and no prime is excluded; only a
+        # tail walk can exceed max_states, so none is over the cap.
+        outer, zeros = pattern.outer, pattern.zeros
+        product = prod({_apply_chain_exact(outer[:n], pattern.a0) for n in range(len(outer)) if n not in zeros})
+        members = [p for p in primes if not product % p]
     for cutoff in cutoffs:
         report.rows.append(ScanRow(cutoff=cutoff, in_p=bisect_right(members, cutoff), pi_x=bisect_right(primes, cutoff)))
     return report

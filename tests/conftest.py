@@ -14,7 +14,8 @@ evaluation.  ``sample_codings_oracle`` draws one ``randrange`` per position, as
 seen-set, without the preimage-tree refutation or Brent's cycle detection of
 ``prime_divides_orbit``; ``tree_walk_membership`` is that function as it was
 before it kept the tree's levels: the depth at which the tree dies, exact
-levels below it, and a walker that applies the prefix maps at every step.
+levels below it (below the tree depth when it survives), and a walker that
+applies the prefix maps at every step.
 ``wheel_factor_oracle`` is ``factor_integer`` as it was before its trial
 division skipped whole blocks of primes, one ``n % f`` per wheel candidate;
 ``reassemble`` multiplies a factorization back out, which no command needs.
@@ -219,17 +220,30 @@ def zero_tree_depth(p, outer):
     return None
 
 
-def walk_tails(p, pattern, max_states):
-    """(status, first_index) from the head and a walk of each tail mod p.
+def least_exact_level(p, pattern, depth):
+    """The least n < depth with gamma_n(a0) != 0 exactly and divisible by p,
+    or None, from the exact level values along ``pattern.outer``."""
+    for n in range(depth):
+        value = pattern.a0
+        for c in reversed(pattern.outer[:n]):
+            value = value * value + c
+        if value != 0 and value.numerator % p == 0:
+            return n
+    return None
 
-    The least head level whose exact value p divides comes first; then
-    Brent's cycle detection walks each tail mod p while its level stays
-    below the best hit so far, applying the prefix maps to every inner
-    value and counting the steps of each round one by one.  This is the
-    walker ``prime_divides_orbit`` ran before it tested inner values
+
+def walk_tails(p, pattern, max_states):
+    """(status, first_index) from the exact levels below the tree depth and a
+    walk of each tail mod p.
+
+    The least level below ``len(pattern.outer)`` whose exact value p divides
+    comes first; then Brent's cycle detection walks each tail mod p while
+    its level stays below the best hit so far, applying the prefix maps to
+    every inner value and counting the steps of each round one by one.  This
+    is the walker ``prime_divides_orbit`` ran before it tested inner values
     against the roots of the prefix composition.
     """
-    first = next((n for n, value in pattern.head if value.numerator % p == 0), None)
+    first = least_exact_level(p, pattern, len(pattern.outer))
     # Maps are listed innermost first.
     pre = [c % p for c in reversed(pattern.prefix)]
     cyc = [c % p for c in reversed(pattern.cycle)]
@@ -264,19 +278,13 @@ def tree_walk_membership(p, pattern, max_states):
     the exact levels below k, evaluated here in full; any other prime is
     walked.
     """
-    a0 = pattern.a0
-    if a0.denominator % p == 0:
+    if pattern.a0.denominator % p == 0:
         return "excluded", None
     depth = zero_tree_depth(p, pattern.outer)
     if depth is None:
         return walk_tails(p, pattern, max_states)
-    for n in range(depth):
-        value = a0
-        for c in reversed(pattern.outer[:n]):
-            value = value * value + c
-        if value != 0 and value.numerator % p == 0:
-            return "yes", n
-    return "no", None
+    first = least_exact_level(p, pattern, depth)
+    return ("no", None) if first is None else ("yes", first)
 
 
 def zero_levels(constants, coding, a0, depth):

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import json
 import time
 
@@ -103,6 +104,16 @@ def test_primes_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,in_P_count,pi_x,ratio_decimal_12dp"
     assert len(lines) == 3
+
+
+def test_primes_long_prefix_csv_bytes(capsys):
+    # 24 prefix maps x^2 + 1 before the same map forever give the levels of
+    # "|1", so the CSV rows are that coding's, byte for byte.
+    argv = ["primes", "--c", "1", "--cutoffs", "1000,10000", "--format", "csv"]
+    code, out = run_cli(capsys, *argv, "--coding", ",".join(["1"] * 24) + "|1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("820ce9c69856d6d8")
+    assert out == run_cli(capsys, *argv, "--coding", "|1")[1]
 
 
 def test_primes_json_schema(capsys):

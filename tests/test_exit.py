@@ -1,7 +1,7 @@
 """How a ``quadorbit`` process ends: ``cli.run`` flushes stdout and stderr and
 leaves through ``os._exit``, so the exit code and every byte of the report
 must still arrive as ``main`` produced them.  Each command here runs as
-``python -m quadorbit.cli`` in a subprocess, except the fallback checks,
+``python -m quadorbit.cli`` in a subprocess, except the flush checks,
 which call ``run`` in-process with ``os._exit`` replaced."""
 
 import io
@@ -17,11 +17,13 @@ from quadorbit import cli
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_command(*argv, stdout=subprocess.PIPE, **kwargs):
+def run_command(*argv, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
     # Buffered, as the command usually runs: the report is still in stdout's
     # buffer when main returns.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "quadorbit.cli", *argv],
         stdout=stdout,
@@ -98,14 +100,15 @@ def test_closed_stdout_without_out_file():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_failed_flush_is_reported_by_the_interpreter():
-    # The report stays in stdout's buffer until run flushes it; the flush
-    # fails, and the interpreter's own last flush reports it and exits 120.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_failed_flush_is_an_error(unbuffered):
+    # Buffered, the report stays in stdout's buffer until run flushes it and
+    # the flush fails; unbuffered, main's own write fails.  Either way one
+    # error line and exit 1, as for any other error.
     with open("/dev/full", "w") as full:
-        out = run_command("orbit", "--c", "-2", "--depth", "3", stdout=full)
-    assert out.returncode == 120
-    assert b"Exception ignored" in out.stderr
-    assert b"No space left on device" in out.stderr
+        out = run_command("orbit", "--c", "-2", "--depth", "3", stdout=full, unbuffered=unbuffered)
+    assert out.returncode == 1
+    assert out.stderr == b"error: [Errno 28] No space left on device\n"
 
 
 class Exited(Exception):
@@ -152,7 +155,10 @@ def test_run_flushes_then_exits_with_mains_code(exits, monkeypatch):
 
 @pytest.mark.parametrize("name", ["stdout", "stderr"])
 @pytest.mark.parametrize("error", [OSError, ValueError, None], ids=["OSError", "ValueError", "closed"])
-def test_failed_flush_falls_back_to_sys_exit(exits, monkeypatch, name, error):
+def test_failed_flush_falls_back_to_sys_exit(exits, monkeypatch, capsys, name, error):
+    # The name is older than the behaviour: no flush falls back to sys.exit
+    # any more.  A failed flush exits 1, and stderr reports a failed stdout;
+    # a stream closed at start is skipped, and main's exit code stands.
     def flush():
         raise error("flush failed")
 
@@ -160,10 +166,11 @@ def test_failed_flush_falls_back_to_sys_exit(exits, monkeypatch, name, error):
         # main cannot write the report to a closed stdout; only --out can.
         monkeypatch.setattr(sys, "argv", [*sys.argv, "--out", os.devnull])
     monkeypatch.setattr(sys, name, None if error is None else Stream(flush))
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(Exited):
         cli.run()
-    assert exc.value.code == 2
-    assert exits == []
+    assert exits == [2 if error is None else 1]
+    if name == "stdout":
+        assert capsys.readouterr().err == ("" if error is None else "error: flush failed\n")
 
 
 def test_exception_from_main_propagates(exits, monkeypatch, capsys):

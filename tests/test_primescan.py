@@ -57,34 +57,52 @@ class TestSieve:
         assert list(primes_in_range(10**6 - 50, 10**6 + 399)) == far
 
 
+def split(pattern):
+    """(tails, tree depth, exact zeros) of a zero pattern."""
+    return pattern.tails, len(pattern.outer), pattern.zeros
+
+
 class TestZeroPattern:
-    """The head holds the nonzero levels met inside the escape bound, the
-    tails the first level of each phase past it."""
+    """The tails hold the first level of each phase past the escape bound,
+    the tree depth is past every level met inside it and at least
+    ZERO_TREE_DEPTH and the prefix length, and the zeros are the exact zero
+    levels up to that depth."""
 
     def test_all_zero_map(self):
         pattern = zero_pattern(GeneratorSet.from_constants([0]), CONST, 0)
-        assert (pattern.head, pattern.tails) == ([], [])
+        assert split(pattern) == ([], 8, list(range(9)))
 
     def test_alternating(self):
         # 0, -1, 0, -1, ...: the phase cycles inside the bound, so no tail.
         pattern = zero_pattern(GeneratorSet.from_constants([-1]), CONST, 0)
-        assert (pattern.head, pattern.tails) == ([(1, -1)], [])
+        assert split(pattern) == ([], 8, [0, 2, 4, 6, 8])
 
     def test_no_zeros_generic(self):
         # 0, 1, 2, 5, ...: level 0 is exactly 0, and 5 is past the bound 2.
         pattern = zero_pattern(X2P1, CONST, 0)
-        assert (pattern.head, pattern.tails) == ([(1, 1), (2, 2)], [(3, 5)])
+        assert split(pattern) == ([(3, 5)], 8, [0])
 
     def test_prefix_zero(self):
         # gamma_1(-1) = 0 for c = -1 as the first prefix map
         gens = GeneratorSet.from_constants([-1, 8])
         pattern = zero_pattern(gens, SequenceCoding((1,), (2,)), -1)
-        assert pattern.head == [(0, -1), (2, 80)]
-        assert pattern.tails == [(3, 89)]
+        assert split(pattern) == ([(3, 89)], 8, [1])
+        assert pattern.outer == [-1] + [8] * 7
 
     def test_fractional_start(self):
         pattern = zero_pattern(X2P1, CONST, Fraction(1, 2))
-        assert (pattern.head, pattern.tails) == ([(0, Fraction(1, 2))], [(0, Fraction(1, 2))])
+        assert split(pattern) == ([(0, Fraction(1, 2))], 8, [])
+
+    def test_depth_passes_the_levels_met_after_a_long_prefix(self):
+        # Eight maps x^2 - 1, then its cycle from 0: levels 8 and 9 are met
+        # inside the bound, so the tree reaches level 10.
+        gens = GeneratorSet.from_constants([-1])
+        pattern = zero_pattern(gens, SequenceCoding((1,) * 8, (1,)), 0)
+        assert split(pattern) == ([], 10, [0, 2, 4, 6, 8, 10])
+        # 24 maps x^2 + 1, then the same map from 0: 0, 1, 2 are met at
+        # levels 24 to 26 and 5 escapes at level 27.
+        pattern = zero_pattern(X2P1, SequenceCoding((1,) * 24, (1,)), 0)
+        assert split(pattern) == ([(27, 5)], 27, [0])
 
     def test_start_is_normalized(self):
         assert type(zero_pattern(X2P1, CONST, Fraction(0)).a0) is int
@@ -221,6 +239,10 @@ def test_walker_matches_the_tree_depth_oracle(inputs, primes, max_states):
     for p in primes:
         result = prime_divides_orbit(p, gens, coding, a0, pattern, max_states)
         assert (result.status, result.first_index) == tree_walk_membership(p, pattern, max_states), p
+        # The oracle above reads the pattern's tree depth; the level walk
+        # reads no pattern, so it checks that depth too.
+        if max_states == 1_000_000:
+            assert (result.status, result.first_index) == level_walk_membership(gens, coding, a0, p), p
 
 
 TREE_PRIMES = [p for p in ORACLE_PRIMES if p < 200]
@@ -309,7 +331,8 @@ def test_zero_pattern_matches_exact_zeros(inputs):
     # Levels run to three times the resolution bound of 2*radius + 4 cycle
     # blocks.  Exact zeros come from exact rational preimages of 0, so the
     # huge values past a tail's start are never computed; every other level
-    # stays inside the escape bound and is evaluated directly.
+    # at or past the tree depth stays inside the escape bound and is
+    # evaluated directly.
     gens, coding, a0 = inputs
     pattern = zero_pattern(gens, coding, a0)
     constants = [int(c) for c in gens.constants]
@@ -317,10 +340,11 @@ def test_zero_pattern_matches_exact_zeros(inputs):
     depth = len(coding.prefix) + 3 * len(coding.cycle) * (2 * radius + 4)
     zeros = zero_levels(constants, coding, a0, depth)
     a_len, b_len = len(coding.prefix), len(coding.cycle)
-    head = dict(pattern.head)
-    assert list(head) == sorted(head) and len(head) == len(pattern.head)
-    for n, value in pattern.head:
-        assert value != 0 and value == gamma_value(gens, coding, a0, n)
+    tree_depth = len(pattern.outer)
+    assert tree_depth >= max(ZERO_TREE_DEPTH, a_len)
+    assert pattern.outer == [constants[coding.index_at(n) - 1] for n in range(1, tree_depth + 1)]
+    assert pattern.zeros == sorted(zeros & set(range(tree_depth + 1)))
+    below = {gamma_value(gens, coding, a0, n) for n in range(tree_depth)}
     tails = {(n - a_len) % b_len: (n, u) for n, u in pattern.tails}
     assert len(tails) == len(pattern.tails)
     for n, u in pattern.tails:
@@ -337,9 +361,9 @@ def test_zero_pattern_matches_exact_zeros(inputs):
             continue
         value = gamma_value(gens, coding, a0, m)
         assert (value == 0) == (m in zeros)
-        # A nonzero level repeats a head value no later than itself, so the
-        # least head level a prime divides is the least such level here.
-        assert value == 0 or value in {head[n] for n in head if n <= m}
+        # Every level met inside the bound lies below the tree depth, so a
+        # later level that is not a tail level repeats one below it.
+        assert m < tree_depth or value in below
     exact = [a0] + gamma_values(gens, coding, a0, 8)
     assert {n for n, v in enumerate(exact) if v == 0} == zeros & set(range(9))
 
@@ -351,7 +375,7 @@ def test_zero_pattern_matches_exact_zeros(inputs):
         ([1, 12], SequenceCoding((2,), (1,)), 4),
         # blocks of x^2 then x^2+1: 0, 1, 2 inside the bound 2; 5 escapes.
         ([1, 0], SequenceCoding((), (1, 2)), 3),
-        # blocks of two exact-zero maps, with exact zeros in the head.
+        # blocks of two exact-zero maps, with exact zeros below the tree depth.
         ([-1, -2], SequenceCoding((1,), (1, 2)), 3),
         ([-2, 1], SequenceCoding((), (1, 1, 2)), 3),
     ],
@@ -359,13 +383,54 @@ def test_zero_pattern_matches_exact_zeros(inputs):
 )
 def test_late_escape_matches_brute_force(constants, coding, blocks):
     # A phase stays inside the escape bound for several cycle blocks before
-    # its tail starts, so head and tail levels interleave.
+    # its tail starts, so levels met inside the bound and tail levels interleave.
     gens = GeneratorSet.from_constants(constants)
     pattern = zero_pattern(gens, coding, 0)
     assert max((n - len(coding.prefix)) // len(coding.cycle) for n, _ in pattern.tails) == blocks
     for p in SMALL_PRIMES:
         result = prime_divides_orbit(p, gens, coding, 0, pattern)
         assert (result.status, result.first_index) == brute_force_membership(gens, coding, 0, p), p
+
+
+LONG_PREFIX = SequenceCoding((1,) * 24, (1,))
+
+
+def test_long_prefix_matches_brute_force():
+    # 24 maps x^2 + 1 before the same map forever: the sequence of "|1",
+    # whose level 24 has about 2^24 bits, decided from the tree alone.
+    pattern = zero_pattern(X2P1, LONG_PREFIX, 0)
+    for p in TREE_PRIMES:
+        result = prime_divides_orbit(p, X2P1, LONG_PREFIX, 0, pattern)
+        assert (result.status, result.first_index) == brute_force_membership(X2P1, LONG_PREFIX, 0, p), p
+
+
+def integers_in(value):
+    """Every int in a nest of lists, tuples and Fractions."""
+    if isinstance(value, (list, tuple)):
+        return [n for item in value for n in integers_in(item)]
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    return [value]
+
+
+@pytest.mark.parametrize("prefix", [24, 64])
+def test_zero_pattern_holds_no_level_value_of_the_prefix(prefix):
+    # Level n of x^2 + 1 from 0 has about 2^(n-3) bits; the pattern keeps
+    # only constants, the start, escape points and level numbers.
+    pattern = zero_pattern(X2P1, SequenceCoding((1,) * prefix, (1,)), 0)
+    held = integers_in([getattr(pattern, name) for name in vars(pattern)])
+    assert len(pattern.outer) == prefix + 3
+    assert all(type(n) is int and abs(n) < 2**64 for n in held)
+
+
+def test_p2_reads_levels_past_the_prefix():
+    # Every residue is a square mod 2, so the tree of 0 never dies and comes
+    # back whole.  After one prefix map, level 2 of x^2 + 1 from 0 is 2, met
+    # inside the escape bound: past the prefix, and in no tail.
+    coding = SequenceCoding((1,), (1,))
+    pattern = zero_pattern(X2P1, coding, 0)
+    assert len(_zero_tree(2, pattern.outer, 1)) == len(pattern.outer) + 1
+    assert prime_divides_orbit(2, X2P1, coding, 0, pattern) == PrimeOrbitResult("yes", 2)
 
 
 class TestProfiles:
@@ -504,7 +569,7 @@ class TestParallelProfiles:
         "gens, coding, a0, cutoffs, max_states",
         [
             *POOLED_SCANS,
-            # no tails: one gcd per chunk, head primes 5003 and 20011 past the first chunk
+            # no tails: level primes 5003 and 20011 past the first chunk
             pytest.param(
                 GeneratorSet.from_constants([-1, 20011]), SequenceCoding((2,), (1,)), 0, [5003, 30_000], 1_000_000,
                 id="tail_free",
@@ -538,9 +603,9 @@ class TestParallelProfiles:
         "gens, coding",
         [
             (GeneratorSet.from_constants([-1, 3]), SequenceCoding((2,), (1,))),
-            # head values 20011 and 4 * 5003: primes past the first chunk, and 20011 past POOL_MIN_CUTOFF
+            # level values 20011 and 4 * 5003: primes past the first chunk, and 20011 past POOL_MIN_CUTOFF
             (GeneratorSet.from_constants([-1, 20011]), SequenceCoding((2,), (1,))),
-            # every level is 0 exactly, so the head is empty
+            # every level is 0 exactly, so the product is empty
             (GeneratorSet.from_constants([0]), CONST),
         ],
         ids=["periodic", "large_head_prime", "empty_head"],

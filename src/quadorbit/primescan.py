@@ -5,25 +5,27 @@ composition applied to an inner value, and per cycle phase the inner value
 follows the forward orbit of the full cycle block.  Exact zero levels are
 skipped by definition, and with integer maps they occur only while an inner
 value is an integer inside the escape bound: past it, or with a
-denominator, the value never returns.  So the sequence is split once over
-Q: per escaping phase a tail that holds no zero, and a depth D such that
-every later level is a tail level or repeats one below D.  The preimage
-tree of 0 mod p is descended along the first D maps by modular square
-roots.  Its level Z_k holds the roots of theta_1 o ... o theta_k mod p, so
-p divides a level n >= k only if Z_k is not empty, and p divides
+denominator, the value never returns.  So the sequence is split once over Q,
+without evaluating any value past the escape bound: per escaping phase the
+level where its tail starts, and no tail level is a zero; and a depth D
+such that every later level is a tail level or repeats one below D.  The
+preimage tree of 0 mod p is descended along the first D maps by modular
+square roots.  Its level Z_k holds the roots of theta_1 o ... o theta_k mod
+p, so p divides a level n >= k only if Z_k is not empty, and p divides
 gamma_n(a0) exactly when a0 mod p lies in Z_n: the least n < D with a0 in
-Z_n that is not an exact zero answers every level below D, and decides a
-prime whose tree dies.  By Chebotarev the share of primes whose tree
-survives to depth D tends to the fixed-point proportion of the level-D
-Galois group, which ``process.fpp_rows`` gives when that group is maximal.
-Only those primes are walked, below that least level: Brent's cycle
-detection on each tail in F_p in O(1) memory, where an inner value's level
-is 0 mod p exactly when the value lies in the tree's Z_a.  A density
-profile sieves the primes once and decides each one this way in chunks of
-a fixed number of primes, in forked worker processes when the scan is
-large; a chunk returns its member primes.  A sequence without tails is
-counted instead: its members are the primes that divide the product of
-its nonzero levels below D.
+Z_n that is not an exact zero answers every level below D, and it is the
+answer when there is one or when the tree dies.  By Chebotarev the share of
+primes whose tree survives to depth D tends to the fixed-point proportion
+of the level-D Galois group, which ``process.fpp_rows`` gives when that
+group is maximal.  Only those primes, and only when no level below D is 0
+mod p, are walked: Brent's cycle detection on each tail in F_p in O(1)
+memory, from its start rebuilt mod p from a0, where an inner value's level
+is 0 mod p exactly when the value lies in the tree's Z_a.  A density profile
+sieves the primes once and decides each one this way in chunks of a fixed
+number of primes, in forked worker processes when the scan is large; a
+chunk returns its member primes.  A sequence without tails is counted
+instead: its members are the primes that divide the product of its nonzero
+levels below D.
 """
 
 from __future__ import annotations
@@ -81,20 +83,22 @@ ZERO_TREE_DEPTH = 8
 class ZeroPattern:
     """The sequence split once, where its exact zeros end.
 
-    ``tails`` holds (n, u) for each phase whose inner value u leaves the
-    escape bound or picks up a denominator at level n; no level of that
-    phase from n on is exactly 0.  A phase that cycles inside the bound has
-    no tail.  ``outer`` holds the constants of theta_1..theta_D, outermost
-    first, for the depth D of ``zero_pattern``, and ``zeros`` the levels
-    n <= D where gamma_n(a0) is exactly 0; no other level value is kept.
-    The start and the integer prefix and cycle constants are kept, so a scan
-    sets them up once and not once per prime.
+    ``tails`` holds the level n of each phase whose inner value leaves the
+    escape bound or picks up a denominator there; no level of that phase
+    from n on is exactly 0, and the inner value itself, which can be as
+    large as the first n maps make it, is neither kept nor computed.  A
+    phase that cycles inside the bound has no tail.  ``outer`` holds the
+    constants of theta_1..theta_D, outermost first, for the depth D of
+    ``zero_pattern``, and ``zeros`` the levels n <= D where gamma_n(a0) is
+    exactly 0; no other level value is kept.  The start and the integer
+    prefix and cycle constants are kept, so a scan sets them up once and
+    not once per prime.
     """
 
     a0: int | Fraction
     prefix: list[int]
     cycle: list[int]
-    tails: list[tuple[int, int | Fraction]]
+    tails: list[int]
     outer: list[int]
     zeros: list[int]
 
@@ -116,14 +120,15 @@ def _apply_chain_exact(constants: list[int], value: int | Fraction) -> int | Fra
     return value
 
 
-def _is_exact_zero(constants: list[int], value: int | Fraction, escape: int) -> bool:
-    # A value outside the escape bound, or with a denominator, keeps that
-    # under every map and so never reaches 0; one inside it stays small.
+def _bounded_chain(constants: list[int], value: int | Fraction, escape: int) -> int | None:
+    # The chain's value while every value met is an integer inside the
+    # escape bound, else None.  A value outside it, or with a denominator,
+    # keeps that under every map, so neither it nor any later value is 0.
     for c in reversed(constants):
         if value.denominator > 1 or abs(value) > escape:
-            return False
+            return None
         value = value * value + c
-    return value == 0
+    return None if value.denominator > 1 or abs(value) > escape else value
 
 
 def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction) -> ZeroPattern:
@@ -134,7 +139,10 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
     through one full cycle block.  Integer inner values either stay within
     the escape bound (hence repeat within about twice that many blocks) or
     grow forever; fractional ones keep a nontrivial denominator forever, and
-    neither of the last two ever gives a zero level.
+    neither of the last two ever gives a zero level.  So the walk stops at
+    the first inner value out of the bound, and keeps only its level: no
+    value past the bound is evaluated, and the pattern holds only the
+    start, the constants and level numbers.
 
     D is the largest of ZERO_TREE_DEPTH, a, and one more than the last level
     whose inner value is met inside the bound.  Every level n >= D is a tail
@@ -145,6 +153,12 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
     inner values run periodically through met ones, so gamma_n(a0) =
     gamma_m(a0) for a met level m < D, under the same prefix.  The exact
     zeros up to D are found the same way, so no level value is kept.
+
+    No tail level is a zero, so the least n < D with a0 mod p in Z_n that is
+    not in ``zeros`` is the least level below D that p divides, and no tail
+    level below it is 0 mod p.  When that n exists it is p's answer; when
+    it does not, the answer is the least tail level from D on that p
+    divides, as every other level from D on repeats one below D.
     """
     prefix, cycle = _setup(gens, coding)
     a0 = as_number(a0)
@@ -156,21 +170,21 @@ def zero_pattern(gens: GeneratorSet, coding: SequenceCoding, a0: int | Fraction)
     depth = max(ZERO_TREE_DEPTH, a_len)
     tails = []
     for r in range(b_len):
-        v = _apply_chain_exact(cycle[:r], a0)
+        v = _bounded_chain(cycle[:r], a0, escape)
         seen = set()
         for n in range(a_len + r, a_len + r + (bound + 1) * b_len, b_len):
-            if v.denominator > 1 or abs(v) > escape:
-                tails.append((n, v))
+            if v is None:
+                tails.append(n)
                 break
             if v in seen:
                 break
             seen.add(v)
             depth = max(depth, n + 1)
-            v = _apply_chain_exact(cycle, v)  # one full cycle block
+            v = _bounded_chain(cycle, v, escape)  # one full cycle block
         else:
             raise RuntimeError(f"zero pattern unresolved within {bound} cycle blocks")
     outer = (prefix + cycle * depth)[:depth]
-    zeros = [n for n in range(depth + 1) if _is_exact_zero(outer[:n], a0, escape)]
+    zeros = [n for n in range(depth + 1) if _bounded_chain(outer[:n], a0, escape) == 0]
     return ZeroPattern(a0=a0, prefix=prefix, cycle=cycle, tails=tails, outer=outer, zeros=zeros)
 
 
@@ -248,25 +262,33 @@ def _zero_tree(p: int, outer: list[int], a: int) -> list[list[int]]:
     return levels
 
 
-def _walk_tails(p: int, pattern: ZeroPattern, roots: list[int], first: int | None, max_states: int) -> PrimeOrbitResult:
-    """The answer from a walk of each tail mod p below level ``first``.
+def _walk_tails(p: int, pattern: ZeroPattern, x0: int, roots: list[int], max_states: int) -> PrimeOrbitResult:
+    """The answer from a walk of each tail mod p, for a prime that no level
+    below the tree depth D hits and whose tree survives.
 
-    ``first`` is the least level below the tree depth that p divides, less
-    the exact zeros, or None.  ``roots`` is Z_a, so the level of an inner
-    value u is 0 mod p exactly when u is in it.  Brent's cycle detection
-    walks each tail while its level stays below the best hit so far, in
-    rounds of one loop over at most ``power`` cycle blocks, cut short at
-    that hit, with one membership test and one tortoise compare a block.
-    No tail level is exactly 0, so the walk needs no mask, and once a state
-    repeats every later level repeats an earlier one.
+    The start of the tail at level n is its inner value theta_(a+1) o ... o
+    theta_n (a0): the first n - a maps of the repeated cycle, innermost
+    last, applied to ``x0`` = a0 mod p.  ``roots`` is Z_a, so the level of
+    an inner value u is 0 mod p exactly when u is in it.  Brent's cycle
+    detection walks each tail from its start while its level stays below
+    the best hit so far, in rounds of one loop over at most ``power`` cycle
+    blocks, cut short at that hit, with one membership test and one
+    tortoise compare a block.  No tail level is exactly 0, so the walk
+    needs no mask, and once a state repeats every later level repeats an
+    earlier one.  A tail that starts below D meets no hit there, as no
+    level below D is 0 mod p; it is walked from its start all the same, so
+    that ``max_states`` counts from there.
     """
     roots = set(roots)
+    cycle = [c % p for c in pattern.cycle]
     # The cycle block is its innermost map, then the others outward; the
     # guard spares a one-map cycle the loop's setup at every step.
-    inner, *rest = [c % p for c in reversed(pattern.cycle)]
-    b_len = len(pattern.cycle)
-    for n, u in pattern.tails:
-        u = u.numerator * pow(u.denominator, -1, p) % p
+    inner, *rest = reversed(cycle)
+    b_len, first = len(cycle), None
+    for n in pattern.tails:
+        u = x0
+        for j in reversed(range(n - len(pattern.prefix))):  # theta_n first, theta_(a+1) last
+            u = (u * u + cycle[j % b_len]) % p
         tort, power = u, 1
         while first is None or n < first:
             # The blocks of this round, or those whose level is below first.
@@ -305,8 +327,9 @@ def prime_divides_orbit(
     Yes answers carry the least such n.  Primes dividing the denominator of
     a0 are excluded with their own status.  Otherwise the preimage tree of 0
     mod p along the pattern's first D maps (``_zero_tree``) gives the least
-    n < D with a0 mod p in Z_n that is not an exact zero; when the tree
-    survives, the tails are walked below it with Z_a (``_walk_tails``).
+    n < D with a0 mod p in Z_n that is not an exact zero, which is the
+    answer when it exists or when the tree dies (``zero_pattern``).  Only
+    when neither holds are the tails walked with Z_a (``_walk_tails``).
     ``max_states`` bounds each tail's Brent power, counted in cycle blocks
     from the tail's start; a tail that would exceed it makes the answer
     "over_cap".  When a ``pattern`` is given, its start and constants are
@@ -324,8 +347,8 @@ def prime_divides_orbit(
     levels = _zero_tree(p, pattern.outer, a)
     x0 = a0 % p if type(a0) is int else a0.numerator * pow(a0.denominator, -1, p) % p
     first = next((n for n, level in enumerate(levels) if x0 in level and n not in pattern.zeros), None)
-    if levels[-1]:
-        return _walk_tails(p, pattern, levels[a], first, max_states)
+    if first is None and levels[-1]:
+        return _walk_tails(p, pattern, x0, levels[a], max_states)
     return _NO if first is None else PrimeOrbitResult("yes", first)
 
 
@@ -340,7 +363,8 @@ class ScanRow:
 
     @property
     def ratio(self) -> Fraction:
-        return Fraction(self.in_p, self.pi_x) if self.pi_x else Fraction(0)
+        # A cutoff is at least 2, so it counts at least one prime.
+        return Fraction(self.in_p, self.pi_x)
 
     def ratio_decimal(self) -> str:
         scaled = self.ratio * 10**12
@@ -419,14 +443,16 @@ def density_profile(
 ) -> PrimeScanReport:
     """Scan all primes up to the largest cutoff and tabulate membership counts.
 
-    The primes are sieved once.  Above POOL_MIN_CUTOFF the chunks of a
-    sequence with tails are decided by one forked worker per usable CPU,
-    which inherit the prime array; the report is the same for every CPU
-    count.  Without tails each prime is tested against the product of the
-    nonzero levels below the tree depth, in this process.
+    The cutoffs must increase strictly from at least 2, the least prime and
+    the least ``x`` of a row.  The primes are sieved once.  Above
+    POOL_MIN_CUTOFF the chunks of a sequence with tails are decided by one
+    forked worker per usable CPU, which inherit the prime array; the report
+    is the same for every CPU count.  Without tails each prime is tested
+    against the product of the nonzero levels below the tree depth, in this
+    process.
     """
-    if not cutoffs or list(cutoffs) != sorted(set(cutoffs)):
-        raise ValueError("cutoffs must be nonempty and strictly increasing")
+    if not cutoffs or list(cutoffs) != sorted(set(cutoffs)) or cutoffs[0] < 2:
+        raise ValueError("cutoffs must be nonempty, strictly increasing and at least 2")
     pattern = zero_pattern(gens, coding, a0)
     report = PrimeScanReport(generators=gens.map_strings(), coding=coding.render(), a0=str(pattern.a0))
     primes = primes_up_to(cutoffs[-1])

@@ -15,7 +15,7 @@ seen-set, without the preimage-tree refutation or Brent's cycle detection of
 ``prime_divides_orbit``; ``tree_walk_membership`` is that function as it was
 before it kept the tree's levels: the depth at which the tree dies, exact
 levels below it (below the tree depth when it survives), and a walker that
-applies the prefix maps at every step.
+applies the prefix maps at every step to tail starts taken from exact values.
 ``wheel_factor_oracle`` is ``factor_integer`` as it was before its trial
 division skipped whole blocks of primes, one ``n % f`` per wheel candidate;
 ``reassemble`` multiplies a factorization back out, which no command needs.
@@ -232,23 +232,33 @@ def least_exact_level(p, pattern, depth):
     return None
 
 
-def walk_tails(p, pattern, max_states):
-    """(status, first_index) from the exact levels below the tree depth and a
-    walk of each tail mod p.
+def tail_start(pattern, n):
+    """The exact inner value of the tail at level n: theta_(a+1) o ... o
+    theta_n applied to a0, read off the coding's repeated cycle."""
+    a_len, b_len = len(pattern.prefix), len(pattern.cycle)
+    value = Fraction(pattern.a0)
+    for k in range(n, a_len, -1):
+        value = value * value + pattern.cycle[(k - a_len - 1) % b_len]
+    return value
 
-    The least level below ``len(pattern.outer)`` whose exact value p divides
-    comes first; then Brent's cycle detection walks each tail mod p while
-    its level stays below the best hit so far, applying the prefix maps to
-    every inner value and counting the steps of each round one by one.  This
-    is the walker ``prime_divides_orbit`` ran before it tested inner values
-    against the roots of the prefix composition.
+
+def walk_tails(p, pattern, max_states):
+    """(status, first_index) from a walk of each tail mod p.
+
+    Brent's cycle detection walks each tail mod p from its exact start,
+    reduced mod p, while its level stays below the best hit so far,
+    applying the prefix maps to every inner value and counting the steps of
+    each round one by one.  This is the walker ``prime_divides_orbit`` ran
+    before it tested inner values against the roots of the prefix
+    composition.
     """
-    first = least_exact_level(p, pattern, len(pattern.outer))
+    first = None
     # Maps are listed innermost first.
     pre = [c % p for c in reversed(pattern.prefix)]
     cyc = [c % p for c in reversed(pattern.cycle)]
     b_len = len(cyc)
-    for n, u in pattern.tails:
+    for n in pattern.tails:
+        u = tail_start(pattern, n)
         u = u.numerator * pow(u.denominator, -1, p) % p
         tort, power, lam = u, 1, 0
         while first is None or n < first:
@@ -275,15 +285,16 @@ def tree_walk_membership(p, pattern, max_states):
     """(status, first_index) by ``zero_tree_depth`` and ``walk_tails``.
 
     A prime whose tree along ``pattern.outer`` dies at depth k is decided by
-    the exact levels below k, evaluated here in full; any other prime is
-    walked.
+    the exact levels below k, evaluated here in full.  Any other prime is
+    decided by the exact levels below ``len(pattern.outer)`` when one of
+    them is a hit, and walked otherwise.
     """
     if pattern.a0.denominator % p == 0:
         return "excluded", None
     depth = zero_tree_depth(p, pattern.outer)
-    if depth is None:
+    first = least_exact_level(p, pattern, len(pattern.outer) if depth is None else depth)
+    if depth is None and first is None:
         return walk_tails(p, pattern, max_states)
-    first = least_exact_level(p, pattern, depth)
     return ("no", None) if first is None else ("yes", first)
 
 

@@ -116,10 +116,60 @@ def test_primes_long_prefix_csv_bytes(capsys):
     assert out == run_cli(capsys, *argv, "--coding", "|1")[1]
 
 
+def test_primes_long_cycle_csv_bytes(capsys):
+    # A cycle of 24 maps x^2 + 1 is the map itself forever, so the CSV rows
+    # are those of "|1", byte for byte; the scan keeps no value of its
+    # cycle's levels past the escape bound.
+    argv = ["primes", "--c", "1", "--cutoffs", "1000", "--format", "csv"]
+    code, out = run_cli(capsys, *argv, "--coding", "|" + ",".join(["1"] * 24))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("573319fd")
+    assert out == run_cli(capsys, *argv, "--coding", "|1")[1]
+
+
+@pytest.mark.parametrize("cutoffs", ["--cutoffs=0,1,2", "--cutoffs=-5"])
+def test_primes_cutoffs_below_2_are_an_error(capsys, cutoffs):
+    # A row's x is at least 2 in prime_scan.schema.json.
+    code = main(["primes", "--c", "1", cutoffs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: cutoffs must be nonempty, strictly increasing and at least 2\n"
+
+
 def test_primes_json_schema(capsys):
     code, out = run_cli(capsys, "primes", "--c", "1", "--coding", "|1", "--a0", "0", "--cutoffs", "100")
     payload = json.loads(out)
     jsonschema.validate(payload["result"], _schema("prime_scan.schema.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--weights", "1/2,1/2", "--length", "4", "--samples", "3", "--seed", "1"],
+        ["sample", "--c", "-3; 2", "--weights", "1/2,1/2", "--length", "5", "--samples", "3", "--certify", "2", "--seed", "1"],
+    ],
+    ids=["plain", "certify"],
+)
+def test_sample_json_schema(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("envelope.schema.json"))
+    jsonschema.validate(payload["result"], _schema("sample_report.schema.json"))
+    assert len(payload["result"]["certificates"]) == (2 if "--certify" in argv else 0)
+
+
+def test_fpp_json_schema(capsys):
+    # Depth 20 has exact rows through MAX_EXACT_LEVEL and enclosures past it.
+    code, out = run_cli(capsys, "fpp", "--depth", "20")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("envelope.schema.json"))
+    jsonschema.validate(payload["result"], _schema("fpp_table.schema.json"))
+    levels = payload["result"]["levels"]
+    assert [row["n"] for row in levels] == list(range(1, 21))
+    assert {"fpp_num" in row for row in levels} == {True, False}
 
 
 def run_simulate_on_one_and_two_cpus(capsys, monkeypatch, trials):

@@ -51,7 +51,7 @@ def test_error_exit_prints_its_message():
     out = run_command("primes", "--c", "1", "--cutoffs", "10,5")
     assert out.returncode == 1
     assert out.stdout == b""
-    assert out.stderr == b"error: cutoffs must be nonempty and strictly increasing\n"
+    assert out.stderr == b"error: cutoffs must be nonempty, strictly increasing and at least 2\n"
 
 
 def test_usage_error_prints_usage():

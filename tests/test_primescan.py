@@ -8,7 +8,9 @@ from conftest import (
     brute_force_membership,
     gamma_value,
     gamma_values,
+    least_exact_level,
     level_walk_membership,
+    tail_start,
     tree_walk_membership,
     within_three_sigma,
     zero_levels,
@@ -63,7 +65,7 @@ def split(pattern):
 
 
 class TestZeroPattern:
-    """The tails hold the first level of each phase past the escape bound,
+    """The tails hold the level where each escaping phase leaves the bound,
     the tree depth is past every level met inside it and at least
     ZERO_TREE_DEPTH and the prefix length, and the zeros are the exact zero
     levels up to that depth."""
@@ -80,18 +82,18 @@ class TestZeroPattern:
     def test_no_zeros_generic(self):
         # 0, 1, 2, 5, ...: level 0 is exactly 0, and 5 is past the bound 2.
         pattern = zero_pattern(X2P1, CONST, 0)
-        assert split(pattern) == ([(3, 5)], 8, [0])
+        assert split(pattern) == ([3], 8, [0])
 
     def test_prefix_zero(self):
         # gamma_1(-1) = 0 for c = -1 as the first prefix map
         gens = GeneratorSet.from_constants([-1, 8])
         pattern = zero_pattern(gens, SequenceCoding((1,), (2,)), -1)
-        assert split(pattern) == ([(3, 89)], 8, [1])
+        assert split(pattern) == ([3], 8, [1])
         assert pattern.outer == [-1] + [8] * 7
 
     def test_fractional_start(self):
         pattern = zero_pattern(X2P1, CONST, Fraction(1, 2))
-        assert split(pattern) == ([(0, Fraction(1, 2))], 8, [])
+        assert split(pattern) == ([0], 8, [])
 
     def test_depth_passes_the_levels_met_after_a_long_prefix(self):
         # Eight maps x^2 - 1, then its cycle from 0: levels 8 and 9 are met
@@ -102,7 +104,7 @@ class TestZeroPattern:
         # 24 maps x^2 + 1, then the same map from 0: 0, 1, 2 are met at
         # levels 24 to 26 and 5 escapes at level 27.
         pattern = zero_pattern(X2P1, SequenceCoding((1,) * 24, (1,)), 0)
-        assert split(pattern) == ([(27, 5)], 27, [0])
+        assert split(pattern) == ([27], 27, [0])
 
     def test_start_is_normalized(self):
         assert type(zero_pattern(X2P1, CONST, Fraction(0)).a0) is int
@@ -307,9 +309,10 @@ def test_zero_tree_of_a_coding_matches_brute_force(inputs, p):
 
 def test_tree_leaves_few_flagship_primes_to_walk(monkeypatch):
     # The flagship scan, x^2+1 from 0 to 10^5: every prime has a tail, and
-    # only those whose tree of 0 survives ZERO_TREE_DEPTH levels are walked.
-    # The share that survives each depth is the chance that theta_1 o ... o
-    # theta_n has a root mod p, which tends to the fixed-point proportion.
+    # only those whose tree of 0 survives ZERO_TREE_DEPTH levels, and which
+    # divide no level below it, are walked.  The share that survives each
+    # depth is the chance that theta_1 o ... o theta_n has a root mod p,
+    # which tends to the fixed-point proportion.
     walked = []
     walk = primescan._walk_tails
     monkeypatch.setattr(primescan, "_walk_tails", lambda p, *rest: walked.append(p) or walk(p, *rest))
@@ -317,9 +320,10 @@ def test_tree_leaves_few_flagship_primes_to_walk(monkeypatch):
     pattern = zero_pattern(X2P1, CONST, 0)
     members = sum(prime_divides_orbit(p, X2P1, CONST, 0, pattern).status == "yes" for p in primes)
     assert members == 99
-    assert (ZERO_TREE_DEPTH, len(walked)) == (8, 1609)
+    assert (ZERO_TREE_DEPTH, len(walked)) == (8, 1602)
     depths = [zero_tree_depth(p, pattern.outer) for p in primes]
-    assert depths.count(None) == len(walked)
+    unanswered = [p for p, k in zip(primes, depths) if k is None and least_exact_level(p, pattern, 8) is None]
+    assert walked == unanswered
     for row in fpp_rows(ZERO_TREE_DEPTH):
         survived = sum(k is None or k > row["n"] for k in depths)
         assert within_three_sigma(survived, len(primes), Fraction(row["fpp_num"], row["fpp_den"])), row
@@ -345,18 +349,24 @@ def test_zero_pattern_matches_exact_zeros(inputs):
     assert pattern.outer == [constants[coding.index_at(n) - 1] for n in range(1, tree_depth + 1)]
     assert pattern.zeros == sorted(zeros & set(range(tree_depth + 1)))
     below = {gamma_value(gens, coding, a0, n) for n in range(tree_depth)}
-    tails = {(n - a_len) % b_len: (n, u) for n, u in pattern.tails}
+    tails = {(n - a_len) % b_len: n for n in pattern.tails}
     assert len(tails) == len(pattern.tails)
-    for n, u in pattern.tails:
+    for n in pattern.tails:
+        # The tail starts where its phase's inner value first leaves the
+        # bound; the start, applied through the prefix, is level n.
         assert n >= a_len
+        u = tail_start(pattern, n)
         assert u.denominator > 1 or abs(u) > radius - 1
+        if n - b_len >= a_len:
+            before = tail_start(pattern, n - b_len)
+            assert before.denominator == 1 and abs(before) <= radius - 1
         prefix_value = u
         for i in reversed(coding.prefix):
             prefix_value = prefix_value * prefix_value + constants[i - 1]
         assert prefix_value == gamma_value(gens, coding, a0, n)
     for m in range(depth + 1):
         tail = tails.get((m - a_len) % b_len) if m >= a_len else None
-        if tail is not None and m >= tail[0]:
+        if tail is not None and m >= tail:
             assert m not in zeros
             continue
         value = gamma_value(gens, coding, a0, m)
@@ -386,7 +396,7 @@ def test_late_escape_matches_brute_force(constants, coding, blocks):
     # its tail starts, so levels met inside the bound and tail levels interleave.
     gens = GeneratorSet.from_constants(constants)
     pattern = zero_pattern(gens, coding, 0)
-    assert max((n - len(coding.prefix)) // len(coding.cycle) for n, _ in pattern.tails) == blocks
+    assert max((n - len(coding.prefix)) // len(coding.cycle) for n in pattern.tails) == blocks
     for p in SMALL_PRIMES:
         result = prime_divides_orbit(p, gens, coding, 0, pattern)
         assert (result.status, result.first_index) == brute_force_membership(gens, coding, 0, p), p
@@ -420,6 +430,17 @@ def test_zero_pattern_holds_no_level_value_of_the_prefix(prefix):
     pattern = zero_pattern(X2P1, SequenceCoding((1,) * prefix, (1,)), 0)
     held = integers_in([getattr(pattern, name) for name in vars(pattern)])
     assert len(pattern.outer) == prefix + 3
+    assert all(type(n) is int and abs(n) < 2**64 for n in held)
+
+
+@pytest.mark.parametrize("cycle", [24, 64])
+def test_zero_pattern_holds_no_level_value_of_the_cycle(cycle):
+    # A cycle of maps x^2 + 1 from 0: phase r starts at the r-th level, which
+    # escapes from r = 3 on, and phases 0 to 2 escape one cycle later.  The
+    # pattern keeps those levels, not the values, of about 2^(r-3) bits.
+    pattern = zero_pattern(X2P1, SequenceCoding((), (1,) * cycle), 0)
+    held = integers_in([getattr(pattern, name) for name in vars(pattern)])
+    assert sorted(pattern.tails) == list(range(3, cycle)) + [cycle, cycle + 1, cycle + 2]
     assert all(type(n) is int and abs(n) < 2**64 for n in held)
 
 
@@ -460,9 +481,9 @@ class TestProfiles:
         assert report.csv_rows()[0] == ["x", "in_P_count", "pi_x", "ratio_decimal_12dp"]
 
     def test_csv_cells_equal_json_fields(self):
-        # Each CSV cell is the JSON row field its column renders; cutoff 1 has no primes.
+        # Each CSV cell is the JSON row field its column renders; cutoff 2 holds one prime.
         json_field = {"x": "x", "in_P_count": "in_p_count", "pi_x": "pi_x", "ratio_decimal_12dp": "ratio"}
-        report = density_profile(X2P1, CONST, 0, [1, 100, 1000])
+        report = density_profile(X2P1, CONST, 0, [2, 100, 1000])
         header, *rows = report.csv_rows()
         payload_rows = report.to_dict()["rows"]
         assert len(rows) == len(payload_rows) == 3
@@ -537,8 +558,8 @@ def reference_profile(gens, coding, a0, cutoffs, max_states=1_000_000):
 POOLED_SCANS = [
     # the flagship
     pytest.param(X2P1, CONST, 0, [10_000, 50_000], 1_000_000, id="flagship"),
-    # excluded primes; cutoffs below 2 and on consecutive numbers
-    pytest.param(X2P1, CONST, Fraction(1, 6), [1, 3, 12_345, 25_000, 25_001], 1_000_000, id="excluded"),
+    # excluded primes; cutoffs at the least prime and on consecutive numbers
+    pytest.param(X2P1, CONST, Fraction(1, 6), [2, 3, 12_345, 25_000, 25_001], 1_000_000, id="excluded"),
     # over_cap primes throughout
     pytest.param(X2P1, CONST, 0, [999, 21_000], 4, id="over_cap"),
     pytest.param(GeneratorSet.from_constants([1, 3]), SequenceCoding((1,), (1, 2)), -1, [30_000], 1_000_000, id="two_map"),

@@ -16,8 +16,9 @@ _EXPORTS = {
     "render_poly": "intpoly",
     "PolynomialSyntaxError": "parse",
     "parse_poly": "parse",
-    "is_square_int": "rationals",
-    "is_square_rational": "rationals",
+    "is_square_int": "integers",
+    "is_square_rational": "integers",
+    "primes_in_range": "integers",
     "gcd_primitive": "ratpoly",
     "is_square": "ratpoly",
     "is_square_qt": "ratpoly",

@@ -9,22 +9,24 @@ decide their criterion without factoring and call this only to name a
 witness prime, stopping at the first trial prime that qualifies.
 
 Trial division walks blocks of 512 consecutive odd numbers.  Each block
-carries the product of its primes, from a segmented sieve that is built
-once per process, block by block as far as the square roots of the inputs
-need.  A block whose product is coprime to what is left of n is skipped
-whole, and only a block that shares a factor with it tests its own
-candidates one at a time, so the primes found, and the order in which
-``stop`` sees them, are those of a plain trial division.
+carries its primes and their product, read from ``integers.primes_in_range``
+once per process, a batch of blocks at a time and as far as the square
+roots of the inputs need.  A block whose product is coprime to what is left
+of n is skipped whole, and a block that shares a factor with it tries its
+primes one at a time, so the primes found, and the order in which ``stop``
+sees them, are those of a plain trial division.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import compress
+from array import array
+from bisect import bisect_left
 from typing import Callable
 
 from .. import _record
+from .integers import primes_in_range
 
 # The first 13 primes: as Miller-Rabin bases they are deterministic below
 # psi_13 = 3317044064679887385961981 (Y. Jiang and Y. Deng, Math. Comp. 83
@@ -34,13 +36,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 TRIAL_BOUND = 10**6
 RHO_ITERATIONS = 200_000
 
-_BLOCK_ODDS = 512  # odd numbers per trial-division block
-_BLOCK_SPAN = 2 * _BLOCK_ODDS  # block j holds the odd numbers in [j*1024, (j+1)*1024)
-_SIEVE_BLOCKS = 64  # blocks sieved together once the first is built
+_BLOCK_SPAN = 1024  # block j holds the 512 odd numbers in [j*1024, (j+1)*1024)
+_SIEVE_BLOCKS = 64  # blocks sieved together
 # A per-process cache, filled in order by _sieve_blocks; what it holds
 # depends on nothing but the block index.
 _block_products: list[int] = []  # block j: the product of its odd primes up to TRIAL_BOUND
-_sieve_primes: list[int] = []  # the odd primes of block 0
+_block_primes: list[array] = []  # block j: those primes, ascending
 
 
 def is_probable_prime(n: int) -> bool:
@@ -118,31 +119,18 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
 
 
 def _sieve_blocks(last: int) -> None:
-    """Append block products through block ``last`` <= TRIAL_BOUND // _BLOCK_SPAN.
-
-    Block 0 is sieved alone, by the odd primes of _SMALL_PRIMES (they pass
-    sqrt(_BLOCK_SPAN)), and keeps its odd primes, which pass
-    sqrt(TRIAL_BOUND), to sieve later blocks, up to _SIEVE_BLOCKS at a time.
-    """
+    """Append the primes and their product of each block through block
+    ``last`` <= TRIAL_BOUND // _BLOCK_SPAN, up to _SIEVE_BLOCKS at a time."""
     while len(_block_products) <= last:
-        first = len(_block_products)
-        blocks = min(_SIEVE_BLOCKS, last + 1 - first) if first else 1
-        lo = first * _BLOCK_SPAN
-        hi = min(lo + blocks * _BLOCK_SPAN, TRIAL_BOUND + 1)
-        odds = blocks * _BLOCK_ODDS
-        prime = bytearray(b"\x01") * odds  # prime[i]: whether lo + 2i + 1 is prime
-        for q in _sieve_primes or _SMALL_PRIMES[1:]:
-            if q * q >= hi:
-                break
-            start = max(q * q, -(-lo // q) * q)  # the first multiple of q to strike
-            i = (start + q * (start % 2 == 0) - lo) // 2  # the index of the first odd one
-            prime[i::q] = bytes(len(range(i, odds, q)))
-        if not first:
-            prime[0] = 0  # 1
-            _sieve_primes.extend(compress(range(1, hi, 2), prime))
-        for j in range(blocks):
-            odd = range(lo + j * _BLOCK_SPAN + 1, min(lo + (j + 1) * _BLOCK_SPAN, hi), 2)
-            _block_products.append(math.prod(compress(odd, prime[j * _BLOCK_ODDS : (j + 1) * _BLOCK_ODDS])))
+        lo = len(_block_products) * _BLOCK_SPAN
+        hi = min(lo + _SIEVE_BLOCKS * _BLOCK_SPAN, (last + 1) * _BLOCK_SPAN, TRIAL_BOUND + 1)
+        primes = primes_in_range(max(lo, 3), hi - 1)
+        start = 0
+        for edge in range(lo + _BLOCK_SPAN, hi + _BLOCK_SPAN, _BLOCK_SPAN):
+            end = bisect_left(primes, edge, start)
+            _block_primes.append(primes[start:end])
+            _block_products.append(math.prod(_block_primes[-1]))
+            start = end
 
 
 def factor_integer(
@@ -182,10 +170,9 @@ def factor_integer(
     def result(cofactor: int) -> Factorization:
         return Factorization(sign=sign, factors=sorted(found.items()), cofactor=cofactor)
 
-    # Trial division by f = 5, 7, 11, 13, ... (f = +-1 mod 6) while
-    # f <= TRIAL_BOUND and f * f <= n, skipping each block of candidates
-    # whose primes n does not share.
-    if take(2) or take(3):
+    # Trial division by the primes f <= TRIAL_BOUND with f * f <= n,
+    # skipping each block whose primes n does not share.
+    if take(2):
         return result(n)
     lo = 0
     while lo <= TRIAL_BOUND and lo * lo <= n:
@@ -193,10 +180,10 @@ def factor_integer(
         if block == len(_block_products):
             _sieve_blocks(min(TRIAL_BOUND, math.isqrt(n)) // _BLOCK_SPAN)
         if math.gcd(_block_products[block], n) > 1:
-            for f in range(max(lo + 1, 5), lo + _BLOCK_SPAN, 2):
-                if f > TRIAL_BOUND or f * f > n:
+            for f in _block_primes[block]:
+                if f * f > n:
                     break
-                if f % 3 and n % f == 0 and take(f):
+                if n % f == 0 and take(f):
                     return result(n)
         lo += _BLOCK_SPAN
     # No factor up to the trial bound and below its square means prime.

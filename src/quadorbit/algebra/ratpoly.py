@@ -22,7 +22,7 @@ import math
 
 from .factorint import is_probable_prime
 from .intpoly import IntPolynomial
-from .rationals import is_square_rational
+from .integers import is_square_rational
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import math
 from . import QQ, QT, _record
 from .algebra.factorint import RHO_ITERATIONS, factor_integer
 from .algebra.intpoly import IntPolynomial, derivative_is_one_mod2, render_poly
-from .algebra.rationals import is_square_int, is_square_rational
+from .algebra.integers import is_square_int, is_square_rational
 from .algebra.ratpoly import (
     gcd_primitive,
     is_square,

@@ -34,31 +34,15 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import compress
-from math import isqrt, prod
+from math import prod
 
 from . import QQ, _record, pool
+from .algebra.integers import primes_in_range
 from .dynamics import GeneratorSet, SequenceCoding, as_number, escape_bound
 
 
 # ---------------------------------------------------------------------------
-# Prime generation (sieve of Eratosthenes).
-
-def primes_in_range(lo: int, hi: int) -> array:
-    """The primes in [lo, hi], sieved in one bytearray of the odd numbers up to hi."""
-    primes = array("Q", [2] if lo <= 2 <= hi else [])
-    marks = bytearray([1]) * ((hi + 1) // 2)  # marks[i] stands for 2i + 1
-    for i in range(1, (isqrt(max(hi, 0)) + 1) // 2):
-        if marks[i]:
-            # Odd multiples of p = 2i + 1 from p^2 on; smaller ones have a smaller factor.
-            p = 2 * i + 1
-            start = p * p // 2
-            marks[start::p] = bytes(len(range(start, len(marks), p)))
-    first = max(lo, 3) // 2  # the least odd number >= max(lo, 3) is 2 * first + 1
-    del marks[:first]  # 1 and the odd numbers below lo
-    primes.extend(compress(range(2 * first + 1, hi + 1, 2), marks))
-    return primes
-
+# Prime generation: the package's one sieve, in ``algebra.integers``.
 
 def primes_up_to(limit: int) -> array:
     """All primes <= limit."""

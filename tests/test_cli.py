@@ -172,6 +172,27 @@ def test_fpp_json_schema(capsys):
     assert {"fpp_num" in row for row in levels} == {True, False}
 
 
+def test_primes_fpp_depth_json_schema(capsys):
+    # The fpp rows are fpp_table.schema.json's, reached by $ref through a
+    # registry of the shipped schemas under their $ids.
+    from referencing import Registry, Resource
+
+    code, out = run_cli(capsys, "primes", "--c", "1", "--coding", "|1", "--cutoffs", "1000", "--fpp-depth", "20")
+    assert code == 0
+    payload = json.loads(out)
+    schema = _schema("fpp_comparison.schema.json")
+    shipped = [json.loads(path.read_text()) for path in SCHEMA_DIR.glob("*.schema.json")]
+    registry = Registry().with_resources((s["$id"], Resource.from_contents(s)) for s in shipped)
+    jsonschema.validate(payload, _schema("envelope.schema.json"))
+    jsonschema.validate(payload["result"], schema, registry=registry)
+    rows = payload["result"]["fpp"]
+    assert [row["n"] for row in rows] == list(range(1, 21))
+    assert {"fpp_num" in row for row in rows} == {True, False}
+    del rows[0]["fpp_den"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload["result"], schema, registry=registry)
+
+
 def run_simulate_on_one_and_two_cpus(capsys, monkeypatch, trials):
     args = ["simulate", "--depth", "6", "--trials", str(trials), "--seed", "9"]
     runs = []

@@ -1,13 +1,18 @@
 """The README's CLI examples, environment variables and ``primes`` CSV
-columns match the CLI, the package's exports and the benchmark tracer's
-targets resolve, and the command has one entry point."""
+columns match the CLI, its recipe for reading big integers back reads a
+report that Python's default limit refuses, the package's exports and the
+benchmark tracer's targets resolve, and the command has one entry point."""
 
 import importlib
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import quadorbit
 import quadorbit.algebra as algebra
@@ -44,6 +49,28 @@ def test_readme_primes_csv_columns():
     # An empty report still writes the full header.
     columns = re.search(r"CSV columns: ([^)]*)\)", README.read_text()).group(1).split(", ")
     assert columns == PrimeScanReport(generators=[], coding="", a0="0").csv_rows()[0]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer strings")
+def test_readme_big_integer_recipe_reads_fpp_depth_20():
+    text = README.read_text()
+    start = text.index("```python\n", text.index("A Python reader raises the limit")) + len("```python\n")
+    recipe = text[start : text.index("```", start)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    report = subprocess.run(
+        [sys.executable, "-m", "quadorbit.cli", "fpp", "--depth", "20"],
+        capture_output=True, check=True, env=dict(env, PYTHONPATH=str(ROOT / "src")), timeout=60,
+    ).stdout
+    plain = subprocess.run(
+        [sys.executable, "-c", "import json, sys; json.load(sys.stdin)"], input=report, capture_output=True, env=env
+    )
+    assert plain.returncode == 1
+    assert b"Exceeds the limit (4300 digits)" in plain.stderr
+    widest = "rows = report['result']['levels']; print(len(rows), max(len(str(v)) for row in rows for v in row.values()))"
+    read = subprocess.run(
+        [sys.executable, "-c", recipe + widest], input=report, capture_output=True, check=True, env=env
+    )
+    assert read.stdout == b"20 78913\n"
 
 
 def test_algebra_exports_resolve():

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,23 @@ def test_one_rho_attempt_per_composite(monkeypatch):
     result = factor_integer(-6 * n)
     assert calls == [n]
     assert (result.sign, result.factors, result.cofactor) == (-1, [(2, 1), (3, 1)], n)
+
+
+@pytest.mark.parametrize("n,seed,expected", [(10403, 2, 101), (10403, 1, None), (1022117, 0, 1009)])
+def test_rho_replays_a_batched_gcd_that_overshoots(monkeypatch, n, seed, expected):
+    # A batch's gcd that reaches n itself is replayed one step at a time
+    # from the batch's start; a replay that reaches n again gives up.
+    gcds = []
+
+    def recording_gcd(a, b):
+        gcds.append(math.gcd(a, b))
+        return gcds[-1]
+
+    monkeypatch.setattr(factorint, "math", types.SimpleNamespace(gcd=recording_gcd))
+    assert factorint._pollard_brent(n, 10**5, random.Random(seed)) == expected
+    replay = gcds[gcds.index(n) + 1 :]
+    assert replay[-1] == (expected or n)
+    assert set(replay[:-1]) <= {1}
 
 
 @pytest.mark.parametrize(

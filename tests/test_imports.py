@@ -43,9 +43,9 @@ def modules(*names):
 
 
 ORBITS = ("dynamics", "algebra", "algebra.intpoly", "algebra.parse")
-CERTIFICATES = (*ORBITS, "certify", "algebra.factorint", "algebra.ratpoly", "algebra.rationals")
+CERTIFICATES = (*ORBITS, "certify", "algebra.factorint", "algebra.ratpoly", "algebra.integers")
 PROCESS = ("process",)
-SCAN = (*ORBITS, "primescan", "pool")
+SCAN = (*ORBITS, "primescan", "pool", "algebra.integers")
 
 CASES = {
     "import": ([], modules()),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -275,6 +276,45 @@ class TestPackedImageGcd:
         assert got == [1] * divisor_terms
         if divisor_terms < 2**11:
             assert got == gcd_mod_p_oracle(f, b, p)
+
+
+# The first two image primes, largest first.
+P1, P2 = 67108859, 67108837
+
+
+def _record_images(monkeypatch):
+    """(p, degree) of every image gcd_primitive takes, in order."""
+    images = []
+    image = ratpoly._gcd_image
+
+    def recording(f, g, p):
+        h = image(f, g, p)
+        images.append((p, len(h) - 1))
+        return h
+
+    monkeypatch.setattr(ratpoly, "_gcd_image", recording)
+    return images
+
+
+def test_gcd_skips_a_prime_that_divides_a_leading_coefficient(monkeypatch):
+    images = _record_images(monkeypatch)
+    t2 = IntPolynomial((2, 1))
+    f = IntPolynomial((1, P1)) * t2
+    g = IntPolynomial((3, P1)) * IntPolynomial((1, 1)) * t2
+    assert list(itertools.islice(ratpoly._image_primes(), 2)) == [P1, P2]
+    assert gcd_primitive(f, g) == (t2, IntPolynomial((1, P1)), IntPolynomial((3, P1)) * IntPolynomial((1, 1)))
+    assert images == [(P2, 1)]
+
+
+def test_gcd_drops_an_image_of_too_high_a_degree(monkeypatch):
+    # Mod P2 the cofactors t and t + P2 agree, so P2's image is h*t; the
+    # 41-bit coefficients of h lift from two images, P1's and the next prime's.
+    images = _record_images(monkeypatch)
+    h = IntPolynomial((2**40 + 1, 3, 2**40 + 7))
+    t = IntPolynomial((0, 1))
+    assert gcd_primitive(h * t, h * IntPolynomial((P2, 1))) == (h, t, IntPolynomial((P2, 1)))
+    assert [p for p, _ in images[:2]] == [P1, P2]
+    assert [degree for _, degree in images] == [2, 3, 2]
 
 
 def test_gcd_refuses_to_answer_when_images_never_lift(monkeypatch):

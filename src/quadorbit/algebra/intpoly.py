@@ -16,7 +16,7 @@ from byte slots (D. Harvey, J. Symbolic Comput. 44 (2009)).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Products where one factor has at most this many terms stay schoolbook.
 _SCHOOLBOOK_TERMS = 16
@@ -68,9 +68,6 @@ class IntPolynomial:
         """Max absolute value over the coefficients (0 for the zero polynomial)."""
         return max((abs(c) for c in self.coeffs), default=0)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
@@ -106,12 +103,6 @@ class IntPolynomial:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "IntPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "IntPolynomial":
         other = _coerce(other)

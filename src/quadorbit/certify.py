@@ -208,30 +208,27 @@ def stability_certificate(
 ) -> list[StabilityEvidence]:
     """Per-level stability evidence for levels 1..len(values), given the
     critical orbit values of those levels."""
-    return _stability(gens, coding, values, _decomposer(values))
+    return _stability(gens, coding, values, _decomposer(values), derivative_trick_applies(gens, coding))
 
 
-def _stability(gens: GeneratorSet, coding: SequenceCoding, values: list, decompose) -> list[StabilityEvidence]:
-    depth = len(values)
-    if depth < 1:
+def _stability(gens: GeneratorSet, coding: SequenceCoding, values: list, decompose, trick: bool):
+    """``trick`` is whether ``derivative_trick_applies(gens, coding)``."""
+    if not values:
         raise ValueError("depth must be >= 1")
     if not gens.is_critical:
         raise ValueError("stability certificates need critical mode")
-    if derivative_trick_applies(gens, coding):
+    if trick:
         c1 = gens.constants[coding.index_at(1) - 1]
-        ev = StabilityEvidence(STAB_DERIVATIVE, witness=render_poly(c1))
-        return [ev] * depth
+        return [StabilityEvidence(STAB_DERIVATIVE, witness=render_poly(c1))] * len(values)
+    eisenstein = gens.ring == QQ and gens.is_integral()
     out = []
-    for n in range(1, depth + 1):
+    for n, value in enumerate(values, start=1):
         if not _level_is_square(gens, values, n, decompose):
-            out.append(StabilityEvidence(STAB_NON_SQUARE, witness=str(values[n - 1])))
-            continue
-        if gens.ring == QQ and gens.is_integral():
-            eis = eisenstein_stability(gens, coding, n)
-            if eis.ok:
-                out.append(StabilityEvidence(STAB_EISENSTEIN, detail=eis.case))
-                continue
-        out.append(StabilityEvidence(STAB_FAILED, witness=str(values[n - 1])))
+            out.append(StabilityEvidence(STAB_NON_SQUARE, witness=str(value)))
+        elif eisenstein and (eis := eisenstein_stability(gens, coding, n)).ok:
+            out.append(StabilityEvidence(STAB_EISENSTEIN, detail=eis.case))
+        else:
+            out.append(StabilityEvidence(STAB_FAILED, witness=str(value)))
     return out
 
 
@@ -363,13 +360,11 @@ def level2_oracle(gens: GeneratorSet, values: list) -> bool:
 
     True iff the level-2 orbit value values[1] is not a square in the field
     obtained by adjoining a square root of minus the level-1 value values[0].
-    Requires level-1 stability (otherwise the extension is degenerate)."""
+    Requires level-1 stability: otherwise the extension is degenerate and
+    ``square_in_quadratic_extension`` raises ValueError."""
     if len(values) < 2:
         raise ValueError("the level-2 oracle needs the level-1 and level-2 values")
-    m = -values[0]
-    if m == 0 or is_square(m):
-        raise ValueError("level-1 value gives a degenerate quadratic extension")
-    return not square_in_quadratic_extension(values[1], m)
+    return not square_in_quadratic_extension(values[1], -values[0])
 
 
 def certify_chain(
@@ -378,70 +373,49 @@ def certify_chain(
     depth: int,
     rho_iterations: int = RHO_ITERATIONS,
 ) -> CertificateChain:
-    """Full stability-plus-maximality certificate chain through the given depth."""
+    """Full stability-plus-maximality certificate chain through the given depth.
+
+    Level 1 is maximal when it is stable.  A later level is not attempted
+    when a level below its predecessor is unstable, or when the set is not
+    integral; otherwise the valuation criterion decides it.  Over Q, level 2
+    falls back on the exact ``level2_oracle`` when the criterion leaves it
+    open and level 1 is stable, which is exactly when the oracle's extension
+    is not degenerate: a stable level 1 makes -gamma_1 nonzero and not a
+    square (Eisenstein at 2 holds at level 1 only for c = 1, 2 mod 4, where
+    -c is not a square)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    coding.validate_for(gens)
     values = critical_orbit(gens, coding, depth)
+    trick = derivative_trick_applies(gens, coding)
     # Both the square test and the valuation criterion read each level's
     # square-free decomposition; the value is decomposed once for both.
-    decompose = _decomposer(values, derivative_trick_applies(gens, coding))
-    stab = _stability(gens, coding, values, decompose)
-    stable_through = 0
-    for ev in stab:
-        if not ev.ok:
-            break
-        stable_through += 1
-
-    tool_ok = False
-    guaranteed_levels: set[int] = set()
-    if gens.ring == QT:
-        tool = tool_conditions(gens)
-        tool_ok = tool is not None and coding.index_at(1) in tool.all_j
-        if tool_ok:
-            guaranteed_levels = {
-                n for n in range(2, depth + 1) if coding.index_at(n) in tool.all_k
-            }
+    decompose = _decomposer(values, trick)
+    stab = _stability(gens, coding, values, decompose, trick)
+    stable_through = next((n for n, ev in enumerate(stab) if not ev.ok), depth)
+    tool = tool_conditions(gens) if gens.ring == QT else None
+    tool_ok = tool is not None and coding.index_at(1) in tool.all_j
 
     levels: list[LevelCertificate] = []
     maximal: list[int] = []
-    for n in range(1, depth + 1):
+    for n, value in enumerate(values, start=1):
         if n == 1:
-            max_ev = (
-                MaximalityEvidence(MAX_LEVEL_ONE)
-                if stab[0].ok
-                else MaximalityEvidence(MAX_NOT_ATTEMPTED)
-            )
-        elif stable_through < n - 1:
+            max_ev = MaximalityEvidence(MAX_LEVEL_ONE if stab[0].ok else MAX_NOT_ATTEMPTED)
+        elif stable_through < n - 1 or not gens.is_integral():
             max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
-        elif gens.is_integral():
+        else:
             max_ev = _valuation_criterion(gens, values, n, _strip_levels(coding, n), decompose, rho_iterations)
-            if n in guaranteed_levels:
+            if tool_ok and coding.index_at(n) in tool.all_k:
                 if max_ev.kind != MAX_PRIMITIVE:
                     raise RuntimeError(
                         f"internal consistency: guaranteed level {n} disagrees "
                         f"with the valuation criterion ({max_ev.kind})"
                     )
                 max_ev = MaximalityEvidence(MAX_PRIMITIVE, max_ev.residue, guaranteed=True)
-        else:
-            # The valuation criterion lives on integer sets; rational sets
-            # still get the exact oracle at n = 2.
-            max_ev = MaximalityEvidence(MAX_NOT_ATTEMPTED)
-        if gens.ring == QQ and n == 2 and max_ev.kind in (MAX_FAILS, MAX_NOT_ATTEMPTED):
-            try:
-                max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, values[:n]))
-            except ValueError:
-                pass
+        if gens.ring == QQ and n == 2 and stab[0].ok and not max_ev.ok:
+            max_ev = MaximalityEvidence(MAX_ORACLE, oracle=level2_oracle(gens, values))
         if max_ev.ok:
             maximal.append(n)
-        levels.append(
-            LevelCertificate(
-                level=n,
-                orbit_value=str(values[n - 1]),
-                stability=stab[n - 1],
-                maximality=max_ev,
-            )
-        )
+        levels.append(LevelCertificate(level=n, orbit_value=str(value), stability=stab[n - 1], maximality=max_ev))
 
     return CertificateChain(
         generators=gens.map_strings(),
@@ -453,4 +427,3 @@ def certify_chain(
         maximal_levels=maximal,
         tool_guarantee=tool_ok,
     )
-

@@ -251,7 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--certify", type=int, default=0, help="certify this many sampled prefixes")
-    p.add_argument("--certify-depth", type=int, default=None)
+    p.add_argument(
+        "--certify-depth",
+        type=int,
+        default=None,
+        help="certify to this depth (default: --length); each level roughly doubles the orbit value's size",
+    )
 
     p = command("primes", _cmd_primes, "prime-divisor scan of an orbit sequence", gens=True, coding=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -471,6 +471,60 @@ def test_single_map_chain_work_counts(monkeypatch):
     assert (len(strip_calls), len(yun_calls)) == (12, 0)
 
 
+@pytest.mark.parametrize(
+    "gens, coding",
+    [
+        (qt_set("t"), CONST),
+        (qt_set("t^2+1", "t"), SequenceCoding((), (1, 2))),
+        (X2P1, CONST),
+        (GeneratorSet.from_constants([Fraction(1, 2)]), CONST),
+    ],
+    ids=["qt_derivative_shortcut", "qt_square_tests", "q_valuation", "q_rational"],
+)
+def test_chain_reads_each_chain_wide_fact_once(monkeypatch, gens, coding):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(certify, "derivative_trick_applies", counting(certify.derivative_trick_applies))
+    monkeypatch.setattr(certify, "tool_conditions", counting(certify.tool_conditions))
+    certify_chain(gens, coding, 5)
+    expected = ["derivative_trick_applies"] + (["tool_conditions"] if gens.ring == QT else [])
+    assert sorted(calls) == expected
+
+
+@pytest.mark.parametrize("c", [Fraction(-1, 4), -4])
+def test_level2_oracle_skipped_after_unstable_level_one(c):
+    # -gamma_1 is a square, so level 2's quadratic extension is degenerate:
+    # the chain records not_attempted and never asks the oracle.
+    chain = certify_chain(GeneratorSet.from_constants([c]), CONST, 3)
+    assert chain.stable_through == 0
+    assert [lc.maximality.kind for lc in chain.levels] == ["not_attempted"] * 3
+
+
+# ROADMAP item 7's 572-chain grid: the 28 single maps x^2 + c, c in [-15, 15]
+# without 0, -1 and -2, under |1 to depth 8; then every ordered pair of
+# distinct constants in [-8, 8] under |1,2 and then 1|2, to depth 6.  The
+# digest covers every level's kind, residue witness and oracle; a change to
+# any of them must name itself.
+GRID_SHA256 = "b219b3c62b9eaa6f2448c428e41826d8f667792177799787ecfdc4608dc078d9"
+
+
+def test_572_chain_grid_digest():
+    singles = [([c], "|1", 8) for c in range(-15, 16) if c not in (0, -1, -2)]
+    pairs = [([a, b], coding, 6) for a in range(-8, 9) for b in range(-8, 9) if a != b for coding in ("|1,2", "1|2")]
+    digest = hashlib.sha256()
+    for constants, coding, depth in singles + pairs:
+        chain = certify_chain(GeneratorSet.from_constants(constants), SequenceCoding.parse(coding), depth)
+        digest.update(canonical_json(chain.to_dict()).encode())
+    assert (len(singles) + len(pairs), digest.hexdigest()) == (572, GRID_SHA256)
+
+
 def _derivative_one_squares(seed, count):
     """z^2 + c for random z and random c whose derivative reduces to 1 mod 2,
     so f' = 1 mod 2; the leading coefficient may be even."""

@@ -193,6 +193,48 @@ def test_primes_fpp_depth_json_schema(capsys):
         jsonschema.validate(payload["result"], schema, registry=registry)
 
 
+@pytest.mark.parametrize(
+    "argv,verdict",
+    [(["classify", "--c", "-2; -6"], "Exceptional"), (["classify", "--c", "1"], "NotObstructed")],
+    ids=["session.classify", "not_obstructed"],
+)
+def test_classify_json_schema(capsys, argv, verdict):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    schema = _schema("classify_result.schema.json")
+    jsonschema.validate(payload, _schema("envelope.schema.json"))
+    jsonschema.validate(payload["result"], schema)
+    assert payload["result"]["verdict"] == verdict
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**payload["result"], "witness_point": "0", "name": None}, schema)
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        (["orbit", "--c", "-2", "--coding", "|1", "--depth", "3"], 0),
+        (["orbit", "--set", "x^2+x; x^2-6x", "--point", "2"], 0),
+        (["orbit", "--c", "0", "--point", "1"], 0),
+        (["orbit", "--c", "-1", "--point", "1/2"], 0),
+        (["orbit", "--ring", "qt", "--c", "t", "--point", "1", "--size-cap", "1"], 2),
+    ],
+    ids=["session.orbit_critical", "session.orbit_point", "closed", "escaping", "qt_cap_cut"],
+)
+def test_orbit_json_schema(capsys, argv, expected_code):
+    code, out = run_cli(capsys, *argv)
+    assert code == expected_code
+    payload = json.loads(out)
+    schema = _schema("orbit_result.schema.json")
+    jsonschema.validate(payload, _schema("envelope.schema.json"))
+    jsonschema.validate(payload["result"], schema)
+    if "--point" in argv:
+        # A walk that closed has an orbit; one that did not has none.
+        flipped = {**payload["result"], "orbit": None if payload["result"]["orbit"] else ["0"]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(flipped, schema)
+
+
 def run_simulate_on_one_and_two_cpus(capsys, monkeypatch, trials):
     args = ["simulate", "--depth", "6", "--trials", str(trials), "--seed", "9"]
     runs = []

@@ -8,20 +8,19 @@ it carries the primes found plus the unfactored cofactor.  Certificates
 decide their criterion without factoring and call this only to name a
 witness prime, stopping at the first trial prime that qualifies.
 
-Trial division walks blocks of 512 consecutive odd numbers.  Each block
-carries its primes and their product, read from ``integers.primes_in_range``
-once per process, a batch of blocks at a time and as far as the square
-roots of the inputs need.  A block whose product is coprime to what is left
-of n is skipped whole, and a block that shares a factor with it tries its
-primes one at a time, so the primes found, and the order in which ``stop``
-sees them, are those of a plain trial division.
+Trial division walks blocks of 512 consecutive odd numbers.  The product
+of each block's primes is kept once per process, built from one
+``integers.primes_in_range`` call as far as the square roots of the inputs
+need.  A block whose product is coprime to what is left of n is skipped
+whole, and a block that shares a factor with it reads its primes from the
+sieve again and tries them one at a time, so the primes found, and the order
+in which ``stop`` sees them, are those of a plain trial division.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left
 from typing import Callable
 
@@ -37,11 +36,9 @@ TRIAL_BOUND = 10**6
 RHO_ITERATIONS = 200_000
 
 _BLOCK_SPAN = 1024  # block j holds the 512 odd numbers in [j*1024, (j+1)*1024)
-_SIEVE_BLOCKS = 64  # blocks sieved together
 # A per-process cache, filled in order by _sieve_blocks; what it holds
 # depends on nothing but the block index.
 _block_products: list[int] = []  # block j: the product of its odd primes up to TRIAL_BOUND
-_block_primes: list[array] = []  # block j: those primes, ascending
 
 
 def is_probable_prime(n: int) -> bool:
@@ -83,8 +80,7 @@ class Factorization:
 
 
 def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
-    if n % 2 == 0:
-        return 2
+    """A proper factor of n, an odd composite (2 is taken out first), or None."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -119,18 +115,16 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
 
 
 def _sieve_blocks(last: int) -> None:
-    """Append the primes and their product of each block through block
-    ``last`` <= TRIAL_BOUND // _BLOCK_SPAN, up to _SIEVE_BLOCKS at a time."""
-    while len(_block_products) <= last:
-        lo = len(_block_products) * _BLOCK_SPAN
-        hi = min(lo + _SIEVE_BLOCKS * _BLOCK_SPAN, (last + 1) * _BLOCK_SPAN, TRIAL_BOUND + 1)
-        primes = primes_in_range(max(lo, 3), hi - 1)
-        start = 0
-        for edge in range(lo + _BLOCK_SPAN, hi + _BLOCK_SPAN, _BLOCK_SPAN):
-            end = bisect_left(primes, edge, start)
-            _block_primes.append(primes[start:end])
-            _block_products.append(math.prod(_block_primes[-1]))
-            start = end
+    """Append the product of the primes of each block through block
+    ``last`` <= TRIAL_BOUND // _BLOCK_SPAN, from one sieve call."""
+    lo = len(_block_products) * _BLOCK_SPAN
+    hi = min((last + 1) * _BLOCK_SPAN, TRIAL_BOUND + 1)
+    primes = primes_in_range(max(lo, 3), hi - 1)
+    start = 0
+    for edge in range(lo + _BLOCK_SPAN, hi + _BLOCK_SPAN, _BLOCK_SPAN):
+        end = bisect_left(primes, edge, start)
+        _block_products.append(math.prod(primes[start:end]))
+        start = end
 
 
 def factor_integer(
@@ -180,7 +174,7 @@ def factor_integer(
         if block == len(_block_products):
             _sieve_blocks(min(TRIAL_BOUND, math.isqrt(n)) // _BLOCK_SPAN)
         if math.gcd(_block_products[block], n) > 1:
-            for f in _block_primes[block]:
+            for f in primes_in_range(max(lo, 3), min(lo + _BLOCK_SPAN - 1, TRIAL_BOUND)):
                 if f * f > n:
                     break
                 if n % f == 0 and take(f):
@@ -196,8 +190,6 @@ def factor_integer(
     cofactor = 1
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             record(m)
             continue

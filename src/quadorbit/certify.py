@@ -208,15 +208,19 @@ def stability_certificate(
 ) -> list[StabilityEvidence]:
     """Per-level stability evidence for levels 1..len(values), given the
     critical orbit values of those levels."""
+    _check_chain(gens, len(values))
     return _stability(gens, coding, values, _decomposer(values), derivative_trick_applies(gens, coding))
+
+
+def _check_chain(gens: GeneratorSet, depth: int) -> None:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not gens.is_critical:
+        raise ValueError("stability certificates need critical mode")
 
 
 def _stability(gens: GeneratorSet, coding: SequenceCoding, values: list, decompose, trick: bool):
     """``trick`` is whether ``derivative_trick_applies(gens, coding)``."""
-    if not values:
-        raise ValueError("depth must be >= 1")
-    if not gens.is_critical:
-        raise ValueError("stability certificates need critical mode")
     if trick:
         c1 = gens.constants[coding.index_at(1) - 1]
         return [StabilityEvidence(STAB_DERIVATIVE, witness=render_poly(c1))] * len(values)
@@ -383,8 +387,7 @@ def certify_chain(
     is not degenerate: a stable level 1 makes -gamma_1 nonzero and not a
     square (Eisenstein at 2 holds at level 1 only for c = 1, 2 mod 4, where
     -c is not a square)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_chain(gens, depth)
     values = critical_orbit(gens, coding, depth)
     trick = derivative_trick_applies(gens, coding)
     # Both the square test and the valuation criterion read each level's

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from . import QQ, QT, _record
 from .algebra.intpoly import IntPolynomial, render_poly
@@ -40,7 +39,7 @@ class GeneratorSet:
     Over Q an integral constant is an int and any other a Fraction, so an
     integral set computes in integer arithmetic; over Q(t) the constants are
     IntPolynomials.
-    General monic integer maps (e.g. x^2+x) are allowed for orbit
+    General monic integer maps (e.g. x^2+x) are allowed over Q, for orbit
     exploration only, via ``general``.
     """
 
@@ -63,6 +62,8 @@ class GeneratorSet:
             if len(set(cs)) != len(cs):
                 raise ValueError("maps must be pairwise distinct")
         else:
+            if self.ring == QT:
+                raise ValueError("general maps work over Q only, not over ring 'qt'")
             maps = tuple(self.general)
             if len(set(maps)) != len(maps):
                 raise ValueError("maps must be pairwise distinct")
@@ -73,10 +74,6 @@ class GeneratorSet:
     @classmethod
     def from_constants(cls, constants, ring: str = QQ) -> "GeneratorSet":
         return cls(constants=tuple(constants), ring=ring)
-
-    @classmethod
-    def from_maps(cls, maps: Sequence[IntPolynomial]) -> "GeneratorSet":
-        return cls(general=tuple(maps), ring=QQ)
 
     @classmethod
     def parse(cls, text: str, ring: str = QQ) -> "GeneratorSet":
@@ -97,9 +94,7 @@ class GeneratorSet:
                 if ring == QT:
                     return cls.from_constants([IntPolynomial((c,)) for c in consts], ring)
                 return cls.from_constants(consts, ring)
-            if ring == QT:
-                raise ValueError("general maps work over Q only, not over ring 'qt'")
-            return cls.from_maps(maps)
+            return cls(general=tuple(maps), ring=ring)
         if ring == QT:
             return cls.from_constants([parse_poly(p, var="t") for p in parts], ring)
         return cls.from_constants(parts, ring)

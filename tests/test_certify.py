@@ -498,6 +498,17 @@ def test_chain_reads_each_chain_wide_fact_once(monkeypatch, gens, coding):
     assert sorted(calls) == expected
 
 
+def test_chain_refuses_general_maps_before_the_orbit(monkeypatch):
+    # The orbit of 0 under x^2+x+1 doubles in size each level; a chain that
+    # cannot be certified fails before any of it is computed.
+    def no_orbit(*args):
+        raise AssertionError("critical_orbit called")
+
+    monkeypatch.setattr(certify, "critical_orbit", no_orbit)
+    with pytest.raises(ValueError, match="stability certificates need critical mode"):
+        certify_chain(GeneratorSet.parse("x^2+x+1"), CONST, 40)
+
+
 @pytest.mark.parametrize("c", [Fraction(-1, 4), -4])
 def test_level2_oracle_skipped_after_unstable_level_one(c):
     # -gamma_1 is a square, so level 2's quadratic extension is degenerate:

@@ -401,6 +401,19 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error:" in captured.err
 
 
+def test_certify_without_generators_is_an_error(capsys):
+    assert main(["certify", "--coding", "|1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: provide --c or --set\n"
+
+
+def test_factor_budget_default_is_the_rho_budget():
+    from quadorbit.algebra import factorint
+
+    assert build_parser().parse_args(["certify", "--c", "1"]).factor_budget == factorint.RHO_ITERATIONS
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--help"])

@@ -195,7 +195,7 @@ class TestSemigroupOrbit:
                     list({Fraction(rng.randint(-12, 12), rng.choice(dens)) for _ in range(2)})
                 )
             else:
-                g = GeneratorSet.from_maps(rng.sample(general, rng.randint(1, 2)))
+                g = GeneratorSet(general=tuple(rng.sample(general, rng.randint(1, 2))))
             grows = _denominator_grows(g)
             v = Fraction(rng.randint(-12, 12), rng.choice(dens))
             if not grows(v):
@@ -224,7 +224,7 @@ def assert_status_matches_oracle(g, start, targets, reach):
 class TestFiniteOrbitPoints:
     def test_remark_example(self):
         maps = [parse_poly("x^2+x", var="x"), parse_poly("x^2-6x", var="x")]
-        g = GeneratorSet.from_maps(maps)
+        g = GeneratorSet(general=tuple(maps))
         answer = orbit_contains_finite_orbit_point(g, 2)
         assert answer.kind == "yes"
         assert answer.witness == 0
@@ -466,6 +466,26 @@ def test_generator_set_parse():
     assert [str(c) for c in g3.constants] == ["t^4+5t", "-7t^4-3"]
     g4 = GeneratorSet.parse("x^2+x; x^2-6x")
     assert not g4.is_critical
+
+
+def test_critical_maps_over_qt_parse_to_constant_polynomials():
+    g = GeneratorSet.parse("x^2-2; x^2+3", ring=QT)
+    assert g.is_critical and g.ring == QT
+    assert g.constants == (IntPolynomial((-2,)), IntPolynomial((3,)))
+
+
+def test_general_maps_over_qt_rejected():
+    with pytest.raises(ValueError, match="general maps work over Q only, not over ring 'qt'"):
+        GeneratorSet(general=(parse_poly("x^2+x", var="x"),), ring=QT)
+
+
+def test_composition_polynomial_of_general_maps():
+    f, g = parse_poly("x^2+x", var="x"), parse_poly("x^2-6x", var="x")
+    gens = GeneratorSet.parse("x^2+x; x^2-6x")
+    coding = SequenceCoding((1,), (2,))
+    expected = [f, f.compose(g), f.compose(g.compose(g))]
+    assert [composition_polynomial(gens, coding, n) for n in (1, 2, 3)] == expected
+    assert expected[2].evaluate(3) == gens.apply(1, gens.apply(2, gens.apply(2, 3)))
 
 
 def test_duplicate_maps_rejected():

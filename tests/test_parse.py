@@ -38,3 +38,10 @@ def test_parse_errors_carry_position(bad):
         parse_poly(bad)
     if isinstance(err.value, PolynomialSyntaxError):
         assert err.value.position >= 0
+
+
+def test_parenthesized_polynomial():
+    assert parse_poly("(7t^4+3)") == parse_poly("7t^4+3")
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_poly("()")
+    assert err.value.position == 1
